@@ -298,10 +298,11 @@ class ChaosRuntime:
         trigger = RpcClient(*managed.address, timeout=10.0)
         try:
             trigger.call(
-                "put",
+                "mutate",
                 instance,
-                "__chaos_probe__",
-                f"{kind}@{host_index}",
+                "put",
+                ("__chaos_probe__", f"{kind}@{host_index}"),
+                (),
                 target=("data", server_id),
             )
         except RemoteOpError:
@@ -349,10 +350,11 @@ class ChaosRuntime:
             # the append is poisoned but the op acks normally — silence
             # is the property under test
             trigger.call(
-                "put",
+                "mutate",
                 instance,
-                "__chaos_probe__",
-                f"{kind}@{host_index}",
+                "put",
+                ("__chaos_probe__", f"{kind}@{host_index}"),
+                (),
                 target=("data", server_id),
             )
         finally:

@@ -26,6 +26,14 @@ from. The parent triggers ``_replay_wal`` after (re)provisioning to
 rebuild data-plane state from the log — control-plane state (routes,
 roles, failover history) is re-provisioned fresh; checkpoint recovery,
 not the WAL, is the mechanism that restores post-failover layouts.
+
+A client mutation is one such operation (``TDStoreDataServer.mutate``):
+the host write and the sync records it queues on the replicas living in
+this process are one request, one log record and one ack, and replaying
+the record re-derives both. Hosts never call each other on the data
+plane — two single-threaded serve loops waiting on each other's acks
+would deadlock — so records for a replica owned by another process go
+back to the client, which ships them there in one ``enqueue_syncs``.
 """
 
 from __future__ import annotations
@@ -63,11 +71,12 @@ WAL_FAIL_STOP_EXIT = 70
 # survive a later host crash: logged as ("__cluster__", method, args)
 # records and re-applied by _replay_wal after the data-plane records.
 # add_data_server is logged so a respawned host 0 re-creates elastic
-# expansion servers (hosted by process 0) before their data records
+# expansion servers (hosted by process 0, joining its ``locals``) before
+# their data records
 CLUSTER_WAL_METHODS = frozenset({"restore_contents", "add_data_server"})
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.config_server import ConfigServerPair
-from repro.tdstore.data_server import TDStoreDataServer
+from repro.tdstore.data_server import HOST_MUTATIONS, TDStoreDataServer
 from repro.tdstore.engines import MDBEngine
 
 
@@ -77,11 +86,17 @@ class HostedCluster(TDStoreCluster):
     Entries are local ``TDStoreDataServer`` objects for servers this
     process owns and :class:`RemoteDataServer` proxies for servers owned
     by sibling host processes; every facade and config-server code path
-    works on both through the shared duck type.
+    works on both through the shared duck type. ``colocated`` is the
+    host's map of the local ones, which a server created at runtime
+    (elastic expansion) joins — so the host serves its data RPCs and
+    WAL-logs its mutations like any provisioned local.
     """
 
-    def __init__(self, servers: list, num_instances: int, engine_factory):
+    def __init__(
+        self, servers: list, num_instances: int, engine_factory, colocated: dict
+    ):
         self._engine_factory = engine_factory
+        self._colocated = colocated
         self.data_servers = list(servers)
         self.config = ConfigServerPair(self.data_servers, num_instances)
 
@@ -244,9 +259,9 @@ class ServerHost:
         self.host_index: int = config["host_index"]
         self.local_ids: list[int] = list(config["local_server_ids"])
         self.num_instances: int = config["num_instances"]
-        self.locals: dict[int, TDStoreDataServer] = {
-            sid: TDStoreDataServer(sid, MDBEngine) for sid in self.local_ids
-        }
+        self.locals: dict[int, TDStoreDataServer] = {}
+        for sid in self.local_ids:
+            TDStoreDataServer(sid, MDBEngine).colocate(self.locals)
         self.wal = GroupCommitWal(
             config["wal_path"],
             durable=config.get("durable", True),
@@ -280,7 +295,9 @@ class ServerHost:
                         rpc = RpcClient(host, port)
                         self._sibling_rpcs[placement[sid]] = rpc
                     servers.append(RemoteDataServer(rpc, sid))
-            self.cluster = HostedCluster(servers, self.num_instances, MDBEngine)
+            self.cluster = HostedCluster(
+                servers, self.num_instances, MDBEngine, self.locals
+            )
         # a respawn reuses the port recorded by the parent after the
         # first spawn, so worker-held addresses survive host restarts
         self.server = RpcServer(self.handle_batch, port=config.get("port", 0))
@@ -353,20 +370,19 @@ class ServerHost:
             try:
                 receiver = self._receiver(target)
                 method = request.method
+                data_op = isinstance(target, tuple) and target[0] == "data"
+                if data_op and method in HOST_MUTATIONS:
+                    # unlogged and replica-blind on its own; only
+                    # ``mutate`` may name it
+                    raise TDStoreError(f"{method!r} must travel in a mutate")
                 if method.startswith("."):
                     value = getattr(receiver, method[1:])
                 else:
                     value = getattr(receiver, method)(*request.args)
-                if (
-                    isinstance(target, tuple)
-                    and target[0] == "data"
-                    and method in MUTATING_DATA_METHODS
-                ):
+                if data_op and method in MUTATING_DATA_METHODS:
                     self._wal_append((target[1], method, request.args))
                     mutating_conns.add(conn_id)
                 elif target == "cluster" and method in CLUSTER_WAL_METHODS:
-                    if method == "add_data_server":
-                        self._adopt_runtime_servers()
                     self._wal_append(("__cluster__", method, request.args))
                     mutating_conns.add(conn_id)
                 response = Response(value=value)
@@ -384,23 +400,6 @@ class ServerHost:
         if deferred or mutating_conns:
             self.committer.submit(frozenset(mutating_conns), deferred)
         return None
-
-    def _adopt_runtime_servers(self) -> None:
-        """Register elastic-expansion servers in the data-plane routing.
-
-        ``add_data_server`` creates the new ``TDStoreDataServer`` inside
-        this process (runtime-created servers are always hosted by the
-        control-plane host), so it must also serve that server's data
-        RPCs and WAL-log its mutations like any provisioned local.
-        """
-        if self.cluster is None:
-            return
-        for server in self.cluster.data_servers:
-            if (
-                isinstance(server, TDStoreDataServer)
-                and server.server_id not in self.locals
-            ):
-                self.locals[server.server_id] = server
 
     def _wal_append(self, record) -> None:
         try:
@@ -526,8 +525,16 @@ class ServerHost:
 
         Only ops acknowledged before the crash are on disk; re-applying
         them in order onto freshly provisioned servers reproduces the
-        exact acknowledged state. ``ensure_instance`` guards replay of
-        ops against instances whose roles were provisioned differently.
+        exact acknowledged engine state. ``ensure_instance`` guards replay
+        of ops against instances whose roles were provisioned differently.
+
+        Replica *inboxes* are re-derived, not restored: a ``mutate``
+        record re-runs its enqueue against the respawned process, where
+        every server is alive (``crash()`` is not logged). A co-located
+        replica that was logically down when the write landed skipped
+        those records then and is queued them now, so its inbox can hold
+        more after replay than before the crash. That only moves the
+        replica closer to its host (scrub would have repaired the gap).
         """
 
         def apply(record):
@@ -539,8 +546,6 @@ class ServerHost:
                 # proxies as usual
                 if self.cluster is not None:
                     getattr(self.cluster, method)(*args)
-                    if method == "add_data_server":
-                        self._adopt_runtime_servers()
                 return
             server = self.locals.get(server_id)
             if server is None:

@@ -10,7 +10,7 @@ client the batch size is one and throughput is fsync-bound; with N
 concurrent workers up to N mutations ride each flush, which is where
 the parallel benchmark's scaling comes from.
 
-Records are wire frames (length-prefixed, CRC32C-checksummed pickles),
+Records are wire frames (length-prefixed, CRC-32-checksummed pickles),
 so replay reuses :class:`~repro.runtime.wire.StreamDecoder` and the two
 failure shapes are kept distinct: a torn *tail* — a crash mid-append —
 is an incomplete final frame, silently dropped because it was never
@@ -281,7 +281,7 @@ def replay(
 
     A torn final frame (crash mid-append) is silently dropped — it was
     never acknowledged, so losing it is correct. A *complete* frame
-    whose payload fails its CRC32C is acknowledged state gone wrong:
+    whose payload fails its CRC-32 is acknowledged state gone wrong:
     replay stops applying, keeps scanning to count the damage (framing
     survives body corruption), and raises :class:`WalError` with
     ``corrupt_records`` set. With ``apply`` given, applies each record

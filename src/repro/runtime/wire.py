@@ -1,8 +1,8 @@
 """Wire protocol: checksummed length-prefixed frames of pickled envelopes.
 
-A frame is an 8-byte big-endian header — payload length followed by a
-CRC32C (Castagnoli) checksum of the payload — and then that many bytes
-of pickle (protocol 5). Requests name a method and carry positional
+A frame is an 8-byte big-endian header — payload length followed by the
+CRC-32 (IEEE 802.3, ``zlib.crc32``) of the payload — and then that many
+bytes of pickle (protocol 5). Requests name a method and carry positional
 args; responses either carry a value or a real exception object.
 TDStore's control-flow errors — :class:`~repro.errors.StaleRouteError`,
 :class:`~repro.errors.MigrationInProgressError`,
@@ -27,6 +27,7 @@ import struct
 import traceback
 from dataclasses import dataclass, field
 from typing import Any
+from zlib import crc32
 
 from repro.errors import RemoteOpError
 
@@ -48,13 +49,8 @@ PICKLE_PROTOCOL = 5
 # fresh connection.
 MUTATING_DATA_METHODS = frozenset(
     {
-        "put",
-        "delete",
-        "check_and_set",
-        "apply_op",
-        "put_once",
-        "record_once",
-        "enqueue_sync",
+        "mutate",
+        "enqueue_syncs",
         "apply_pending",
         "apply_repair",
         "adopt_snapshot",
@@ -66,35 +62,6 @@ MUTATING_DATA_METHODS = frozenset(
 # for merging into ``_stats``-style dicts. Every process (parent, worker
 # host, server host) accumulates its own; chaos accounting sums them.
 CORRUPTION_STATS = {"frames_detected": 0}
-
-
-def _build_crc32c_table() -> tuple[int, ...]:
-    poly = 0x82F63B78  # Castagnoli, reflected
-    table = []
-    for index in range(256):
-        crc = index
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC32C_TABLE = _build_crc32c_table()
-
-
-def crc32c(data: bytes, value: int = 0) -> int:
-    """CRC32C (Castagnoli) of ``data``, pure python over the stdlib.
-
-    ``zlib.crc32`` is the IEEE polynomial, not Castagnoli, and the
-    environment pins us to the stdlib — so a 256-entry table it is.
-    Frames here are KB-scale; the per-byte loop is not a hot path next
-    to pickling and the syscalls around it.
-    """
-    crc = value ^ 0xFFFFFFFF
-    table = _CRC32C_TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
 
 
 @dataclass
@@ -130,7 +97,7 @@ class FrameError(RemoteOpError):
 
 
 class FrameCorruptionError(FrameError):
-    """A complete frame failed its CRC32C check.
+    """A complete frame failed its CRC-32 check.
 
     The payload was delivered whole but its bytes do not match the
     checksum stamped at encode time — a flipped bit on the wire or on
@@ -150,7 +117,7 @@ class FrameCorruptionError(FrameError):
 def encode_frame(obj: Any) -> bytes:
     """Serialize ``obj`` into one wire frame (header + pickle)."""
     payload = pickle.dumps(obj, PICKLE_PROTOCOL)
-    return HEADER.pack(len(payload), crc32c(payload)) + payload
+    return HEADER.pack(len(payload), crc32(payload)) + payload
 
 
 def corrupt_frame(frame: bytes, run: int = 1) -> bytes:
@@ -226,11 +193,11 @@ class StreamDecoder:
                 break
             payload = bytes(self._buf[HEADER_SIZE : HEADER_SIZE + length])
             del self._buf[: HEADER_SIZE + length]
-            actual = crc32c(payload)
+            actual = crc32(payload)
             if actual != expected:
                 CORRUPTION_STATS["frames_detected"] += 1
                 raise FrameCorruptionError(
-                    f"frame payload of {length} bytes fails CRC32C: "
+                    f"frame payload of {length} bytes fails CRC-32: "
                     f"expected {expected:#010x}, got {actual:#010x}",
                     expected,
                     actual,

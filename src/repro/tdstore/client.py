@@ -2,9 +2,9 @@
 
 A client first queries the config server for the route table, then talks
 directly to data servers (Section 3.3). Mutations are applied at the
-host and queued to the slave. On a data-server failure the client asks
-the config pair to fail over, refreshes its route table, and retries —
-invisible to the caller.
+host, which queues them to the slave in the same request. On a
+data-server failure the client asks the config pair to fail over,
+refreshes its route table, and retries — invisible to the caller.
 
 The client is also where the resilience layer meets storage: every
 operation can run under a propagated :class:`~repro.resilience.Deadline`
@@ -485,46 +485,52 @@ class TDStoreClient:
             return got
         return None
 
-    def put(self, key: str, value: Any):
+    def _mutate(self, key: str, method: str, *args: Any) -> Any:
+        """One host mutation, replica sync riding the same request.
+
+        The request names the replicas to queue the resulting records
+        on — the instance's slave, and during a live migration the
+        catch-up target, which receives every record written after its
+        snapshot copy so the cutover only has to drain that queue
+        (journals and versions ride along in the same records). Both
+        come from client-side state: the epoch-checked cached table is
+        identical to the authoritative one whenever the epochs match.
+        The host queues the records on every replica living in its own
+        process; only for replicas owned by another process do the
+        records come back, to be shipped in one batch per replica.
+        """
         def op(server_id: int, instance: int):
-            record = self._config.server(server_id).put(instance, key, value)
-            self._sync_to_slave(instance, record)
-            return None
+            slave = self._table.route(instance).slave
+            target = self._config.migration_target(instance)
+            replicas = (
+                (slave,) if target is None or target == slave
+                else (slave, target)
+            )
+            result, records, elsewhere = self._config.server(server_id).mutate(
+                instance, method, args, replicas
+            )
+            for replica in elsewhere:
+                try:
+                    self._config.server(replica).enqueue_syncs(instance, records)
+                except DataServerDownError:
+                    pass  # a downed replica is skipped, as at the host
+            return result
 
         return self._with_failover(key, op)
+
+    def _tally_once(self, applied: bool) -> bool:
+        """Count a journaled op as landed or deduped."""
+        if applied:
+            self.ops_applied += 1
+        else:
+            self.ops_deduped += 1
+        return applied
+
+    def put(self, key: str, value: Any):
+        return self._mutate(key, "put", key, value)
 
     def delete(self, key: str):
-        def op(server_id: int, instance: int):
-            record = self._config.server(server_id).delete(instance, key)
-            self._sync_to_slave(instance, record)
-            return None
-
-        return self._with_failover(key, op)
-
-    def _sync_to_slave(self, instance: int, record: Any):
-        # the host forwards the record to its slave; it always knows the
-        # *current* slave. The epoch-checked cached table is identical to
-        # the authoritative one whenever the epochs match, so this stays
-        # a local lookup instead of a per-mutation table download.
-        self._maybe_refresh()
-        route = self._table.route(instance)
-        try:
-            # a downed slave rejects the record; skipping it is the same
-            # decision a liveness pre-check would make, without spending
-            # a round trip on remote replicas to find out
-            self._config.server(route.slave).enqueue_sync(instance, record)
-        except DataServerDownError:
-            pass
-        # dual-write window of a live migration: the catch-up target
-        # receives every record written after its snapshot copy, so the
-        # cutover only has to drain this queue — journals and versions
-        # ride along in the same records that replicate them to slaves
-        target_id = self._config.migration_target(instance)
-        if target_id is not None and target_id != route.slave:
-            try:
-                self._config.server(target_id).enqueue_sync(instance, record)
-            except DataServerDownError:
-                pass
+        return self._mutate(key, "delete", key)
 
     # -- transactional API (exactly-once support) ---------------------------
 
@@ -545,15 +551,7 @@ class TDStoreClient:
         a transport failure, so no failover/retry is spent on it); the
         caller re-reads with :meth:`get_versioned` and retries.
         """
-        def op(server_id: int, instance: int):
-            new_version, records = self._config.server(server_id).check_and_set(
-                instance, key, value, expected_version
-            )
-            for record in records:
-                self._sync_to_slave(instance, record)
-            return new_version
-
-        return self._with_failover(key, op)
+        return self._mutate(key, "check_and_set", key, value, expected_version)
 
     def apply(self, key: str, op_id: str, delta: float = 1.0) -> tuple[float, bool]:
         """Idempotent increment: ``op_id`` lands on ``key`` at most once.
@@ -562,20 +560,8 @@ class TDStoreClient:
         host→slave failover, because the op journal replicates with the
         value — and safe to retry after an ambiguous transport failure.
         """
-        def op(server_id: int, instance: int):
-            value, applied, records = self._config.server(server_id).apply_op(
-                instance, key, op_id, delta
-            )
-            for record in records:
-                self._sync_to_slave(instance, record)
-            return value, applied
-
-        value, applied = self._with_failover(key, op)
-        if applied:
-            self.ops_applied += 1
-        else:
-            self.ops_deduped += 1
-        return value, applied
+        value, applied = self._mutate(key, "apply_op", key, op_id, delta)
+        return value, self._tally_once(applied)
 
     def put_once(self, key: str, op_id: str, value: Any) -> bool:
         """Idempotent full-value write: ``op_id`` lands on ``key`` at most once.
@@ -587,20 +573,9 @@ class TDStoreClient:
         replayed op re-executes the whole update. Returns False on a
         replay, leaving the stored value untouched.
         """
-        def op(server_id: int, instance: int):
-            applied, records = self._config.server(server_id).put_once(
-                instance, key, op_id, value
-            )
-            for record in records:
-                self._sync_to_slave(instance, record)
-            return applied
-
-        applied = self._with_failover(key, op)
-        if applied:
-            self.ops_applied += 1
-        else:
-            self.ops_deduped += 1
-        return applied
+        return self._tally_once(
+            self._mutate(key, "put_once", key, op_id, value)
+        )
 
     def op_seen(self, key: str, op_id: str) -> bool:
         """True when ``op_id`` was already committed against ``key``.
@@ -622,20 +597,7 @@ class TDStoreClient:
         read-modify-write callers should use :meth:`op_seen` +
         :meth:`put_once` instead and commit last.
         """
-        def op(server_id: int, instance: int):
-            recorded, records = self._config.server(server_id).record_once(
-                instance, key, op_id
-            )
-            for record in records:
-                self._sync_to_slave(instance, record)
-            return recorded
-
-        recorded = self._with_failover(key, op)
-        if recorded:
-            self.ops_applied += 1
-        else:
-            self.ops_deduped += 1
-        return recorded
+        return self._tally_once(self._mutate(key, "record_once", key, op_id))
 
     def incr(self, key: str, delta: float = 1.0) -> float:
         """Atomic-within-the-simulation numeric increment; returns new value."""

@@ -36,6 +36,11 @@ class TDStoreCluster:
         self.data_servers = [
             TDStoreDataServer(i, engine_factory) for i in range(num_data_servers)
         ]
+        # one process holds the whole pool: a host write queues its sync
+        # records on the replicas itself (TDStoreDataServer.mutate)
+        self._colocated: dict[int, TDStoreDataServer] = {}
+        for server in self.data_servers:
+            server.colocate(self._colocated)
         self.config = ConfigServerPair(self.data_servers, num_instances)
 
     # -- elastic scaling ---------------------------------------------------
@@ -50,6 +55,7 @@ class TDStoreCluster:
         server_id = max(s.server_id for s in self.data_servers) + 1
         server = TDStoreDataServer(server_id, self._engine_factory)
         self.config.add_server(server)
+        server.colocate(self._colocated)
         self.data_servers.append(server)
         return server_id
 

@@ -2,9 +2,10 @@
 
 A data server holds one engine per data instance it participates in
 (whether as host or slave). Host writes are applied locally and queued
-for the slave; the slave applies queued records "when idle" — we expose
-that as an explicit :meth:`apply_pending` the cluster calls during idle
-periods and, crucially, before a slave is promoted.
+for the slave in the same call (:meth:`TDStoreDataServer.mutate`); the
+slave applies queued records "when idle" — we expose that as an explicit
+:meth:`apply_pending` the cluster calls during idle periods and,
+crucially, before a slave is promoted.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from repro.tdstore.engines import JOURNAL_PREFIX, VERSION_PREFIX, StorageEngine
 
 _DELETE = "__delete__"
 _PUT = "__put__"
+
+# the host operations a client mutation may name (see ``mutate``); each
+# returns ``(result, sync_records)``
+HOST_MUTATIONS = frozenset(
+    {"put", "delete", "check_and_set", "apply_op", "put_once", "record_once"}
+)
 
 
 @dataclass
@@ -51,6 +58,9 @@ class TDStoreDataServer:
         # migration fence bounces traffic so no write can land after the
         # catch-up queue was drained at the target
         self._migrating_out: set[int] = set()
+        # servers living in the same process (id -> server), this one
+        # included: the replicas a host write can queue records on itself
+        self._colocated: dict[int, TDStoreDataServer] = {server_id: self}
         self.reads = 0
         self.writes = 0
         self.batch_ops = 0
@@ -63,6 +73,15 @@ class TDStoreDataServer:
         self.error_every = 0
         self._degraded_ops = 0
         self.injected_errors = 0
+
+    def colocate(self, peers: "dict[int, TDStoreDataServer]"):
+        """Join ``peers``, the id -> server map of one process.
+
+        The map is shared, not copied, so a server created later (elastic
+        expansion) becomes visible to every earlier one by joining.
+        """
+        peers[self.server_id] = self
+        self._colocated = peers
 
     # -- instance management ------------------------------------------------
 
@@ -212,28 +231,67 @@ class TDStoreDataServer:
         self.replica_reads += 1
         return engine.multi_get(keys, default)
 
-    def put(self, instance: int, key: str, value: Any) -> SyncRecord:
+    def mutate(
+        self, instance: int, method: str, args: tuple, replicas: tuple
+    ) -> "tuple[Any, list[SyncRecord], list[int]]":
+        """One client mutation, replica sync included.
+
+        Applies ``method(instance, *args)`` — one of
+        :data:`HOST_MUTATIONS` — and queues the sync records it produced
+        on every server of ``replicas`` (the instance's slave, plus the
+        dual-write target of an in-flight migration) that lives in this
+        process. A downed replica rejects the records and is skipped,
+        the decision a liveness pre-check would make. Returns
+        ``(result, records, elsewhere)``: ``elsewhere`` lists the
+        replicas owned by another process, and ``records`` is what the
+        caller must ship to each of them with :meth:`enqueue_syncs`
+        (empty when there is nothing to ship).
+
+        Because the apply and the enqueue are one call, a retry that
+        dedups after a lost ack leaves no replica behind, and one log
+        record of this call replays both effects.
+        """
+        if method not in HOST_MUTATIONS:
+            raise TDStoreError(f"{method!r} is not a host mutation")
+        result, records = getattr(self, method)(instance, *args)
+        elsewhere: list[int] = []
+        if records:
+            for replica in replicas:
+                peer = self._colocated.get(replica)
+                if peer is None:
+                    elsewhere.append(replica)
+                    continue
+                try:
+                    peer.enqueue_syncs(instance, records)
+                except DataServerDownError:
+                    pass
+        return result, (records if elsewhere else []), elsewhere
+
+    # Each host mutation returns its result and the *list* of sync
+    # records that reproduce it (value plus version/journal meta keys)
+    # so the slave converges to the same transactional state — which is
+    # what makes a replayed ``apply`` a no-op even after a host→slave
+    # failover.
+
+    def put(
+        self, instance: int, key: str, value: Any
+    ) -> tuple[None, list[SyncRecord]]:
         engine = self.engine(instance)
         self._check_host(instance)
         self._check_degraded()
         engine.put(key, value)
         self.writes += 1
-        return SyncRecord(_PUT, key, value)
+        return None, [SyncRecord(_PUT, key, value)]
 
-    def delete(self, instance: int, key: str) -> SyncRecord:
+    def delete(self, instance: int, key: str) -> tuple[None, list[SyncRecord]]:
         engine = self.engine(instance)
         self._check_host(instance)
         self._check_degraded()
         engine.delete(key)
         self.writes += 1
-        return SyncRecord(_DELETE, key)
+        return None, [SyncRecord(_DELETE, key)]
 
     # -- transactional host operations --------------------------------------
-    #
-    # These return the *list* of sync records that reproduce the mutation
-    # (value plus version/journal meta keys) so the slave converges to
-    # the same transactional state — which is what makes a replayed
-    # ``apply`` a no-op even after a host→slave failover.
 
     def get_versioned(
         self, instance: int, key: str, default: Any = None
@@ -259,15 +317,15 @@ class TDStoreDataServer:
 
     def apply_op(
         self, instance: int, key: str, op_id: str, delta: float
-    ) -> tuple[float, bool, list[SyncRecord]]:
+    ) -> tuple[tuple[float, bool], list[SyncRecord]]:
         engine = self.engine(instance)
         self._check_host(instance)
         self._check_degraded()
         value, applied = engine.apply_op(key, op_id, delta)
         self.writes += 1
         if not applied:
-            return value, False, []
-        return value, True, [
+            return (value, False), []
+        return (value, True), [
             SyncRecord(_PUT, key, value),
             SyncRecord(_PUT, JOURNAL_PREFIX + key,
                        engine.get(JOURNAL_PREFIX + key)),
@@ -325,7 +383,7 @@ class TDStoreDataServer:
 
     # -- slave-side replication ----------------------------------------------
 
-    def enqueue_sync(self, instance: int, record: SyncRecord):
+    def enqueue_syncs(self, instance: int, records: list[SyncRecord]):
         """Host notified us of an update; apply later, when idle.
 
         A downed replica rejects records — the replicator treats the
@@ -334,7 +392,7 @@ class TDStoreDataServer:
         """
         self._check_alive()
         self.ensure_instance(instance)
-        self._sync_inbox[instance].append(record)
+        self._sync_inbox[instance].extend(records)
 
     def pending_syncs(self, instance: int | None = None) -> int:
         if instance is not None:

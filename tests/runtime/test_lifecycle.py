@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.runtime.rpc import RpcClient
-from repro.runtime.substrate import ProcessSubstrate
+from repro.runtime.substrate import ProcessSubstrate, SimSubstrate
 from repro.runtime.supervisor import ProcessSupervisor
 from repro.runtime.wire import Request
 from repro.runtime.worker_host import worker_host_main
@@ -191,15 +191,41 @@ class TestCrashRecovery:
             assert stats["executed"] == 0  # fresh process, state reloaded
 
     def test_server_host_restart_replays_wal(self, tmp_path):
-        # SIGKILL the only TDStore host after durable puts; the restart
-        # hook replays its WAL so a fresh client sees every mutation
+        # SIGKILL the only TDStore host after durable mutations of every
+        # kind; the restart hook replays its WAL, and each one-record
+        # mutation re-derives the host write *and* the replica sync — so
+        # every engine, host and slave, matches an un-crashed simulator
+        def mutate(store):
+            client = store.client()
+            for index in range(20):
+                client.put(f"key:{index}", {"value": index})
+                client.apply(f"count:{index % 3}", f"op-{index}", 1.5)
+                client.put_once(f"list:{index}", f"op-{index}", [index])
+                client.run_once(f"seen:{index}", f"op-{index}")
+            client.delete("key:7")
+            client.check_and_set("cas", "v1", 0)
+            client.apply("count:0", "op-0", 1.5)  # a logged dedup
+
+        def engines(store):
+            store.sync_replicas()
+            return {
+                server.server_id: {
+                    instance: server.snapshot_instance(instance)
+                    for instance in server.instances()
+                }
+                for server in store.data_servers
+            }
+
+        with SimSubstrate() as sim:
+            reference = sim.build_tdstore(2, 4)
+            mutate(reference)
+            want = engines(reference)
+
         with ProcessSubstrate(
             worker_procs=1, server_procs=1, wal_dir=str(tmp_path)
         ) as substrate:
             store = substrate.build_tdstore(2, 4)
-            client = store.client()
-            for index in range(20):
-                client.put(f"key:{index}", {"value": index})
+            mutate(store)
 
             host = substrate.supervisor.get("tdstore-host-0")
             os.kill(host.pid, signal.SIGKILL)
@@ -209,4 +235,6 @@ class TestCrashRecovery:
             substrate.supervisor.restart("tdstore-host-0")
             fresh = store.client()
             for index in range(20):
-                assert fresh.get(f"key:{index}") == {"value": index}
+                if index != 7:
+                    assert fresh.get(f"key:{index}") == {"value": index}
+            assert engines(store) == want

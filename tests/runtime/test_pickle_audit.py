@@ -71,6 +71,19 @@ class TestDataPlaneTypes:
             record.value,
         )
 
+    def test_mutation_frame_and_its_reply(self):
+        # the one request a client mutation sends, and the reply that
+        # hands back records for replicas in another host process
+        request = Request(
+            "mutate",
+            (3, "put_once", ("sim:i4", "op-1", {"i7": 0.5}), (1, 2)),
+            ("data", 0),
+        )
+        assert spawn_round_trip(request) == request
+        records = [SyncRecord("__put__", "sim:i4", {"i7": 0.5})]
+        back = spawn_round_trip(Response(value=(True, records, [2])))
+        assert back.unwrap() == (True, records, [2])
+
 
 class TestRouteTable:
     def test_route_table_survives_with_version_and_routes(self):

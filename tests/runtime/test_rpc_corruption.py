@@ -30,8 +30,8 @@ class Receiver:
         self._count("echo")
         return value
 
-    def put(self, key, value):
-        self._count("put")
+    def mutate(self, key, value):
+        self._count("mutate")
         return "applied"
 
 
@@ -52,7 +52,7 @@ def served():
         thread.join(timeout=5.0)
 
 
-def arm_corruption(server, count, methods=("echo", "put")):
+def arm_corruption(server, count, methods=("echo", "mutate")):
     armed = {"count": count}
 
     def hook(conn_id, request):
@@ -100,10 +100,10 @@ class TestMutatingOps:
         server, client, receiver = served
         arm_corruption(server, 1)
         with pytest.raises(FrameCorruptionError):
-            client.call("put", "k", "v")
+            client.call("mutate", "k", "v")
         # the server applied the op exactly once: the transport must not
         # blind-resend a mutation whose first send may have applied
-        assert receiver.calls["put"] == 1
+        assert receiver.calls["mutate"] == 1
 
     def test_corruption_error_is_a_remote_op_error(self, served):
         # the journaled retry machinery upstream (proxies._retrying)
@@ -114,7 +114,7 @@ class TestMutatingOps:
         server, client, receiver = served
         arm_corruption(server, 1)
         with pytest.raises(FrameCorruptionError):
-            client.call("put", "k", "v")
+            client.call("mutate", "k", "v")
         assert not client.connected
-        assert client.call("put", "k2", "v2") == "applied"
-        assert receiver.calls["put"] == 2
+        assert client.call("mutate", "k2", "v2") == "applied"
+        assert receiver.calls["mutate"] == 2

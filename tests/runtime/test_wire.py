@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import (
     MigrationInProgressError,
@@ -19,7 +21,7 @@ from repro.runtime.wire import (
     Response,
     StreamDecoder,
     corrupt_frame,
-    crc32c,
+    crc32,
     encode_error,
     encode_frame,
     sanitize_exception,
@@ -66,10 +68,30 @@ class TestFraming:
 
 
 class TestChecksums:
-    def test_crc32c_known_vector(self):
-        # the canonical Castagnoli check value (RFC 3720 appendix / iSCSI)
-        assert crc32c(b"123456789") == 0xE3069283
-        assert crc32c(b"") == 0
+    def test_crc32_known_vector(self):
+        # the CRC-32/IEEE (ISO-HDLC) check value
+        assert crc32(b"123456789") == 0xCBF43926
+        assert crc32(b"") == 0
+
+    @given(
+        body=st.binary(min_size=1, max_size=4096),
+        burst=st.binary(min_size=1, max_size=4).filter(any),
+        data=st.data(),
+    )
+    def test_bit_flips_and_short_bursts_are_always_caught(
+        self, body, burst, data
+    ):
+        # a 32-bit CRC misses no error confined to 32 contiguous bits —
+        # which covers every single-bit flip and every <= 4-byte burst
+        frame = encode_frame(body)
+        offset = data.draw(
+            st.integers(HEADER_SIZE, len(frame) - len(burst)), label="offset"
+        )
+        damaged = bytearray(frame)
+        for index, mask in enumerate(burst):
+            damaged[offset + index] ^= mask
+        with pytest.raises(FrameCorruptionError):
+            StreamDecoder().feed(bytes(damaged))
 
     def test_flipped_payload_bit_raises_frame_corruption_error(self):
         frame = corrupt_frame(encode_frame({"k": "v"}))

@@ -173,7 +173,7 @@ class TestHostFencing:
         from repro.tdstore.data_server import SyncRecord, _PUT
 
         server = TDStoreDataServer(0, MDBEngine)
-        server.enqueue_sync(2, SyncRecord(_PUT, "k", 5))
+        server.enqueue_syncs(2, [SyncRecord(_PUT, "k", 5)])
         server.apply_pending(2)
         assert server.engine(2).get("k") == 5
         assert server.snapshot_instance(2) == {"k": 5}

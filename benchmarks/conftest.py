@@ -63,8 +63,6 @@ def report_json(name: str, payload: dict):
     pytest output."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (REPO_ROOT / f"BENCH_{name}.json").write_text(text, encoding="utf-8")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 def alive_check(scenario):

@@ -27,6 +27,7 @@ first-class health signal.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -53,6 +54,10 @@ RUNGS = ("live", "cache", "demographic", "static")
 # failures that push a query down one rung instead of surfacing
 _RUNG_FAILURES = (ResilienceError, TDStoreError)
 
+# per-query records QueryLog retains (newest last); the counters beside
+# them cover the whole run, so a long-lived front end stays bounded
+QUERY_LOG_RECENT = 1024
+
 
 @dataclass
 class QueryLog:
@@ -67,8 +72,12 @@ class QueryLog:
     # browned-out store) — the retrieval cold-start health signal
     vq_fallbacks: int = 0
     rungs: dict[str, int] = field(default_factory=dict)
-    displayed: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    rung_history: list[str] = field(default_factory=list)
+    displayed: deque[tuple[str, tuple[str, ...]]] = field(
+        default_factory=lambda: deque(maxlen=QUERY_LOG_RECENT)
+    )
+    rung_history: deque[str] = field(
+        default_factory=lambda: deque(maxlen=QUERY_LOG_RECENT)
+    )
 
     def record_rung(self, rung: str):
         self.rungs[rung] = self.rungs.get(rung, 0) + 1

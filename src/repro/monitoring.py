@@ -521,8 +521,8 @@ class SystemMonitor:
                         "(possible double-ack bug in a bolt)",
                     )
                 )
-        eviction_delta = (
-            snap.journal_evictions - self._previous_journal_evictions()
+        eviction_delta = snap.journal_evictions - self._previous_field(
+            "journal_evictions"
         )
         if eviction_delta > 0:
             alerts.append(
@@ -577,7 +577,7 @@ class SystemMonitor:
                         "recovery",
                     )
                 )
-        shed_delta = snap.queries_shed - self._previous_shed()
+        shed_delta = snap.queries_shed - self._previous_field("queries_shed")
         if shed_delta > 0:
             alerts.append(
                 Alert(
@@ -754,10 +754,6 @@ class SystemMonitor:
                 return snap.topology_restarts[name]
         return 0
 
-    def _previous_shed(self) -> int:
-        previous = self._previous_snapshot()
-        return previous.queries_shed if previous is not None else 0
-
     def _previous_dedup_hits(self) -> int:
         previous = self._previous_snapshot()
         return previous.total_dedup_hits() if previous is not None else 0
@@ -775,10 +771,6 @@ class SystemMonitor:
             if name in snap.acker_anomalies:
                 return snap.acker_anomalies[name]
         return 0
-
-    def _previous_journal_evictions(self) -> int:
-        previous = self._previous_snapshot()
-        return previous.journal_evictions if previous is not None else 0
 
     def _previous_field(self, name: str) -> int:
         previous = self._previous_snapshot()

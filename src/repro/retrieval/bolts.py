@@ -86,7 +86,7 @@ class EmbeddingPairBolt(ExactlyOnceBolt):
         user, item, now = tup["user"], tup["item"], tup["timestamp"]
         key = K.co_window(user)
         op_id = tup.op_id
-        if op_id is not None and self._store.op_seen(key, op_id):
+        if self._store.op_seen(key, op_id):
             return
         window = list(self._store.get(key, None) or [])
         weight = self._weights.weight(tup["action"])
@@ -100,10 +100,7 @@ class EmbeddingPairBolt(ExactlyOnceBolt):
             window = [(o, t) for o, t in window if o != item]
             window.insert(0, (item, now))
             del window[self._co_k :]
-        if op_id is not None:
-            self._store.put_once(key, op_id, window)
-        else:
-            self._store.put(key, window)
+        self._store.put_once(key, op_id, window)
 
 
 class EmbeddingUpdateBolt(ExactlyOnceBolt):
@@ -137,17 +134,14 @@ class EmbeddingUpdateBolt(ExactlyOnceBolt):
         item = tup["item"]
         key = K.embedding(item)
         op_id = tup.op_id
-        if op_id is not None and self._store.op_seen(key, op_id):
+        if self._store.op_seen(key, op_id):
             return
         row = EmbeddingRow.from_value(
             item, self._store.get(key, None), self._config
         )
         row = updated_row(row, tup["context"], tup["weight"], self._config)
         self.collector.emit((item, row.vec), stream_id="emb_row")
-        if op_id is not None:
-            self._store.put_once(key, op_id, row.to_value())
-        else:
-            self._store.put(key, row.to_value())
+        self._store.put_once(key, op_id, row.to_value())
         self.rows_updated += 1
 
 

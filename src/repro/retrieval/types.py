@@ -30,7 +30,7 @@ class VQOp:
     """
 
     item: str
-    op_id: str | None
+    op_id: str
     assigned: str
     previous: str | None = None
     deduped: bool = False

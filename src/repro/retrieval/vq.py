@@ -118,20 +118,6 @@ class StreamingVQIndex:
         self.observes = 0
         self.dedup_skips = 0
 
-    # -- journal-aware write helpers ---------------------------------------
-
-    def _put_once(self, key: str, op_id: str | None, suffix: str, value):
-        if op_id is None:
-            self._store.put(key, value)
-        else:
-            self._store.put_once(key, op_id + suffix, value)
-
-    def _apply(self, key: str, op_id: str | None, suffix: str, delta: float) -> float:
-        if op_id is None:
-            return self._store.incr(key, delta)
-        value, __ = self._store.apply(key, op_id + suffix, delta)
-        return value
-
     # -- bootstrap ----------------------------------------------------------
 
     def bootstrap(self) -> dict:
@@ -173,14 +159,12 @@ class StreamingVQIndex:
 
     # -- the update op -------------------------------------------------------
 
-    def observe(
-        self, item: str, vec, op_id: str | None, weight: float = 1.0
-    ) -> VQOp:
+    def observe(self, item: str, vec, op_id: str, weight: float = 1.0) -> VQOp:
         """Fold one (item, vector) observation into the index."""
         vec = [float(x) for x in vec]
         akey = K.assignment(item)
         self.observes += 1
-        if op_id is not None and self._store.op_seen(akey, op_id):
+        if self._store.op_seen(akey, op_id):
             self.dedup_skips += 1
             committed = self._store.get(akey, None) or {}
             return VQOp(item, op_id, committed.get("centroid", ""), deduped=True)
@@ -188,18 +172,12 @@ class StreamingVQIndex:
         # exclude this op's own (possibly half-created) sibling ids from
         # every decision: re-execution must see the same candidate set
         # attempt 1 did
-        own = (
-            {sibling_id(cid, op_id) for cid in meta}
-            if op_id is not None
-            else set()
-        )
+        own = {sibling_id(cid, op_id) for cid in meta}
         base = {cid for cid in meta if cid not in own}
         previous = self._store.get(akey, None)
         prev_cid = previous["centroid"] if previous else None
         if prev_cid is not None and prev_cid not in meta:
-            if op_id is not None and self._store.op_seen(
-                K.stat("merges"), op_id + "#stmg"
-            ):
+            if self._store.op_seen(K.stat("merges"), op_id + "#stmg"):
                 # re-execution over this op's own committed merge: the
                 # depart and merge already happened (every other exit
                 # flips the assignment to a live centroid before the
@@ -218,13 +196,13 @@ class StreamingVQIndex:
         cent = self._centroid_vec(best)
         lr = self.cfg.centroid_lr
         moved = [c + lr * (v - c) for c, v in zip(cent, vec)]
-        self._put_once(K.centroid(best), op_id, "#move", moved)
+        self._store.put_once(K.centroid(best), op_id + "#move", moved)
         if prev_cid == best:
             # no membership change; just the learning step above
-            self._put_once(akey, op_id, "", {"centroid": best})
+            self._store.put_once(akey, op_id, {"centroid": best})
             return VQOp(item, op_id, best, previous=prev_cid)
-        in_count = self._apply(K.count(best), op_id, "#inc", weight)
-        sib = sibling_id(best, op_id if op_id is not None else item)
+        in_count, __ = self._store.apply(K.count(best), op_id + "#inc", weight)
+        sib = sibling_id(best, op_id)
         # The split verdict must be re-derivable over this op's own
         # partial writes, and ``in_count`` alone is not enough: once the
         # op's later journaled writes to the same key have landed
@@ -234,13 +212,9 @@ class StreamingVQIndex:
         # disambiguate — ``#unsplit`` is the split branch's first write,
         # and ``#mmass`` executes strictly after the verdict — so their
         # presence pins the verdict before the count is consulted.
-        if op_id is not None and self._store.op_seen(
-            K.count(best), op_id + "#unsplit"
-        ):
+        if self._store.op_seen(K.count(best), op_id + "#unsplit"):
             split = True
-        elif op_id is not None and self._store.op_seen(
-            K.count(best), op_id + "#mmass"
-        ):
+        elif self._store.op_seen(K.count(best), op_id + "#mmass"):
             split = False
         else:
             split = sib in meta or (
@@ -252,16 +226,16 @@ class StreamingVQIndex:
             # the item never really lands on the crowded centroid: undo
             # its mass (journaled, so net-zero survives replay) and
             # spawn the sibling at the incoming vector
-            self._apply(K.count(best), op_id, "#unsplit", -weight)
-            self._put_once(K.centroid(sib), op_id, "#scent", list(vec))
-            self._put_once(K.count(sib), op_id, "#scount", weight)
+            self._store.apply(K.count(best), op_id + "#unsplit", -weight)
+            self._store.put_once(K.centroid(sib), op_id + "#scent", list(vec))
+            self._store.put_once(K.count(sib), op_id + "#scount", weight)
             posting = dict(self._store.get(K.posting(sib), None) or {})
             posting[item] = True
             self._store.put(K.posting(sib), posting)
             meta = dict(meta)
             meta[sib] = True
             self._store.put(K.meta(), meta)
-            self._apply(K.stat("splits"), op_id, "#stsp", 1.0)
+            self._store.apply(K.stat("splits"), op_id + "#stsp", 1.0)
             assigned, split_from = sib, best
         else:
             posting = dict(self._store.get(K.posting(best), None) or {})
@@ -273,8 +247,10 @@ class StreamingVQIndex:
             posting = dict(self._store.get(K.posting(prev_cid), None) or {})
             posting.pop(item, None)
             self._store.put(K.posting(prev_cid), posting)
-            out_count = self._apply(K.count(prev_cid), op_id, "#dec", -weight)
-            self._apply(K.stat("reassignments"), op_id, "#strs", 1.0)
+            out_count, __ = self._store.apply(
+                K.count(prev_cid), op_id + "#dec", -weight
+            )
+            self._store.apply(K.stat("reassignments"), op_id + "#strs", 1.0)
             if (
                 out_count <= self.cfg.merge_floor
                 and len(base) > self.cfg.min_centroids
@@ -283,8 +259,8 @@ class StreamingVQIndex:
                     prev_cid, base, op_id, out_count
                 )
         if prev_cid is None:
-            self._apply(K.stat("indexed"), op_id, "#stix", 1.0)
-        self._put_once(akey, op_id, "", {"centroid": assigned})
+            self._store.apply(K.stat("indexed"), op_id + "#stix", 1.0)
+        self._store.put_once(akey, op_id, {"centroid": assigned})
         return VQOp(
             item,
             op_id,
@@ -296,7 +272,7 @@ class StreamingVQIndex:
             moved_items=moved_items,
         )
 
-    def _merge(self, dying: str, base: set, op_id: str | None, mass: float):
+    def _merge(self, dying: str, base: set, op_id: str, mass: float):
         """Dissolve ``dying`` into its nearest surviving neighbour.
 
         Ordered for re-execution: mass transfer and stat are journaled,
@@ -309,14 +285,14 @@ class StreamingVQIndex:
         target = self._nearest(base - {dying}, self._centroid_vec(dying))
         remainder = dict(self._store.get(K.posting(dying), None) or {})
         if mass > 0.0:
-            self._apply(K.count(target), op_id, "#mmass", mass)
+            self._store.apply(K.count(target), op_id + "#mmass", mass)
         if remainder:
             posting = dict(self._store.get(K.posting(target), None) or {})
             posting.update(remainder)
             self._store.put(K.posting(target), posting)
             for moved in sorted(remainder):
                 self._store.put(K.assignment(moved), {"centroid": target})
-        self._apply(K.stat("merges"), op_id, "#stmg", 1.0)
+        self._store.apply(K.stat("merges"), op_id + "#stmg", 1.0)
         meta = dict(self._store.get(K.meta(), None) or {})
         meta.pop(dying, None)
         self._store.put(K.meta(), meta)

@@ -57,10 +57,11 @@ from repro.runtime.wire import (
     encode_frame,
 )
 
-# cap on chaos-injected real per-op server delay: long enough to blow
-# any realistic deadline budget, short enough that supervisor pings and
-# client timeouts survive a whole degraded wave
-REAL_DELAY_CAP = 0.25
+# cap on chaos-injected real per-op server delay: 30-100x a loopback
+# RPC, so a degraded server is unmistakably slow, yet a whole degraded
+# wave (hundreds of stalled ops) costs a test run well under a second
+# and supervisor pings and client timeouts survive it
+REAL_DELAY_CAP = 0.01
 
 # fail-stop exit code for a host whose WAL cannot promise durability;
 # distinct from clean exits so the supervisor's restart bookkeeping and

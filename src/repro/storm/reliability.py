@@ -221,8 +221,7 @@ class DedupLedger:
         self.retain_depth = state["retain_depth"]
         self.first_seen = state["first_seen"]
         self.duplicates = state["duplicates"]
-        # snapshots from before the counter existed restore to zero
-        self.watermark_rejections = state.get("watermark_rejections", 0)
+        self.watermark_rejections = state["watermark_rejections"]
         self._odd = set(state["odd"])
         self._sources = {}
         for name, ws in state["sources"].items():
@@ -236,13 +235,15 @@ class DedupLedger:
 
 
 class ExactlyOnceBolt(Bolt):
-    """A bolt that processes each identified tuple exactly once.
+    """A bolt that processes each tuple exactly once.
 
     Subclasses implement :meth:`process` instead of ``execute``; input
     tuples whose ``op_id`` the ledger has already seen are dropped before
     any state is touched (and before any emission, so the whole subtree
-    of a replayed tuple is suppressed). Tuples without an ``op_id`` fall
-    back to at-least-once processing.
+    of a replayed tuple is suppressed). A tuple without an ``op_id`` is
+    a wiring error — its spout assigns no replay-stable identity — and
+    is refused with :class:`ConfigurationError` rather than processed
+    at-least-once.
 
     The ledger is committed only *after* :meth:`process` returns: if the
     work raises (a store deadline miss, an open breaker, an injected
@@ -267,12 +268,18 @@ class ExactlyOnceBolt(Bolt):
 
     def execute(self, tup: StormTuple):
         op_id = tup.op_id
-        if op_id is not None and self._ledger.seen(op_id):
+        if not op_id:
+            raise ConfigurationError(
+                f"{type(self).__name__} received a tuple without an op id "
+                f"from {tup.source_component!r} on stream {tup.stream_id!r}: "
+                "every spout feeding an exactly-once bolt must emit with "
+                "a replay-stable op_id"
+            )
+        if self._ledger.seen(op_id):
             self.dedup_hits += 1
             return
         self.process(tup)
-        if op_id is not None:
-            self._ledger.commit(op_id)
+        self._ledger.commit(op_id)
 
     def process(self, tup: StormTuple):
         """Handle one input tuple, guaranteed unseen. Override."""
@@ -300,13 +307,8 @@ class ExactlyOnceBolt(Bolt):
         return {"exactly_once": ledger, "app": app}
 
     def restore_state(self, state: dict):
-        if "exactly_once" in state:
-            self._ledger.restore(state["exactly_once"])
-            app = state.get("app")
-        else:
-            # manifest from before the exactly-once layer: the whole dict
-            # is application state
-            app = state
+        self._ledger.restore(state["exactly_once"])
+        app = state["app"]
         if app is not None:
             self.restore_app_state(app)
 

@@ -40,8 +40,8 @@ class StormTuple:
         ``"{parent_op}>{component}.{task}:{seq}"`` so a replayed spout
         tuple regenerates byte-identical ids all the way down its tree —
         the property dedup ledgers and the TDStore op journal rely on.
-        ``None`` means the tuple has no replay-stable identity and is
-        processed at-least-once.
+        ``None`` means the tuple has no replay-stable identity: plain
+        bolts process it at-least-once, exactly-once bolts refuse it.
     """
 
     __slots__ = (

@@ -78,18 +78,10 @@ class ARCountBolt(ExactlyOnceBolt):
 
     def process(self, tup: StormTuple):
         if tup.stream_id == "ar_item":
-            key = StateKeys.ar_item(tup["item"])
-            if tup.op_id is not None:
-                self._store.apply(key, tup.op_id, 1.0)
-            else:
-                self._store.incr(key, 1.0)
+            self._store.apply(StateKeys.ar_item(tup["item"]), tup.op_id, 1.0)
         elif tup.stream_id == "ar_pair":
             a, b = tup["pair_a"], tup["pair_b"]
-            key = StateKeys.ar_pair(a, b)
-            if tup.op_id is not None:
-                self._store.apply(key, tup.op_id, 1.0)
-            else:
-                self._store.incr(key, 1.0)
+            self._store.apply(StateKeys.ar_pair(a, b), tup.op_id, 1.0)
             for item, partner in ((a, b), (b, a)):
                 key = StateKeys.ar_partners(item)
                 partners = self._store.get_fresh(key, None) or set()

@@ -14,6 +14,7 @@ from typing import Callable
 
 from repro.algorithms.ratings import ActionWeights, DEFAULT_ACTION_WEIGHTS
 from repro.storm.component import Bolt
+from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
 from repro.topology.state import CachedStore, StateKeys
@@ -60,8 +61,14 @@ class ItemInfoBolt(Bolt):
         self.registered += 1
 
 
-class CBProfileBolt(Bolt):
-    """Grouped by user: decayed tag-interest profiles (the CBBolt)."""
+class CBProfileBolt(ExactlyOnceBolt):
+    """Grouped by user: decayed tag-interest profiles (the CBBolt).
+
+    ``decayed + gain`` is a read-modify-write, so it follows the same
+    commit protocol as :class:`UserHistoryBolt`: probe the profile key's
+    journal (``op_seen``), fold into a copy, write the idempotent
+    consumed set, and commit the profile last with ``put_once``.
+    """
 
     def __init__(
         self,
@@ -69,6 +76,7 @@ class CBProfileBolt(Bolt):
         weights: ActionWeights = DEFAULT_ACTION_WEIGHTS,
         half_life: float = 4 * 3600.0,
     ):
+        super().__init__()
         self._client_factory = client_factory
         self._weights = weights
         self._half_life = half_life
@@ -77,21 +85,26 @@ class CBProfileBolt(Bolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
-    def execute(self, tup: StormTuple):
+    def process(self, tup: StormTuple):
         user, item = tup["user"], tup["item"]
         now = tup["timestamp"]
+        profile_key = StateKeys.profile(user)
+        if self._store.op_seen(profile_key, tup.op_id):
+            return
         meta = self._store.get_fresh(StateKeys.item_meta(item), None)
         if meta is None:
             return  # unknown content: nothing to learn
         gain = self._weights.weight(tup["action"])
-        profile = self._store.get(StateKeys.profile(user), None) or {}
+        # fold into a copy so a failed commit leaves the cache clean
+        profile = dict(self._store.get(profile_key, None) or {})
         for tag in item_tags(meta):
             weight, since = profile.get(tag, (0.0, now))
             decayed = weight * math.pow(
                 0.5, max(0.0, now - since) / self._half_life
             )
             profile[tag] = (decayed + gain, now)
-        self._store.put(StateKeys.profile(user), profile)
-        consumed = self._store.get(StateKeys.consumed(user), None) or set()
+        # set insertion: idempotent under re-execution
+        consumed = set(self._store.get(StateKeys.consumed(user), None) or ())
         consumed.add(item)
         self._store.put(StateKeys.consumed(user), consumed)
+        self._store.put_once(profile_key, tup.op_id, profile)

@@ -95,7 +95,7 @@ class UserHistoryBolt(ExactlyOnceBolt):
         user, item = tup["user"], tup["item"]
         hist_key = StateKeys.history(user)
         op_id = tup.op_id
-        if op_id is not None and self._store.op_seen(hist_key, op_id):
+        if self._store.op_seen(hist_key, op_id):
             return
         now = tup["timestamp"]
         weight = self._weights.weight(tup["action"])
@@ -129,10 +129,7 @@ class UserHistoryBolt(ExactlyOnceBolt):
                     )
         # idempotent under re-execution (same inputs, same result)
         self._update_recent(user, item, update.new_rating, now)
-        if op_id is not None:
-            self._store.put_once(hist_key, op_id, history)
-        else:
-            self._store.put(hist_key, history)
+        self._store.put_once(hist_key, op_id, history)
         if self._bus is not None:
             self._bus.publish("user", user)
 
@@ -172,10 +169,8 @@ class ItemCountBolt(ExactlyOnceBolt):
         key = StateKeys.item_count(tup["item"])
         if self._combiner is not None:
             self._combiner.add(key, tup["delta"])
-        elif tup.op_id is not None:
-            self._store.apply(key, tup.op_id, tup["delta"])
         else:
-            self._store.incr(key, tup["delta"])
+            self._store.apply(key, tup.op_id, tup["delta"])
 
     def tick(self, now: float):
         if self._combiner is not None:
@@ -234,10 +229,8 @@ class PairCountBolt(ExactlyOnceBolt):
     def process(self, tup: StormTuple):
         a, b, delta = tup["pair_a"], tup["pair_b"], tup["delta"]
         key = StateKeys.pair_count(a, b)
-        if delta != 0.0 and tup.op_id is not None:
+        if delta != 0.0:
             pair_count, __ = self._store.apply(key, tup.op_id, delta)
-        elif delta != 0.0:
-            pair_count = self._store.incr(key, delta)
         else:
             pair_count = self._store.get(key, 0.0)
         similarity = self._similarity(a, b, pair_count)
@@ -281,7 +274,7 @@ class SimListBolt(ExactlyOnceBolt):
     Subscribes to both ``sim_update`` and ``prune`` streams (keyed by the
     ``item`` field in each, so one task owns all state for an item).
 
-    Each identified update probes the item's list journal (``op_seen``),
+    Each update probes the item's list journal (``op_seen``),
     rebuilds the list from the stored payload, writes the derived state
     (threshold, pruned set — idempotent, re-executable), and commits the
     new list payload together with the journal entry (``put_once``) as
@@ -318,35 +311,25 @@ class SimListBolt(ExactlyOnceBolt):
                 lst.update(other, sim)
         return lst
 
-    def _save_list(self, item: str, lst: SimilarItemsList, op_id: "str | None"):
+    def _save_list(self, item: str, lst: SimilarItemsList, op_id: str):
         key = StateKeys.sim_list(item)
         payload = dict(lst.top())
         # derived state first: if the commit below never lands, the
         # replay recomputes and rewrites the same threshold
         self._store.put(StateKeys.threshold(item), lst.threshold())
-        if op_id is not None:
-            self._store.put_once(key, op_id, payload)
-        else:
-            self._store.put(key, payload)
+        self._store.put_once(key, op_id, payload)
         if self._bus is not None:
             self._bus.publish("item", item)
 
     def process(self, tup: StormTuple):
+        item, other = tup["item"], tup["other"]
+        if self._store.op_seen(StateKeys.sim_list(item), tup.op_id):
+            return
         if tup.stream_id == "sim_update":
-            item, other, sim = tup["item"], tup["other"], tup["similarity"]
-            if tup.op_id is not None and self._store.op_seen(
-                StateKeys.sim_list(item), tup.op_id
-            ):
-                return
             lst = self._load_list(item)
-            lst.update(other, sim)
+            lst.update(other, tup["similarity"])
             self._save_list(item, lst, tup.op_id)
         elif tup.stream_id == "prune":
-            item, other = tup["item"], tup["other"]
-            if tup.op_id is not None and self._store.op_seen(
-                StateKeys.sim_list(item), tup.op_id
-            ):
-                return
             # copy before mutating: the cached set must stay clean if a
             # write below fails and the update re-executes
             pruned = set(self._store.get(StateKeys.pruned(item), None) or ())

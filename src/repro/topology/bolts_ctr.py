@@ -98,10 +98,7 @@ class CtrStoreBolt(ExactlyOnceBolt):
                     key = StateKeys.impressions(item, situation)
                 else:
                     key = StateKeys.clicks(item, situation)
-            if tup.op_id is not None:
-                self._store.apply(key, f"{tup.op_id}#{level}", 1.0)
-            else:
-                self._store.incr(key, 1.0)
+            self._store.apply(key, f"{tup.op_id}#{level}", 1.0)
             self.collector.emit((item, situation, session),
                                 stream_id="ctr_update")
 

@@ -27,7 +27,7 @@ class GroupCountBolt(ExactlyOnceBolt):
     time, geometrically forgetting old engagement — the topology-side
     stand-in for the sliding window; ``max_items`` bounds each group's
     counter map by evicting the weakest entries. The counter map is a
-    read-modify-write, so each identified delta probes the group key's
+    read-modify-write, so each delta probes the group key's
     journal (``op_seen``), folds into a copy, and commits the new map
     atomically with the journal entry (``put_once``) — a failure before
     the commit leaves no journal entry, so the replay redoes the whole
@@ -64,7 +64,7 @@ class GroupCountBolt(ExactlyOnceBolt):
         group, item, delta = tup["group"], tup["item"], tup["delta"]
         key = StateKeys.hot(group)
         op_id = tup.op_id
-        if op_id is not None and self._store.op_seen(key, op_id):
+        if self._store.op_seen(key, op_id):
             self._groups_seen.add(group)
             return
         # fold into a copy so a failed commit leaves the cache clean
@@ -73,10 +73,7 @@ class GroupCountBolt(ExactlyOnceBolt):
         if len(hot) > self._max_items:
             ranked = sorted(hot.items(), key=lambda kv: (-kv[1], kv[0]))
             hot = dict(ranked[: self._max_items])
-        if op_id is not None:
-            self._store.put_once(key, op_id, hot)
-        else:
-            self._store.put(key, hot)
+        self._store.put_once(key, op_id, hot)
         self._groups_seen.add(group)
         if self._bus is not None:
             self._bus.publish("group", group)

@@ -255,8 +255,12 @@ def build_cb_topology(
             if self._cursor >= len(metas):
                 return False
             meta = metas[self._cursor]
+            self.collector.emit(
+                (meta["item"], meta),
+                stream_id="item_meta",
+                op_id=f"metas@{self._cursor}",
+            )
             self._cursor += 1
-            self.collector.emit((meta["item"], meta), stream_id="item_meta")
             return True
 
     builder = TopologyBuilder(name)

@@ -170,14 +170,6 @@ class CachedStore:
         """True when ``op_id`` already committed against ``key`` (pure read)."""
         return self._client.op_seen(key, op_id)
 
-    def run_once(self, key: str, op_id: str) -> bool:
-        """Journal ``op_id`` against ``key``; True the first time only.
-
-        Journals before the caller mutates — prefer :meth:`op_seen` +
-        :meth:`put_once` for read-modify-write updates.
-        """
-        return self._client.run_once(key, op_id)
-
     def delete(self, key: str):
         """Write-through delete: drop the key from the cache and TDStore.
 
@@ -186,15 +178,6 @@ class CachedStore:
         """
         self._cache.pop(key, None)
         self._client.delete(key)
-
-    def prime(self, key: str, value: Any):
-        """Install ``value`` in the cache without writing to TDStore.
-
-        For callers that wrote through another path (e.g. a
-        ``check_and_set`` on the client) and know the authoritative
-        value.
-        """
-        self._cache[key] = value
 
     def invalidate(self, key: str | None = None):
         if key is None:

@@ -10,7 +10,11 @@ from repro.tdstore.cluster import TDStoreCluster
 from repro.topology.state import StateKeys
 from repro.utils.clock import SimClock
 
-from repro.engine.front_end import RUNGS, RecommenderFrontEnd
+from repro.engine.front_end import (
+    QUERY_LOG_RECENT,
+    RUNGS,
+    RecommenderFrontEnd,
+)
 
 USER = "u1"
 
@@ -40,7 +44,7 @@ class TestLadderRungs:
         results = front_end.query(USER, 2, 0.0)
         assert [r.item_id for r in results] == ["i2", "i3"]
         assert front_end.log.rungs == {"live": 1}
-        assert front_end.log.rung_history == ["live"]
+        assert list(front_end.log.rung_history) == ["live"]
 
     def test_live_failure_serves_last_known_good(self):
         clock = SimClock()
@@ -131,3 +135,17 @@ class TestAdmissionAndAccounting:
         front_end.query("nobody", 2, 0.0)  # hot complement still answers
         log = front_end.log
         assert sum(log.rungs.values()) == log.queries == 2
+
+    def test_per_query_history_is_bounded(self):
+        store = seeded_store()
+        engine = RecommenderEngine(store.client(), EngineConfig())
+        front_end = RecommenderFrontEnd(engine)
+        for __ in range(QUERY_LOG_RECENT + 5):
+            front_end.query(USER, 2, 0.0)
+        log = front_end.log
+        assert log.queries == log.rungs["live"] == QUERY_LOG_RECENT + 5
+        assert len(log.rung_history) == QUERY_LOG_RECENT
+        assert len(log.displayed) == QUERY_LOG_RECENT
+        log.displayed.clear()
+        log.rung_history.clear()
+        assert not log.displayed and not log.rung_history

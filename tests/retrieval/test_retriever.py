@@ -37,7 +37,7 @@ def built_store():
         for __ in range(10):
             row = updated_row(row, f"ctx-{item[0]}", 1.0, ECFG)
         client.put(K.embedding(item), row.to_value())
-        index.observe(item, list(row.vec), None)
+        index.observe(item, list(row.vec), f"build@{item}")
     return cluster, client
 
 

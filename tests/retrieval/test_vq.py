@@ -133,12 +133,6 @@ class TestObserve:
         assert first.assigned == sibling_id(first.split_from, first.op_id)
         assert client.get(K.centroid(first.assigned), None) == vec
 
-    def test_without_op_ids_everything_still_converges(self):
-        cluster, index = make_index()
-        for item, vec, __ in op_stream():
-            index.observe(item, vec, None)
-        assert index_integrity(cluster.client(), ITEMS)["problems"] == []
-
 
 class TestDedup:
     def test_replayed_op_is_skipped_exactly(self):

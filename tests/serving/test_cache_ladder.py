@@ -66,7 +66,7 @@ class TestRungAttribution:
         assert [r.item_id for r in first] == [r.item_id for r in second]
         assert front_end.log.rungs == {"live": 2}
         assert serving.tier_serves["result_cache"] == 1
-        assert front_end.log.rung_history == ["live", "live"]
+        assert list(front_end.log.rung_history) == ["live", "live"]
 
     def test_breaker_open_serves_expired_entry_on_cache_rung(self):
         store = seeded_store()

@@ -6,7 +6,11 @@ from repro.storm import Bolt, Spout
 
 
 class ListSpout(Spout):
-    """Emits a fixed list of (field-values) tuples, one per poll."""
+    """Emits a fixed list of (field-values) tuples, one per poll.
+
+    Row ``i`` carries the identity ``list@{i}``, like every shipped
+    spout, so the rows may feed an ``ExactlyOnceBolt``.
+    """
 
     def __init__(self, rows, fields=("word",), stream_id="default", ack_ids=False):
         self._rows = list(rows)
@@ -25,7 +29,12 @@ class ListSpout(Spout):
             return False
         row = self._rows[self._cursor]
         message_id = self._cursor if self._ack_ids else None
-        self.collector.emit(row, stream_id=self._stream_id, message_id=message_id)
+        self.collector.emit(
+            row,
+            stream_id=self._stream_id,
+            message_id=message_id,
+            op_id=f"list@{self._cursor}",
+        )
         self._cursor += 1
         return True
 

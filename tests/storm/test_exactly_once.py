@@ -122,15 +122,6 @@ class TestDedupLedger:
         restored.restore(ledger.snapshot())
         assert restored.watermark_rejections == 1
 
-    def test_legacy_snapshot_without_watermark_rejections(self):
-        ledger = DedupLedger()
-        ledger.observe("src@0")
-        state = ledger.snapshot()
-        del state["watermark_rejections"]
-        restored = DedupLedger()
-        restored.restore(state)
-        assert restored.watermark_rejections == 0
-
 
 class CountingBolt(ExactlyOnceBolt):
     def __init__(self):
@@ -151,12 +142,12 @@ class TestExactlyOnceBolt:
         assert bolt.counts == {"a": 2}
         assert bolt.dedup_hits == 1
 
-    def test_unidentified_tuples_fall_back_to_at_least_once(self):
+    def test_unidentified_tuple_is_refused(self):
         bolt = CountingBolt()
-        bolt.execute(make_tuple("a", None))
-        bolt.execute(make_tuple("a", None))
-        assert bolt.counts == {"a": 2}
-        assert bolt.dedup_hits == 0
+        with pytest.raises(ConfigurationError, match="without an op id"):
+            bolt.execute(make_tuple("a", None))
+        assert bolt.counts == {}
+        assert bolt.ledger.first_seen == 0
 
     def test_snapshot_state_shape(self):
         bolt = CountingBolt()
@@ -169,21 +160,6 @@ class TestExactlyOnceBolt:
         restored.execute(make_tuple("a", "src@0"))
         assert restored.counts == {}
         assert restored.dedup_hits == 1
-
-    def test_legacy_restore_without_ledger_wrapper(self):
-        # manifests written before the exactly-once layer hand the whole
-        # dict to the app hook
-        captured = {}
-
-        class Legacy(ExactlyOnceBolt):
-            def process(self, tup):
-                pass
-
-            def restore_app_state(self, state):
-                captured.update(state)
-
-        Legacy().restore_state({"combiner": {"k": 1.0}})
-        assert captured == {"combiner": {"k": 1.0}}
 
     def test_ledger_stats_include_dedup_hits(self):
         bolt = CountingBolt()

@@ -5,6 +5,7 @@ import pytest
 from repro.storm import LocalCluster, topology_from_xml
 from repro.tdaccess import TDAccessCluster
 from repro.topology import StateKeys
+from repro.topology.bolts_cb import ItemInfoBolt
 from repro.topology.framework import (
     build_ar_topology,
     build_cb_topology,
@@ -13,6 +14,7 @@ from repro.topology.framework import (
 )
 from repro.topology.spouts import TDAccessSpout
 from repro.types import UserAction, UserProfile
+from repro.utils.clock import SimClock
 
 PROFILES = {
     "m1": UserProfile("m1", gender="male", age=25, region="beijing"),
@@ -144,6 +146,30 @@ class TestCbTopology:
         index = client.get(StateKeys.tag_index("sports"))
         assert index == {"n1", "n2"}
         assert client.get(StateKeys.consumed("u1")) == {"n1"}
+
+    def test_meta_spout_ids_are_stable_across_rebuilds(
+        self, client_factory, monkeypatch
+    ):
+        metas = [{"item": "n1", "tags": ("a",)}, {"item": "n2", "tags": ("b",)}]
+        seen = []
+        execute = ItemInfoBolt.execute
+
+        def recording(bolt, tup):
+            seen.append((tup["item"], tup.op_id))
+            execute(bolt, tup)
+
+        monkeypatch.setattr(ItemInfoBolt, "execute", recording)
+        for __ in range(2):  # a rebuilt deployment re-emits the same ids
+            clock = SimClock()
+            cluster = LocalCluster(clock=clock)
+            cluster.submit(
+                build_cb_topology("cb-app", [], metas, clock, client_factory)
+            )
+            cluster.run_until_idle()
+        assert sorted(seen) == [
+            ("n1", "metas@0"), ("n1", "metas@0"),
+            ("n2", "metas@1"), ("n2", "metas@1"),
+        ]
 
 
 class TestArTopology:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import DataServerDownError
 from repro.storm.component import OutputCollector, TopologyContext
+from repro.storm.reliability import DedupLedger
 from repro.storm.streams import OutputDeclaration
 from repro.storm.tuples import StormTuple
 from repro.tdstore.cluster import TDStoreCluster
@@ -172,10 +173,7 @@ class TestUserHistoryReplay:
         first = len(emitted)
         # the ledger catches the replay first; wipe it to exercise the
         # store-journal probe (the task-kill path)
-        bolt.ledger.restore(
-            {"retain_depth": 256, "first_seen": 0, "duplicates": 0,
-             "odd": [], "sources": {}}
-        )
+        bolt.ledger.restore(DedupLedger().snapshot())
         deliver(bolt, tup)
         assert len(emitted) == first  # no re-emission
         history = cluster.client().get(StateKeys.history("u1"))

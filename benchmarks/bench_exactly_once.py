@@ -29,7 +29,7 @@ from repro.storm.component import Bolt, FunctionBolt
 from repro.storm.grouping import FieldsGrouping, ShuffleGrouping
 from repro.storm.reliability import DedupLedger
 from repro.storm.topology import TopologyBuilder
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, StateKeys, StoreBacked
 from repro.topology.bolts_cf import ItemCountBolt
 from repro.topology.spouts import TDAccessSpout
 
@@ -48,7 +48,7 @@ REPS = 3
 LEDGER_OPS = 100_000
 
 
-class NaiveCountBolt(Bolt):
+class NaiveCountBolt(StoreBacked, Bolt):
     """The at-least-once reference: a plain bolt doing get+put
     increments, with neither ledger nor journal — every replayed tuple
     counts again."""

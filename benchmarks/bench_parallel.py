@@ -6,11 +6,12 @@ extra worker processes into throughput. On a box with more cores than
 workers that is unremarkable, so the benchmark is calibrated for the
 harder case — a single shared CPU — where the only parallel resource
 is the time workers spend *waiting*: every TDStore mutation is
-fsync-durable before it is acknowledged, so a lone blocking worker
-pays the full commit barrier per mutation, while N workers keep N
-mutations in flight and the server host's group commit amortizes one
-barrier across all of them (WAL records per commit, reported as ``K``,
-is the direct measure of that amortization).
+fsync-durable before it is acknowledged. A worker commits a task's
+slice of a wave as one envelope — one log record, one barrier for all
+of its mutations — so even a lone blocking worker amortizes the barrier
+(mutations per ``fsync``, reported as ``M``, is the direct measure),
+and N workers keep N envelopes in flight for the server host's group
+commit to cover with one barrier (WAL records per commit, ``K``).
 
 Two calibration choices keep the measurement meaningful:
 
@@ -39,8 +40,11 @@ and the best rep per count is compared, because wall-clock noise on a
 shared host arrives in bursts that would otherwise land on one side of
 the ratio.
 
-Writes ``BENCH_parallel.json``: ops/s per worker count (1, 2, 4) and
-the 1->4 speedup, asserted >= 2x.
+Writes ``BENCH_parallel.json``: ops/s per worker count (1, 2, 4), gated
+on absolute floors — what each count reached when every mutation paid
+its own barrier — and on a lone worker committing more than one
+mutation per ``fsync``. The 1->4 ratio is reported, not gated: it
+measured how much a lone worker wasted, and shrinks as that is fixed.
 """
 
 import hashlib
@@ -76,6 +80,10 @@ WORKER_COUNTS = [1, 2, 4]
 REPS = 2
 COMMIT_FLOOR = 0.001  # modeled barrier; see module docstring
 MAX_GROUP_WAIT = 0.001
+# ops/s per worker count with one frame, one record and one fsync per
+# mutation (the committed BENCH_parallel.json before slices committed
+# as envelopes); no worker count may fall back below its own
+OPS_PER_SEC_FLOOR = {1: 414.0, 2: 650.0, 4: 912.0}
 
 
 def bench_payloads(
@@ -208,11 +216,13 @@ def run_once(worker_procs: int):
         host_stats = store.host_stats()
         wal_records = sum(h["wal"]["records"] for h in host_stats)
         wal_commits = sum(h["wal"]["commits"] for h in host_stats)
+        mutations = sum(store.write_stats().values())
         return {
             "wall_seconds": wall,
             "executed": executed,
             "ops_per_sec": executed / wall,
             "records_per_commit": wal_records / max(wal_commits, 1),
+            "mutations_per_fsync": mutations / max(wal_commits, 1),
             "fingerprint": state_fingerprint(store.client()),
         }
 
@@ -246,6 +256,7 @@ def test_parallel_scaling():
                 round(r["ops_per_sec"], 1) for r in runs[workers]
             ],
             "records_per_commit": round(best["records_per_commit"], 2),
+            "mutations_per_fsync": round(best["mutations_per_fsync"], 2),
         }
 
     speedup = results[4]["ops_per_sec"] / results[1]["ops_per_sec"]
@@ -275,10 +286,18 @@ def test_parallel_scaling():
                 f"  {w} workers: {results[w]['ops_per_sec']:>8.1f} ops/s "
                 f"({results[w]['wall_seconds']:.2f}s, "
                 f"{results[w]['executed']} executions, "
-                f"K={results[w]['records_per_commit']:.2f})"
+                f"K={results[w]['records_per_commit']:.2f}, "
+                f"M={results[w]['mutations_per_fsync']:.2f})"
                 for w in WORKER_COUNTS
             ]
-            + [f"  speedup 1->4: {speedup:.2f}x"]
+            + [f"  speedup 1->4: {speedup:.2f}x (reported, not gated)"]
         ),
     )
-    assert speedup >= 2.0, f"1->4 worker speedup only {speedup:.2f}x"
+    for workers, floor in OPS_PER_SEC_FLOOR.items():
+        assert results[workers]["ops_per_sec"] >= floor, (
+            f"{workers} workers: {results[workers]['ops_per_sec']} ops/s, "
+            f"below the {floor} they reached one mutation per frame"
+        )
+    assert results[1]["mutations_per_fsync"] > 1.0, (
+        "a lone worker pays one barrier per mutation again"
+    )

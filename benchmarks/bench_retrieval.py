@@ -79,12 +79,14 @@ def test_retrieval_quality_and_throughput():
 
     cluster = TDStoreCluster(num_data_servers=2, num_instances=16)
     client = cluster.client()
-    index = StreamingVQIndex(CachedStore(cluster.client()), VCFG)
+    store = CachedStore(cluster.client())
+    index = StreamingVQIndex(store, VCFG)
 
     t0 = time.perf_counter()
     for n, (item, row) in enumerate(catalog):
         client.put(K.embedding(item), row.to_value())
         index.observe(item, list(row.vec), f"bench:{n}")
+        store.flush()
     build_seconds = time.perf_counter() - t0
 
     probe_stats = VQIndexProbe(client).stats()

@@ -103,7 +103,7 @@ class DemographicRecommender(Recommender):
         gain = self.weights.weight(action.action)
         now = action.timestamp
         group = self.group_of_user(action.user_id)
-        for target in {group, GLOBAL_GROUP}:
+        for target in sorted({group, GLOBAL_GROUP}):
             self._counts.add((target, action.item_id), gain, now)
             self._group_items.setdefault(target, set()).add(action.item_id)
         self._consumed.setdefault(action.user_id, set()).add(action.item_id)

@@ -32,7 +32,7 @@ from repro.retrieval.vq import StreamingVQIndex, VQConfig
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore
+from repro.topology.state import CachedStore, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -53,7 +53,7 @@ class RetrievalConfig:
     parallelism: int = 2
 
 
-class EmbeddingPairBolt(ExactlyOnceBolt):
+class EmbeddingPairBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by user: turns the action stream into co-click pairs.
 
     The window (``embrecent:{user}``) is deliberately separate from the
@@ -103,7 +103,7 @@ class EmbeddingPairBolt(ExactlyOnceBolt):
         self._store.put_once(key, op_id, window)
 
 
-class EmbeddingUpdateBolt(ExactlyOnceBolt):
+class EmbeddingUpdateBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: the collisionless embedding row's single writer.
 
     The updated row is emitted *before* the commit: a mid-update
@@ -145,7 +145,7 @@ class EmbeddingUpdateBolt(ExactlyOnceBolt):
         self.rows_updated += 1
 
 
-class VQAssignBolt(ExactlyOnceBolt):
+class VQAssignBolt(StoreBacked, ExactlyOnceBolt):
     """The VQ index's single writer — must run with parallelism 1.
 
     All idempotence lives in :meth:`StreamingVQIndex.observe`; the bolt
@@ -170,9 +170,8 @@ class VQAssignBolt(ExactlyOnceBolt):
                 "VQAssignBolt is the index's single writer and must run "
                 f"with parallelism 1, got {context.num_tasks} tasks"
             )
-        self._index = StreamingVQIndex(
-            CachedStore(self._client_factory()), self._config
-        )
+        self._store = CachedStore(self._client_factory())
+        self._index = StreamingVQIndex(self._store, self._config)
 
     @property
     def index(self) -> StreamingVQIndex:

@@ -297,12 +297,10 @@ class ChaosRuntime:
         start = time.monotonic()
         trigger = RpcClient(*managed.address, timeout=10.0)
         try:
+            probe = ("__chaos_probe__", f"{kind}@{host_index}")
             trigger.call(
                 "mutate",
-                instance,
-                "put",
-                ("__chaos_probe__", f"{kind}@{host_index}"),
-                (),
+                [(server_id, instance, "put", probe, ())],
                 target=("data", server_id),
             )
         except RemoteOpError:
@@ -349,12 +347,10 @@ class ChaosRuntime:
         try:
             # the append is poisoned but the op acks normally — silence
             # is the property under test
+            probe = ("__chaos_probe__", f"{kind}@{host_index}")
             trigger.call(
                 "mutate",
-                instance,
-                "put",
-                ("__chaos_probe__", f"{kind}@{host_index}"),
-                (),
+                [(server_id, instance, "put", probe, ())],
                 target=("data", server_id),
             )
         finally:

@@ -218,9 +218,17 @@ class ProcessCluster(LocalCluster):
     def _run_wave(self, wave):
         self.waves_dispatched += 1
         results = self._dispatch(wave)
+        # the workers have run the whole wave: settle every slice of it
+        # before the first recorded error propagates, or the tuples
+        # behind that error would be neither acked nor failed
+        error = None
         for run, key, tuples in wave:
             records = results[(run.topology.name, key)]
-            self._replay_task_batch(run, key, tuples, records)
+            failed = self._replay_task_batch(run, key, tuples, records)
+            if error is None:
+                error = failed
+        if error is not None:
+            raise error
 
     def _dispatch(self, wave):
         """Execute the wave on the worker pool; one in-flight RPC each.
@@ -299,42 +307,55 @@ class ProcessCluster(LocalCluster):
 
     def _replay_task_batch(self, run: _RunningTopology, key, tuples, records):
         """Feed one task's recorded executions through the parent's
-        collector — the exact control flow of the simulator's
-        ``_execute``, with ``bolt.execute`` replaced by the record.
+        collector — the settling half of the simulator's
+        ``_execute_slice`` (ack, then execute hooks, per tuple), with
+        ``bolt.execute`` replaced by the record; the worker has already
+        run the slice and committed it.
 
         If an execute hook kills this task mid-replay (the fresh
         instance lives both here and in the worker), the rest of the
         batch is pushed back on the queue and re-dispatched next wave,
-        mirroring the simulator's re-lookup-per-tuple semantics; the
+        so a dead instance never keeps its queue; the
         worker-side effects of the discarded records are duplicates the
         dedup ledgers absorb.
+
+        Returns the first error the records carry, once every record is
+        settled: a failed flush marks the whole slice, and each of its
+        tuples must reach the acker as failed (the caller raises).
         """
+        error = None
         for position, (tup, record) in enumerate(zip(tuples, records)):
             task = run.tasks.get(key)
             if task is None:
-                return
-            self._replay_one(run, task, tup, record)
+                break
+            failed = self._replay_one(run, task, tup, record)
+            if error is None:
+                error = failed
             if run.tasks.get(key) is not task:
                 remaining = tuples[position + 1 :]
                 fresh = run.tasks.get(key)
                 if fresh is not None and remaining:
                     fresh.queue.extendleft(reversed(remaining))
-                return
+                break
+        return error
 
     def _replay_one(self, run: _RunningTopology, task: _Task, tup: StormTuple, record):
+        """Settle one recorded execution; returns the error it carries
+        (its ``fail`` is among the events), else acks and runs hooks."""
         bolt = task.instance
         run.metrics.task(task.component_name, task.task_index).executed += 1
         task.collector.set_input_context(tup.root_ids, tup.op_id)
         try:
             self._replay_events(task, tup, record["events"])
-            if record["error"] is not None:
-                raise record["error"]
         finally:
             task.collector.set_input_context(frozenset(), None)
+        if record["error"] is not None:
+            return record["error"]
         if not getattr(bolt, "manual_ack", False):
             task.collector.ack(tup)
         for hook in list(self._execute_hooks):
             hook(run.topology.name)
+        return None
 
     @staticmethod
     def _replay_events(task: _Task, tup: StormTuple, events):

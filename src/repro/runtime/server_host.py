@@ -27,13 +27,15 @@ rebuild data-plane state from the log — control-plane state (routes,
 roles, failover history) is re-provisioned fresh; checkpoint recovery,
 not the WAL, is the mechanism that restores post-failover layouts.
 
-A client mutation is one such operation (``TDStoreDataServer.mutate``):
-the host write and the sync records it queues on the replicas living in
-this process are one request, one log record and one ack, and replaying
-the record re-derives both. Hosts never call each other on the data
-plane — two single-threaded serve loops waiting on each other's acks
-would deadlock — so records for a replica owned by another process go
-back to the client, which ships them there in one ``enqueue_syncs``.
+An envelope of client mutations is one such operation
+(``TDStoreDataServer.mutate``): every host write of the envelope and the
+sync records they queue on the replicas living in this process are one
+request, one log record and one ack, and replaying the record re-derives
+all of it. Hosts never call each other on the data plane — two
+single-threaded serve loops waiting on each other's acks would deadlock
+— so records for a replica owned by another process, and ops whose host
+lives there, go back to the client, which sends them on in its next
+envelope.
 """
 
 from __future__ import annotations
@@ -77,7 +79,11 @@ WAL_FAIL_STOP_EXIT = 70
 CLUSTER_WAL_METHODS = frozenset({"restore_contents", "add_data_server"})
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.config_server import ConfigServerPair
-from repro.tdstore.data_server import HOST_MUTATIONS, TDStoreDataServer
+from repro.tdstore.data_server import (
+    ENQUEUE_SYNCS,
+    HOST_MUTATIONS,
+    TDStoreDataServer,
+)
 from repro.tdstore.engines import MDBEngine
 
 
@@ -358,23 +364,25 @@ class ServerHost:
         replies = []
         for conn_id, request in batch:
             target = request.target
-            if (
-                self._delays
-                and isinstance(target, tuple)
-                and target[0] == "data"
-            ):
-                # chaos latency: a real, bounded stall before serving —
-                # the process-substrate meaning of latency_spike
-                delay = self._delays.get(target[1], 0.0)
-                if delay > 0.0:
-                    time.sleep(delay)
             try:
                 receiver = self._receiver(target)
                 method = request.method
                 data_op = isinstance(target, tuple) and target[0] == "data"
-                if data_op and method in HOST_MUTATIONS:
-                    # unlogged and replica-blind on its own; only
-                    # ``mutate`` may name it
+                if data_op and self._delays:
+                    # chaos latency: a real, bounded stall before serving
+                    # — the process-substrate meaning of latency_spike. A
+                    # frame naming several servers waits for the slowest
+                    named = {target[1]}
+                    if method in ("mutate", "gather"):
+                        named.update(entry[0] for entry in request.args[0])
+                    delay = max(self._delays.get(sid, 0.0) for sid in named)
+                    if delay > 0.0:
+                        time.sleep(delay)
+                if data_op and (
+                    method in HOST_MUTATIONS or method == ENQUEUE_SYNCS
+                ):
+                    # unlogged (and, for a host op, replica-blind) on
+                    # its own; only ``mutate`` may name it
                     raise TDStoreError(f"{method!r} must travel in a mutate")
                 if method.startswith("."):
                     value = getattr(receiver, method[1:])
@@ -551,23 +559,31 @@ class ServerHost:
             server = self.locals.get(server_id)
             if server is None:
                 return
-            granted = False
-            if args and isinstance(args[0], int):
-                server.ensure_instance(args[0])
-                # a failover may have promoted this instance onto the
-                # server after provisioning's balanced layout; the op
-                # was acknowledged at log time, so lift the route fence
-                # for the re-apply only — stale-route protection for
-                # live clients must survive recovery, and the true
-                # post-crash layout comes from checkpoint restore
-                if not server.hosts(args[0]):
-                    server.set_host_role(args[0], True)
-                    granted = True
-            try:
+            if method != "mutate":
+                if args and isinstance(args[0], int):
+                    server.ensure_instance(args[0])
                 getattr(server, method)(*args)
+                return
+            # a failover may have promoted an instance onto its server
+            # after provisioning's balanced layout; the envelope was
+            # acknowledged at log time, so lift the route fence for the
+            # re-apply only — stale-route protection for live clients
+            # must survive recovery, and the true post-crash layout
+            # comes from checkpoint restore
+            granted = []
+            for peer_id, instance, op, __, __ in args[0]:
+                peer = self.locals.get(peer_id)
+                if peer is None:
+                    break  # the envelope ended where another process began
+                peer.ensure_instance(instance)
+                if op != ENQUEUE_SYNCS and not peer.hosts(instance):
+                    peer.set_host_role(instance, True)
+                    granted.append((peer, instance))
+            try:
+                server.mutate(*args)
             finally:
-                if granted:
-                    server.set_host_role(args[0], False)
+                for peer, instance in granted:
+                    peer.set_host_role(instance, False)
 
         # replay from a read handle; new appends continue on the live fd
         try:

@@ -50,7 +50,6 @@ PICKLE_PROTOCOL = 5
 MUTATING_DATA_METHODS = frozenset(
     {
         "mutate",
-        "enqueue_syncs",
         "apply_pending",
         "apply_repair",
         "adopt_snapshot",

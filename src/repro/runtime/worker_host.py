@@ -195,18 +195,55 @@ class WorkerHost:
             task = entry.tasks.get((component, task_index))
             if task is None:
                 task = self._build_task(entry, component, task_index)
-            records = []
-            for tup in tuples:
-                records.append(self._execute_one(task, tup))
-            out.append((component, task_index, records))
+            out.append(
+                (component, task_index, self._execute_slice(entry, task, tuples))
+            )
         return out
 
-    def _execute_one(self, task: _WorkerTask, tup: StormTuple) -> dict:
+    def _execute_slice(self, entry: _WorkerTopology, task: _WorkerTask, tuples):
+        """One task's share of a wave: gather -> compute -> commit.
+
+        The slice is the unit of store traffic and therefore of failure:
+        a gather that fails fails every tuple unexecuted, a commit that
+        fails fails every tuple that had not failed on its own — their
+        emissions stand (emit first), their writes are replayed.
+        """
+        try:
+            task.instance.prefetch(tuples)
+            refused = None
+        except Exception as exc:
+            refused = exc
+        records = [self._execute_one(task, tup, refused) for tup in tuples]
+        try:
+            self._commit(entry, task)
+        except Exception as exc:
+            error = sanitize_exception(exc)
+            for record in records:
+                if record["error"] is None:
+                    record["events"].append(("fail",))
+                    record["error"] = error
+        return records
+
+    def _commit(self, entry: _WorkerTopology, task: _WorkerTask):
+        """Flush what the task buffered; a failed flush costs the task
+        its memory (cache and dedup ledger name writes that never
+        landed), so the replay meets a fresh instance."""
+        try:
+            task.instance.flush()
+        except Exception:
+            self._build_task(entry, task.component, task.task_index)
+            raise
+
+    def _execute_one(
+        self, task: _WorkerTask, tup: StormTuple, refused: "Exception | None"
+    ) -> dict:
         events: list[tuple] = []
         task.events = events
         task.collector.set_input_context(tup.root_ids, tup.op_id)
         error = None
         try:
+            if refused is not None:
+                raise refused
             task.instance.execute(tup)
         except Exception as exc:
             task.collector.fail(tup)
@@ -230,6 +267,7 @@ class WorkerHost:
             task.events = events
             try:
                 task.instance.tick(now)
+                self._commit(entry, task)
             finally:
                 task.events = None
             self.ticks += 1

@@ -276,13 +276,17 @@ class LocalCluster:
         return progressed
 
     def drain(self) -> int:
-        """Process queued tuples to quiescence; returns tuples executed."""
+        """Process queued tuples to quiescence; returns tuples executed.
+
+        A task's turn is a *slice*: everything queued for it when its
+        turn comes, executed back to back (see :meth:`_execute_slice`).
+        """
         executed = 0
         while True:
             batch = 0
             for run in self._running.values():
                 for key in list(run.tasks):
-                    # re-look-up per tuple: an execute hook may kill_task
+                    # re-look-up per slice: an execute hook may kill_task
                     # mid-drain, swapping in a fresh instance that shares
                     # the old queue — the dead instance must not keep
                     # processing it
@@ -290,33 +294,77 @@ class LocalCluster:
                         task = run.tasks.get(key)
                         if task is None or not task.queue:
                             break
-                        tup = task.queue.popleft()
-                        self._execute(run, task, tup)
-                        batch += 1
+                        tuples = list(task.queue)
+                        task.queue.clear()
+                        batch += len(tuples)
+                        self._execute_slice(run, task, tuples)
             self._maybe_tick()
             if batch == 0:
                 return executed
             executed += batch
 
-    def _execute(self, run: _RunningTopology, task: _Task, tup: StormTuple):
+    def _execute_slice(
+        self, run: _RunningTopology, task: _Task, tuples: list[StormTuple]
+    ):
+        """One task's slice: gather -> compute -> commit, then settle.
+
+        The bolt may read what the slice needs in one store trip
+        (``prefetch``) and write it back in one (``flush``); tuples are
+        acked, and execute hooks run, once their writes are committed. A
+        tuple that raises ends the slice: what ran before it commits and
+        is acked, it fails, the rest go back on the queue, and the error
+        propagates (fail-fast, as ever). A commit that raises fails the
+        whole slice and restarts the task.
+        """
         bolt = task.instance
         if not isinstance(bolt, Bolt):
             raise ClusterStateError(
                 f"tuple routed to non-bolt {task.component_name!r}"
             )
-        run.metrics.task(task.component_name, task.task_index).executed += 1
-        task.collector.set_input_context(tup.root_ids, tup.op_id)
+        collector = task.collector
+        counters = run.metrics.task(task.component_name, task.task_index)
+        done, error = 0, None
         try:
-            bolt.execute(tup)
-        except Exception:
-            task.collector.fail(tup)
-            raise
+            bolt.prefetch(tuples)
+            for tup in tuples:
+                counters.executed += 1
+                collector.set_input_context(tup.root_ids, tup.op_id)
+                bolt.execute(tup)
+                done += 1
+        except Exception as exc:
+            error = exc
+            task.queue.extendleft(reversed(tuples[done + 1 :]))
         finally:
-            task.collector.set_input_context(frozenset(), None)
-        if not getattr(bolt, "manual_ack", False):
-            task.collector.ack(tup)
-        for hook in list(self._execute_hooks):
-            hook(run.topology.name)
+            collector.set_input_context(frozenset(), None)
+        ran = tuples[:done]
+        culprit = tuples[done : done + 1] if error is not None else []
+        try:
+            self._commit(run, task)
+        except Exception:
+            for tup in ran + culprit:
+                collector.fail(tup)
+            raise
+        manual_ack = getattr(bolt, "manual_ack", False)
+        for tup in ran:
+            if not manual_ack:
+                collector.ack(tup)
+            for hook in list(self._execute_hooks):
+                hook(run.topology.name)
+        if error is not None:
+            collector.fail(culprit[0])
+            raise error
+
+    def _commit(self, run: _RunningTopology, task: _Task):
+        """Flush what the task buffered. Writes a failed flush dropped
+        are still in the task's cache and dedup ledger, so the task
+        restarts fresh and the replay meets the store's journals."""
+        try:
+            task.instance.flush()
+        except Exception:
+            self.kill_task(
+                run.topology.name, task.component_name, task.task_index
+            )
+            raise
 
     def _maybe_tick(self):
         if self._next_tick is None:
@@ -332,9 +380,10 @@ class LocalCluster:
 
     def _tick_all(self, now: float):
         for run in self._running.values():
-            for task in run.tasks.values():
+            for task in list(run.tasks.values()):
                 if isinstance(task.instance, Bolt):
                     task.instance.tick(now)
+                    self._commit(run, task)
 
     # ------------------------------------------------------------------
     # checkpoint support (repro.recovery)

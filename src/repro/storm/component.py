@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC
 from typing import Any, Callable, Sequence
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.storm.streams import DEFAULT_STREAM, OutputDeclaration
 from repro.storm.tuples import StormTuple
 
@@ -197,6 +197,30 @@ class Bolt(Component):
         Components that buffer (e.g. the combiner of Section 5.3) flush
         from here.
         """
+
+    # -- slice protocol: gather -> compute -> commit ------------------------
+    #
+    # The executor hands a task its input as slices — everything queued
+    # for the task when its turn comes, on both executors — and brackets
+    # each slice (and each tick) with these two calls, so a bolt that
+    # keeps state behind a store can read it in one trip and write it
+    # back in one.
+
+    def prefetch(self, tuples: "Sequence[StormTuple]"):
+        """Called before the tuples of a slice are executed."""
+
+    def flush(self):
+        """Called after a slice (or a tick). If it raises, every tuple of
+        the slice fails and the executor discards this instance — what
+        it did not commit is replayed to a fresh one."""
+        if hasattr(self, "_store"):
+            # a bolt's ``_store`` buffers its writes until flushed (see
+            # ``repro.topology.state.StoreBacked``); inheriting this
+            # no-op would drop them without a sound
+            raise ConfigurationError(
+                f"{type(self).__name__} keeps state behind a store but "
+                "does not flush it; list StoreBacked before its bolt base"
+            )
 
 
 class FunctionBolt(Bolt):

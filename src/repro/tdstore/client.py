@@ -183,47 +183,58 @@ class TDStoreClient:
         self._refresh_table()
 
     def _attempt(
-        self, key: str, operation: Callable[[int, int], Any],
-        deadline: Deadline | None,
+        self, operation: Callable[[Callable], Any], deadline: Deadline | None
     ) -> Any:
-        """Run ``operation(host, instance)`` with one failover retry."""
+        """Run ``operation(route_of)`` with one failover retry.
+
+        ``route_of(key)`` hands the operation the key's current route,
+        charging each host it names for the first time its advertised
+        latency; the retry after a refresh re-routes through it, so an
+        operation is written once against whatever table is current.
+        """
         self._maybe_refresh()
-        route = self._table.route_for_key(key)
-        self._charge_latency(route.host, deadline)
+        charged: set[int] = set()
+
+        def route_of(key: str):
+            route = self._table.route_for_key(key)
+            if route.host not in charged:
+                charged.add(route.host)
+                self._charge_latency(route.host, deadline)
+            return route
+
         try:
-            return operation(route.host, route.instance)
+            return operation(route_of)
         except MigrationInProgressError as exc:
             # the instance is mid-cutover to a new host: wait it out and
             # retry against the post-cutover route — no failover, and no
             # table-refresh loop (our table was already current)
             self._await_migration(exc.instance, deadline)
-            route = self._table.route_for_key(key)
-            self._charge_latency(route.host, deadline)
-            return operation(route.host, route.instance)
         except StaleRouteError:
             # fenced: another client already failed this instance over
             # (or the server restarted and lost the host role) — the
             # route table moved on without us
             self._refresh_table()
-            route = self._table.route_for_key(key)
-            self._charge_latency(route.host, deadline)
-            return operation(route.host, route.instance)
         except DataServerDownError:
-            if self._config.server(route.host).alive:
-                # the server answered with an error but is not down (an
-                # injected error rate, or it recovered under us): there
-                # is nothing to fail over, so retry in place
-                self._charge_latency(route.host, deadline)
-                return operation(route.host, route.instance)
-            self._config.handle_server_failure(route.host)
-            self._refresh_table()
-            route = self._table.route_for_key(key)
-            self._charge_latency(route.host, deadline)
-            return operation(route.host, route.instance)
+            # a server that answered with an error but is not down (an
+            # injected error rate, or it recovered under us) has nothing
+            # to fail over: the retry below runs in place
+            down = [
+                host for host in sorted(charged)
+                if not self._config.server(host).alive
+            ]
+            for host in down:
+                self._config.handle_server_failure(host)
+            if down:
+                self._refresh_table()
+        charged.clear()
+        return operation(route_of)
 
-    def _with_failover(self, key: str, operation: Callable[[int, int], Any]) -> Any:
-        """Run ``operation(host_server_id, instance)`` under the full
-        resilience stack: breaker gate, deadline, retry, failover."""
+    def _with_failover(
+        self, key: str, operation: Callable[[Callable], Any]
+    ) -> Any:
+        """Run ``operation(route_of)`` under the full resilience stack:
+        breaker gate, deadline, retry, failover. ``key`` names the
+        operation in errors (the first key of a multi-key one)."""
         if self._breaker is not None and not self._breaker.allow():
             self.breaker_rejections += 1
             raise CircuitOpenError(
@@ -236,13 +247,13 @@ class TDStoreClient:
                 deadline.check(f"tdstore op for key {key!r}")
             if self._retry is not None:
                 result = self._retry.run(
-                    lambda: self._attempt(key, operation, deadline),
+                    lambda: self._attempt(operation, deadline),
                     retryable=(DataServerDownError, StaleRouteError),
                     deadline=deadline,
                     budget=self._retry_budget,
                 )
             else:
-                result = self._attempt(key, operation, deadline)
+                result = self._attempt(operation, deadline)
         except DeadlineExceededError:
             self.deadline_misses += 1
             if self._breaker is not None:
@@ -259,10 +270,57 @@ class TDStoreClient:
     # -- public API ------------------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
-        def op(server_id: int, instance: int):
-            return self._config.server(server_id).get(instance, key, default)
+        def op(route_of):
+            route = route_of(key)
+            return self._config.server(route.host).get(
+                route.instance, key, default
+            )
 
         return self._with_failover(key, op)
+
+    def gather(self, keys, probes=()) -> "tuple[dict[str, Any], dict]":
+        """Strict batched read of values and replay probes: one request
+        per server process.
+
+        Returns ``(values, seen)``: ``values`` holds the keys of
+        ``keys`` that exist (a missing key is simply absent — no default
+        stands in for it), ``seen`` maps every ``(key, op_id)`` of
+        ``probes`` to whether the op id is journaled against the key.
+        Unlike :meth:`multi_get` nothing degrades: a shard that stays
+        unreachable after the failover retry raises, because the caller
+        is about to compute writes from what it read.
+        """
+        if not keys and not probes:
+            return {}, {}
+
+        def op(route_of):
+            reads: dict[int, tuple] = {}
+
+            def read_at(key):
+                route = route_of(key)
+                read = reads.get(route.instance)
+                if read is None:
+                    read = reads[route.instance] = (
+                        route.host, route.instance, [], [],
+                    )
+                return read
+
+            for key in keys:
+                read_at(key)[2].append(key)
+            for probe in probes:
+                read_at(probe[0])[3].append(probe)
+            pending = list(reads.values())
+            server = self._config.server
+            values, seen, pending = server(pending[0][0]).gather(pending)
+            while pending:
+                # each server answers what its process owns and hands
+                # back the rest
+                more, more_seen, pending = server(pending[0][0]).gather(pending)
+                values.update(more)
+                seen.update(more_seen)
+            return values, seen
+
+        return self._with_failover(keys[0] if keys else probes[0][0], op)
 
     def multi_get(self, keys, default: Any = None) -> dict[str, Any]:
         """Batched read: every key answered in one pass over the shards.
@@ -485,60 +543,92 @@ class TDStoreClient:
             return got
         return None
 
-    def _mutate(self, key: str, method: str, *args: Any) -> Any:
-        """One host mutation, replica sync riding the same request.
+    def mutate(self, ops: list) -> list:
+        """Ship ordered mutations in as few envelopes as placement allows.
 
-        The request names the replicas to queue the resulting records
-        on — the instance's slave, and during a live migration the
-        catch-up target, which receives every record written after its
-        snapshot copy so the cutover only has to drain that queue
-        (journals and versions ride along in the same records). Both
-        come from client-side state: the epoch-checked cached table is
-        identical to the authoritative one whenever the epochs match.
-        The host queues the records on every replica living in its own
-        process; only for replicas owned by another process do the
-        records come back, to be shipped in one batch per replica.
+        ``ops`` is a list of ``(method, args)`` with ``method`` one of
+        :data:`~repro.tdstore.data_server.HOST_MUTATIONS` and
+        ``args[0]`` the key; returns one result per op. Every op is
+        routed to its instance's host and names the replicas to queue
+        the resulting records on — the instance's slave, and during a
+        live migration the catch-up target, which receives every record
+        written after its snapshot copy so the cutover only has to drain
+        that queue (journals and versions ride along in the same
+        records). Both come from client-side state: the epoch-checked
+        cached table is identical to the authoritative one whenever the
+        epochs match.
+
+        The whole list goes to the first op's host, which applies the
+        leading run of ops its process owns — one request, one log
+        record, one ``fsync`` — and hands back what belongs to another
+        process: the records for replicas living there, and the ops from
+        the first foreign one on. Those travel in the next envelope, so
+        ops land in the order given and a failure leaves a prefix. On one
+        host process any list is one envelope.
+
+        An envelope the host refuses (stale route, cutover fence, downed
+        server) has applied nothing; it is re-routed and re-sent like a
+        single op. Results of envelopes that already landed are kept, so
+        a retry continues where the failure struck.
         """
-        def op(server_id: int, instance: int):
-            slave = self._table.route(instance).slave
-            target = self._config.migration_target(instance)
-            replicas = (
-                (slave,) if target is None or target == slave
-                else (slave, target)
-            )
-            result, records, elsewhere = self._config.server(server_id).mutate(
-                instance, method, args, replicas
-            )
-            for replica in elsewhere:
-                try:
-                    self._config.server(replica).enqueue_syncs(instance, records)
-                except DataServerDownError:
-                    pass  # a downed replica is skipped, as at the host
-            return result
+        if not ops:
+            return []
+        results: list = []
+        syncs: list = []  # forwarded records, already addressed
 
-        return self._with_failover(key, op)
+        def op(route_of):
+            nonlocal syncs
+            migration_target = self._config.migration_target
+            while syncs or len(results) < len(ops):
+                wire = list(syncs)
+                for at in range(len(results), len(ops)):
+                    method, args = ops[at]
+                    route = route_of(args[0])
+                    slave = route.slave
+                    target = migration_target(route.instance)
+                    wire.append((
+                        route.host, route.instance, method, args,
+                        (slave,) if target is None or target == slave
+                        else (slave, target),
+                    ))
+                done, rest = self._config.server(wire[0][0]).mutate(wire)
+                results.extend(done)
+                # rest = records to forward, then the ops not yet applied
+                # (re-routed above from ``ops``, so only the former stay)
+                syncs = rest[: len(rest) - (len(ops) - len(results))]
 
-    def _tally_once(self, applied: bool) -> bool:
-        """Count a journaled op as landed or deduped."""
-        if applied:
-            self.ops_applied += 1
-        else:
-            self.ops_deduped += 1
-        return applied
+        self._with_failover(ops[0][1][0], op)
+        for (method, __), result in zip(ops, results):
+            if method == "apply_op":
+                applied = result[1]
+            elif method in ("put_once", "record_once"):
+                applied = result
+            else:
+                continue
+            if applied:
+                self.ops_applied += 1
+            else:
+                self.ops_deduped += 1
+        return results
+
+    def _mutate(self, method: str, *args: Any) -> Any:
+        """One mutation: the list form with one element."""
+        return self.mutate([(method, args)])[0]
 
     def put(self, key: str, value: Any):
-        return self._mutate(key, "put", key, value)
+        return self._mutate("put", key, value)
 
     def delete(self, key: str):
-        return self._mutate(key, "delete", key)
+        return self._mutate("delete", key)
 
     # -- transactional API (exactly-once support) ---------------------------
 
     def get_versioned(self, key: str, default: Any = None) -> tuple[Any, int]:
         """Return ``(value, version)``; version 0 means never CAS-written."""
-        def op(server_id: int, instance: int):
-            return self._config.server(server_id).get_versioned(
-                instance, key, default
+        def op(route_of):
+            route = route_of(key)
+            return self._config.server(route.host).get_versioned(
+                route.instance, key, default
             )
 
         return self._with_failover(key, op)
@@ -551,7 +641,7 @@ class TDStoreClient:
         a transport failure, so no failover/retry is spent on it); the
         caller re-reads with :meth:`get_versioned` and retries.
         """
-        return self._mutate(key, "check_and_set", key, value, expected_version)
+        return self._mutate("check_and_set", key, value, expected_version)
 
     def apply(self, key: str, op_id: str, delta: float = 1.0) -> tuple[float, bool]:
         """Idempotent increment: ``op_id`` lands on ``key`` at most once.
@@ -560,8 +650,7 @@ class TDStoreClient:
         host→slave failover, because the op journal replicates with the
         value — and safe to retry after an ambiguous transport failure.
         """
-        value, applied = self._mutate(key, "apply_op", key, op_id, delta)
-        return value, self._tally_once(applied)
+        return self._mutate("apply_op", key, op_id, delta)
 
     def put_once(self, key: str, op_id: str, value: Any) -> bool:
         """Idempotent full-value write: ``op_id`` lands on ``key`` at most once.
@@ -573,9 +662,7 @@ class TDStoreClient:
         replayed op re-executes the whole update. Returns False on a
         replay, leaving the stored value untouched.
         """
-        return self._tally_once(
-            self._mutate(key, "put_once", key, op_id, value)
-        )
+        return self._mutate("put_once", key, op_id, value)
 
     def op_seen(self, key: str, op_id: str) -> bool:
         """True when ``op_id`` was already committed against ``key``.
@@ -584,8 +671,11 @@ class TDStoreClient:
         probing never creates the journal entry — only a successful
         commit does.
         """
-        def op(server_id: int, instance: int):
-            return self._config.server(server_id).op_seen(instance, key, op_id)
+        def op(route_of):
+            route = route_of(key)
+            return self._config.server(route.host).op_seen(
+                route.instance, key, op_id
+            )
 
         return self._with_failover(key, op)
 
@@ -597,7 +687,7 @@ class TDStoreClient:
         read-modify-write callers should use :meth:`op_seen` +
         :meth:`put_once` instead and commit last.
         """
-        return self._tally_once(self._mutate(key, "record_once", key, op_id))
+        return self._mutate("record_once", key, op_id)
 
     def incr(self, key: str, delta: float = 1.0) -> float:
         """Atomic-within-the-simulation numeric increment; returns new value."""

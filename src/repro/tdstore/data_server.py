@@ -24,12 +24,7 @@ from repro.tdstore.engines import JOURNAL_PREFIX, VERSION_PREFIX, StorageEngine
 
 _DELETE = "__delete__"
 _PUT = "__put__"
-
-# the host operations a client mutation may name (see ``mutate``); each
-# returns ``(result, sync_records)``
-HOST_MUTATIONS = frozenset(
-    {"put", "delete", "check_and_set", "apply_op", "put_once", "record_once"}
-)
+_ABSENT = object()
 
 
 @dataclass
@@ -39,6 +34,75 @@ class SyncRecord:
     op: str
     key: str
     value: Any = None
+
+
+# The host operations a client mutation may name (see
+# ``TDStoreDataServer.mutate``). Each applies one op to the instance's
+# engine and returns ``(result, sync_records)``: the records reproduce
+# the op (value plus version/journal meta keys) so the slave converges
+# to the same transactional state — which is what makes a replayed
+# ``apply`` a no-op even after a host→slave failover.
+
+
+def _journaled(engine: StorageEngine, key: str) -> "list[SyncRecord]":
+    """Value, journal and version of ``key``, as they stand after a
+    journaled write landed."""
+    return [
+        SyncRecord(_PUT, key, engine.get(key)),
+        SyncRecord(_PUT, JOURNAL_PREFIX + key, engine.get(JOURNAL_PREFIX + key)),
+        SyncRecord(_PUT, VERSION_PREFIX + key, engine.version(key)),
+    ]
+
+
+def _put(engine: StorageEngine, key: str, value: Any):
+    engine.put(key, value)
+    return None, [SyncRecord(_PUT, key, value)]
+
+
+def _delete(engine: StorageEngine, key: str):
+    engine.delete(key)
+    return None, [SyncRecord(_DELETE, key)]
+
+
+def _check_and_set(engine: StorageEngine, key: str, value: Any, expected: int):
+    new_version = engine.check_and_set(key, value, expected)
+    return new_version, [
+        SyncRecord(_PUT, key, value),
+        SyncRecord(_PUT, VERSION_PREFIX + key, new_version),
+    ]
+
+
+def _apply_op(engine: StorageEngine, key: str, op_id: str, delta: float):
+    value, applied = engine.apply_op(key, op_id, delta)
+    return (value, applied), (_journaled(engine, key) if applied else [])
+
+
+def _put_once(engine: StorageEngine, key: str, op_id: str, value: Any):
+    """Atomic journaled write: value, journal and version land together."""
+    applied = engine.put_once(key, op_id, value)
+    return applied, (_journaled(engine, key) if applied else [])
+
+
+def _record_once(engine: StorageEngine, key: str, op_id: str):
+    if not engine.record_once(key, op_id):
+        return False, []
+    return True, [
+        SyncRecord(_PUT, JOURNAL_PREFIX + key, engine.get(JOURNAL_PREFIX + key))
+    ]
+
+
+HOST_MUTATIONS = {
+    "put": _put,
+    "delete": _delete,
+    "check_and_set": _check_and_set,
+    "apply_op": _apply_op,
+    "put_once": _put_once,
+    "record_once": _record_once,
+}
+
+# the replica-side op of an envelope: records a host in another process
+# produced, forwarded by the client (see ``TDStoreDataServer.mutate``)
+ENQUEUE_SYNCS = "enqueue_syncs"
 
 
 class TDStoreDataServer:
@@ -133,6 +197,18 @@ class TDStoreDataServer:
                 f"{instance}; refresh the route table"
             )
 
+    def _admit(self, instance: int, cadence_checked: set) -> StorageEngine:
+        """The engine of ``instance``, once this server may serve client
+        traffic for it: alive, holding it, hosting it, not fenced — and
+        past the degradation cadence, which one frame meets once per
+        server (``cadence_checked``)."""
+        engine = self.engine(instance)
+        self._check_host(instance)
+        if self.server_id not in cadence_checked:
+            cadence_checked.add(self.server_id)
+            self._check_degraded()
+        return engine
+
     def set_migration_fence(self, instance: int, fenced: bool):
         """Raise/lower the cutover fence for one migrating instance."""
         if fenced:
@@ -209,6 +285,43 @@ class TDStoreDataServer:
         self.batch_ops += 1
         return results
 
+    def gather(self, reads: list) -> "tuple[dict, dict, list]":
+        """One strict read frame: values and replay probes together.
+
+        ``reads`` is a list of ``(server_id, instance, keys, probes)``
+        with ``probes`` a list of ``(key, op_id)``; it may name any
+        servers of this process. Every entry this process owns is
+        checked like :meth:`multi_get` (liveness and host fence per
+        instance, the degradation cadence once per server) before
+        anything is read. Returns ``(values, seen, rest)``: ``values``
+        holds only the keys that exist (no default is invented for a
+        missing one), ``seen`` maps each probe to whether its op id is
+        journaled against its key, and ``rest`` is the entries that
+        belong to another process, for the client to send there.
+        """
+        peers = self._colocated
+        local, rest = [], []
+        cadence_checked = set()
+        for read in reads:
+            server = peers.get(read[0])
+            if server is None:
+                rest.append(read)
+                continue
+            engine = server._admit(read[1], cadence_checked)
+            local.append((server, engine, read[2], read[3]))
+        values: dict[str, Any] = {}
+        seen: dict[tuple[str, str], bool] = {}
+        for server, engine, keys, probes in local:
+            for key in keys:
+                value = engine.get(key, _ABSENT)
+                if value is not _ABSENT:
+                    values[key] = value
+            for probe in probes:
+                seen[probe] = engine.op_seen(*probe)
+            server.reads += len(keys) + len(probes)
+            server.batch_ops += 1
+        return values, seen, rest
+
     def read_replica(
         self, instance: int, keys: list[str], default: Any = None
     ) -> dict[str, Any]:
@@ -231,67 +344,89 @@ class TDStoreDataServer:
         self.replica_reads += 1
         return engine.multi_get(keys, default)
 
-    def mutate(
-        self, instance: int, method: str, args: tuple, replicas: tuple
-    ) -> "tuple[Any, list[SyncRecord], list[int]]":
-        """One client mutation, replica sync included.
+    def mutate(self, ops: list) -> "tuple[list, list]":
+        """One envelope of client mutations, replica sync included.
 
-        Applies ``method(instance, *args)`` — one of
-        :data:`HOST_MUTATIONS` — and queues the sync records it produced
-        on every server of ``replicas`` (the instance's slave, plus the
-        dual-write target of an in-flight migration) that lives in this
-        process. A downed replica rejects the records and is skipped,
-        the decision a liveness pre-check would make. Returns
-        ``(result, records, elsewhere)``: ``elsewhere`` lists the
-        replicas owned by another process, and ``records`` is what the
-        caller must ship to each of them with :meth:`enqueue_syncs`
-        (empty when there is nothing to ship).
+        ``ops`` is an ordered list of ``(server_id, instance, method,
+        args, replicas)``: ``method`` one of :data:`HOST_MUTATIONS`
+        applied at the instance's host ``server_id``, whose sync records
+        are queued on every server of ``replicas`` (the instance's
+        slave, plus the dual-write target of an in-flight migration).
+        The ops may name any servers of this process; a single mutation
+        is an envelope of one.
 
-        Because the apply and the enqueue are one call, a retry that
-        dedups after a lost ack leaves no replica behind, and one log
-        record of this call replays both effects.
+        The envelope covers the leading run of ops whose server lives in
+        this process. Liveness, host role, migration fence and the
+        degradation cadence (once per server) are checked for the whole
+        run *before* anything is applied, so a refused envelope mutates
+        nothing and the caller can re-route and re-send it; then the run
+        is applied in order. Returns ``(results, rest)``: one result per
+        applied host op, and what is left for the client to send on —
+        first the sync records of replicas owned by another process (as
+        :data:`ENQUEUE_SYNCS` ops, one per replica and instance), then
+        the ops from the first one that belongs elsewhere. Cutting at
+        that op rather than skipping past it keeps the order the caller
+        wrote: whatever fails later, a prefix landed.
+
+        A downed replica rejects its records and is skipped, the
+        decision a liveness pre-check would make. Because apply and
+        enqueue are one call, a retry that dedups after a lost ack
+        leaves no replica behind, and one log record of this call
+        replays both effects.
         """
-        if method not in HOST_MUTATIONS:
-            raise TDStoreError(f"{method!r} is not a host mutation")
-        result, records = getattr(self, method)(instance, *args)
-        elsewhere: list[int] = []
-        if records:
+        peers = self._colocated
+        run = 0
+        cadence_checked = set()
+        for server_id, instance, method, __, __ in ops:
+            server = peers.get(server_id)
+            if server is None:
+                break
+            run += 1
+            if method == ENQUEUE_SYNCS:
+                continue
+            if method not in HOST_MUTATIONS:
+                raise TDStoreError(f"{method!r} is not a host mutation")
+            if method == "check_and_set" and len(ops) > 1:
+                # the one op that can fail while applying: alone, its
+                # failure leaves nothing half done
+                raise TDStoreError(
+                    "check_and_set cannot share an envelope with other ops"
+                )
+            server._admit(instance, cadence_checked)
+        results = []
+        forwards = None
+        for server_id, instance, method, args, replicas in ops[:run]:
+            if method == ENQUEUE_SYNCS:
+                records = args[0]
+                replicas = (server_id,)
+            else:
+                server = peers[server_id]
+                result, records = HOST_MUTATIONS[method](
+                    server._engines[instance], *args
+                )
+                server.writes += 1
+                results.append(result)
+                if not records:
+                    continue
             for replica in replicas:
-                peer = self._colocated.get(replica)
+                peer = peers.get(replica)
                 if peer is None:
-                    elsewhere.append(replica)
+                    if forwards is None:
+                        forwards = {}
+                    forwards.setdefault((replica, instance), []).extend(records)
                     continue
                 try:
                     peer.enqueue_syncs(instance, records)
                 except DataServerDownError:
                     pass
-        return result, (records if elsewhere else []), elsewhere
-
-    # Each host mutation returns its result and the *list* of sync
-    # records that reproduce it (value plus version/journal meta keys)
-    # so the slave converges to the same transactional state — which is
-    # what makes a replayed ``apply`` a no-op even after a host→slave
-    # failover.
-
-    def put(
-        self, instance: int, key: str, value: Any
-    ) -> tuple[None, list[SyncRecord]]:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        engine.put(key, value)
-        self.writes += 1
-        return None, [SyncRecord(_PUT, key, value)]
-
-    def delete(self, instance: int, key: str) -> tuple[None, list[SyncRecord]]:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        engine.delete(key)
-        self.writes += 1
-        return None, [SyncRecord(_DELETE, key)]
-
-    # -- transactional host operations --------------------------------------
+        if forwards is None:
+            return results, ops[run:]
+        rest = [
+            (replica, instance, ENQUEUE_SYNCS, (records,), ())
+            for (replica, instance), records in forwards.items()
+        ]
+        rest.extend(ops[run:])
+        return results, rest
 
     def get_versioned(
         self, instance: int, key: str, default: Any = None
@@ -301,59 +436,6 @@ class TDStoreDataServer:
         self._check_degraded()
         self.reads += 1
         return engine.get(key, default), engine.version(key)
-
-    def check_and_set(
-        self, instance: int, key: str, value: Any, expected_version: int
-    ) -> tuple[int, list[SyncRecord]]:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        new_version = engine.check_and_set(key, value, expected_version)
-        self.writes += 1
-        return new_version, [
-            SyncRecord(_PUT, key, value),
-            SyncRecord(_PUT, VERSION_PREFIX + key, new_version),
-        ]
-
-    def apply_op(
-        self, instance: int, key: str, op_id: str, delta: float
-    ) -> tuple[tuple[float, bool], list[SyncRecord]]:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        value, applied = engine.apply_op(key, op_id, delta)
-        self.writes += 1
-        if not applied:
-            return (value, False), []
-        return (value, True), [
-            SyncRecord(_PUT, key, value),
-            SyncRecord(_PUT, JOURNAL_PREFIX + key,
-                       engine.get(JOURNAL_PREFIX + key)),
-            SyncRecord(_PUT, VERSION_PREFIX + key, engine.version(key)),
-        ]
-
-    def put_once(
-        self, instance: int, key: str, op_id: str, value: Any
-    ) -> tuple[bool, list[SyncRecord]]:
-        """Atomic journaled write: value, journal and version land together.
-
-        The degradation/liveness checks run before the engine is touched,
-        so a failed request mutates nothing — the caller can replay the
-        whole update and this commit stays all-or-nothing.
-        """
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        applied = engine.put_once(key, op_id, value)
-        self.writes += 1
-        if not applied:
-            return False, []
-        return True, [
-            SyncRecord(_PUT, key, value),
-            SyncRecord(_PUT, JOURNAL_PREFIX + key,
-                       engine.get(JOURNAL_PREFIX + key)),
-            SyncRecord(_PUT, VERSION_PREFIX + key, engine.version(key)),
-        ]
 
     def op_seen(self, instance: int, key: str, op_id: str) -> bool:
         engine = self.engine(instance)
@@ -365,21 +447,6 @@ class TDStoreDataServer:
     def journal_evictions(self) -> int:
         """Op-journal ids trimmed across this server's engines (monitoring)."""
         return sum(e.journal_evictions for e in self._engines.values())
-
-    def record_once(
-        self, instance: int, key: str, op_id: str
-    ) -> tuple[bool, list[SyncRecord]]:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        recorded = engine.record_once(key, op_id)
-        self.writes += 1
-        if not recorded:
-            return False, []
-        return True, [
-            SyncRecord(_PUT, JOURNAL_PREFIX + key,
-                       engine.get(JOURNAL_PREFIX + key)),
-        ]
 
     # -- slave-side replication ----------------------------------------------
 

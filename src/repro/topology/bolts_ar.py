@@ -12,7 +12,7 @@ from typing import Callable
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, StateKeys, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -59,7 +59,7 @@ class ARSessionBolt(ExactlyOnceBolt):
         }
 
 
-class ARCountBolt(ExactlyOnceBolt):
+class ARCountBolt(StoreBacked, ExactlyOnceBolt):
     """Owns AR support counters.
 
     Subscribes to ``ar_item`` grouped by item and ``ar_pair`` grouped by
@@ -87,4 +87,4 @@ class ARCountBolt(ExactlyOnceBolt):
                 partners = self._store.get_fresh(key, None) or set()
                 if partner not in partners:
                     partners.add(partner)
-                    self._store.client.put(key, partners)
+                    self._store.put(key, partners)

@@ -17,7 +17,7 @@ from repro.storm.component import Bolt
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, StateKeys, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -31,7 +31,7 @@ def item_tags(meta: dict) -> tuple[str, ...]:
     return tags
 
 
-class ItemInfoBolt(Bolt):
+class ItemInfoBolt(StoreBacked, Bolt):
     """Grouped by item: stores item metadata and maintains the tag index.
 
     Input stream ``item_meta`` with a ``meta`` dict field carrying at
@@ -57,11 +57,11 @@ class ItemInfoBolt(Bolt):
             # an index that only ever grows)
             index = self._store.get_fresh(StateKeys.tag_index(tag), None) or set()
             index.add(item)
-            self._store.client.put(StateKeys.tag_index(tag), index)
+            self._store.put(StateKeys.tag_index(tag), index)
         self.registered += 1
 
 
-class CBProfileBolt(ExactlyOnceBolt):
+class CBProfileBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by user: decayed tag-interest profiles (the CBBolt).
 
     ``decayed + gain`` is a read-modify-write, so it follows the same

@@ -25,7 +25,13 @@ from repro.algorithms.ratings import ActionWeights, DEFAULT_ACTION_WEIGHTS
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, Combiner, StateKeys
+from repro.topology.state import (
+    CachedStore,
+    Combiner,
+    Reads,
+    StateKeys,
+    StoreBacked,
+)
 from repro.types import UserProfile
 from repro.utils.clock import SECONDS_PER_HOUR
 
@@ -36,7 +42,7 @@ ClientFactory = Callable[[], TDStoreClient]
 ProfileLookup = Callable[[str], "UserProfile | None"]
 
 
-class UserHistoryBolt(ExactlyOnceBolt):
+class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by user: histories, rating deltas, recent-k, group deltas.
 
     Emits:
@@ -59,9 +65,9 @@ class UserHistoryBolt(ExactlyOnceBolt):
     delivery already got through.
 
     With ``bus`` set, a ``("user", user)`` invalidation is published
-    after the commit lands — never before, so a cache acting on it
-    re-reads post-commit state — telling the serving caches this user's
-    history/recent state changed. The dedup early-return does not
+    once the commit has been flushed — never before, so a cache acting
+    on it re-reads post-commit state — telling the serving caches this
+    user's history/recent state changed. The dedup early-return does not
     publish: the first delivery already did.
     """
 
@@ -90,6 +96,14 @@ class UserHistoryBolt(ExactlyOnceBolt):
     def prepare(self, context, collector):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
+
+    def reads(self, tup: StormTuple) -> Reads:
+        hist_key = StateKeys.history(tup["user"])
+        return Reads(
+            probes=((hist_key, tup.op_id),),
+            owned=(hist_key, StateKeys.recent(tup["user"])),
+            fresh=(StateKeys.pruned(tup["item"]),),
+        )
 
     def process(self, tup: StormTuple):
         user, item = tup["user"], tup["item"]
@@ -122,7 +136,9 @@ class UserHistoryBolt(ExactlyOnceBolt):
                 )
             if self._group_of is not None:
                 group = self._group_of(user)
-                for target in {group, GLOBAL_GROUP}:
+                # sorted: emission order fixes the derived op ids, and a
+                # set's order changes with the process's hash seed
+                for target in sorted({group, GLOBAL_GROUP}):
                     self.collector.emit(
                         (target, item, update.item_delta),
                         stream_id="group_delta",
@@ -131,7 +147,7 @@ class UserHistoryBolt(ExactlyOnceBolt):
         self._update_recent(user, item, update.new_rating, now)
         self._store.put_once(hist_key, op_id, history)
         if self._bus is not None:
-            self._bus.publish("user", user)
+            self._store.after_commit(self._bus.publish, "user", user)
 
     def _update_recent(self, user: str, item: str, rating: float, now: float):
         recent = self._store.get(StateKeys.recent(user), None) or []
@@ -141,7 +157,7 @@ class UserHistoryBolt(ExactlyOnceBolt):
         self._store.put(StateKeys.recent(user), recent)
 
 
-class ItemCountBolt(ExactlyOnceBolt):
+class ItemCountBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: maintains itemCount (Eq 6) in TDStore.
 
     With ``use_combiner`` the deltas buffer in a combiner map and flush
@@ -164,6 +180,12 @@ class ItemCountBolt(ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
         self._combiner = Combiner(self._store, "add") if self._use_combiner else None
+
+    def reads(self, tup: StormTuple) -> "Reads | None":
+        if self._combiner is not None:
+            return None
+        key = StateKeys.item_count(tup["item"])
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
 
     def process(self, tup: StormTuple):
         key = StateKeys.item_count(tup["item"])
@@ -190,7 +212,7 @@ class ItemCountBolt(ExactlyOnceBolt):
             self._combiner.restore_buffer(state["combiner"])
 
 
-class PairCountBolt(ExactlyOnceBolt):
+class PairCountBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by (pair_a, pair_b): pairCount, similarity, pruning check.
 
     Emits ``sim_update`` (item, other, similarity) once per direction so
@@ -225,6 +247,14 @@ class PairCountBolt(ExactlyOnceBolt):
 
     def restore_app_state(self, state: dict):
         self._observations = dict(state["observations"])
+
+    def reads(self, tup: StormTuple) -> Reads:
+        a, b = tup["pair_a"], tup["pair_b"]
+        key = StateKeys.pair_count(a, b)
+        fresh = (StateKeys.item_count(a), StateKeys.item_count(b))
+        if self._pruning_delta is not None:
+            fresh += (StateKeys.threshold(a), StateKeys.threshold(b))
+        return Reads(probes=((key, tup.op_id),), owned=(key,), fresh=fresh)
 
     def process(self, tup: StormTuple):
         a, b, delta = tup["pair_a"], tup["pair_b"], tup["delta"]
@@ -268,7 +298,7 @@ class PairCountBolt(ExactlyOnceBolt):
             self.collector.emit((b, a), stream_id="prune")
 
 
-class SimListBolt(ExactlyOnceBolt):
+class SimListBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: owns simlist, threshold, and pruned set per item.
 
     Subscribes to both ``sim_update`` and ``prune`` streams (keyed by the
@@ -284,8 +314,8 @@ class SimListBolt(ExactlyOnceBolt):
     replay re-runs the whole update instead of losing it.
 
     With ``bus`` set, an ``("item", item)`` invalidation is published
-    after the list commit so serving caches drop answers computed from
-    the old similar-items list.
+    once the list commit has been flushed, so serving caches drop
+    answers computed from the old similar-items list.
     """
 
     def __init__(
@@ -319,7 +349,14 @@ class SimListBolt(ExactlyOnceBolt):
         self._store.put(StateKeys.threshold(item), lst.threshold())
         self._store.put_once(key, op_id, payload)
         if self._bus is not None:
-            self._bus.publish("item", item)
+            self._store.after_commit(self._bus.publish, "item", item)
+
+    def reads(self, tup: StormTuple) -> Reads:
+        key = StateKeys.sim_list(tup["item"])
+        owned = (key,)
+        if tup.stream_id == "prune":
+            owned += (StateKeys.pruned(tup["item"]),)
+        return Reads(probes=((key, tup.op_id),), owned=owned)
 
     def process(self, tup: StormTuple):
         item, other = tup["item"], tup["other"]

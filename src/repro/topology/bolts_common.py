@@ -13,7 +13,7 @@ from repro.storm.component import Bolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
 from repro.topology.spouts import USER_ACTION_FIELDS
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, StateKeys, StoreBacked
 
 
 class PretreatmentBolt(Bolt):
@@ -89,7 +89,7 @@ class FilterBolt(Bolt):
             self.filtered += 1
 
 
-class ResultStorageBolt(Bolt):
+class ResultStorageBolt(StoreBacked, Bolt):
     """Writes computation results into TDStore for the recommender engine.
 
     ``key_fields`` select the tuple fields forming the result key;

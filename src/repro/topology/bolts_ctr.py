@@ -16,7 +16,7 @@ from repro.algorithms.demographic import age_band
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, StateKeys, StoreBacked
 from repro.types import UserProfile
 
 if TYPE_CHECKING:
@@ -36,7 +36,7 @@ def profile_attributes(profile: UserProfile | None) -> dict[str, str | None]:
     }
 
 
-class CtrStoreBolt(ExactlyOnceBolt):
+class CtrStoreBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: impression/click counters per situation level.
 
     With ``session_seconds``/``window_sessions`` set, counters are
@@ -103,7 +103,7 @@ class CtrStoreBolt(ExactlyOnceBolt):
                                 stream_id="ctr_update")
 
 
-class CtrBolt(ExactlyOnceBolt):
+class CtrBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: recomputes smoothed CTR for updated situations.
 
     ``window_sessions`` must match the upstream CtrStoreBolt: when set,
@@ -115,7 +115,7 @@ class CtrBolt(ExactlyOnceBolt):
     a newer CTR value.
 
     With ``bus`` set, a ``("ctr", item)`` invalidation is published
-    after the CTR value is written, so serving caches holding answers
+    once the CTR value is flushed, so serving caches holding answers
     ranked by the old value drop them.
     """
 
@@ -167,5 +167,5 @@ class CtrBolt(ExactlyOnceBolt):
         )
         self._store.put(StateKeys.ctr(item, situation), ctr)
         if self._bus is not None:
-            self._bus.publish("ctr", item)
+            self._store.after_commit(self._bus.publish, "ctr", item)
         self.collector.emit((item, situation, ctr), stream_id="ctr_value")

@@ -14,13 +14,13 @@ from typing import TYPE_CHECKING, Callable
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys
+from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 
 if TYPE_CHECKING:
     from repro.serving.invalidation import InvalidationBus
 
 
-class GroupCountBolt(ExactlyOnceBolt):
+class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by demographic group id: windowless hot-item counters.
 
     ``decay`` is applied once per elapsed ``decay_interval`` of simulated
@@ -34,7 +34,7 @@ class GroupCountBolt(ExactlyOnceBolt):
     fold instead of losing the delta.
 
     With ``bus`` set, a ``("group", group)`` invalidation is published
-    after each counter commit (and after each decay write), so serving
+    once each counter commit (and each decay write) is flushed, so serving
     caches drop hot lists and complemented answers built on the old
     counters.
     """
@@ -60,6 +60,10 @@ class GroupCountBolt(ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
+    def reads(self, tup: StormTuple) -> Reads:
+        key = StateKeys.hot(tup["group"])
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
+
     def process(self, tup: StormTuple):
         group, item, delta = tup["group"], tup["item"], tup["delta"]
         key = StateKeys.hot(group)
@@ -76,7 +80,7 @@ class GroupCountBolt(ExactlyOnceBolt):
         self._store.put_once(key, op_id, hot)
         self._groups_seen.add(group)
         if self._bus is not None:
-            self._bus.publish("group", group)
+            self._store.after_commit(self._bus.publish, "group", group)
 
     def tick(self, now: float):
         if self._last_decay is None:
@@ -87,7 +91,9 @@ class GroupCountBolt(ExactlyOnceBolt):
             return
         self._last_decay += rounds * self._decay_interval
         factor = self._decay**rounds
-        for group in self._groups_seen:
+        # sorted: a set's order changes with the process's hash seed, and
+        # the store should see the same write sequence on every run
+        for group in sorted(self._groups_seen):
             key = StateKeys.hot(group)
             hot = self._store.get(key, None)
             if not hot:
@@ -99,4 +105,4 @@ class GroupCountBolt(ExactlyOnceBolt):
             }
             self._store.put(key, decayed)
             if self._bus is not None:
-                self._bus.publish("group", group)
+                self._store.after_commit(self._bus.publish, "group", group)

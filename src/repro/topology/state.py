@@ -3,17 +3,18 @@
 :class:`StateKeys` is the single place TDStore key formats are defined.
 :class:`CachedStore` is the fine-grained cache of Section 5.2: because
 stream grouping sends all tuples with one key to one worker, a task may
-cache the keys *it owns* and write through; keys owned by other tasks
-must be read fresh. :class:`Combiner` is the partial-aggregation map of
+cache the keys *it owns* and write them back in bulk — one gather and
+one commit per slice of tuples; keys owned by other tasks must be read
+fresh. :class:`Combiner` is the partial-aggregation map of
 Section 5.3, flushed at tick intervals, collapsing the hot-item write
 storm into one read-modify-write per key per interval.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, NamedTuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TDStoreError
 from repro.tdstore.client import TDStoreClient
 
 
@@ -107,37 +108,152 @@ class StateKeys:
         return f"result:{kind}:{key}"
 
 
-class CachedStore:
-    """Read-through / write-through cache over a TDStore client.
+class Reads(NamedTuple):
+    """What executing one tuple will read — a bolt's ``reads(tup)``.
 
-    Valid only for keys this task owns (same-key-same-worker, enforced by
-    stream grouping); for keys owned by other tasks use
-    :meth:`get_fresh`, which bypasses the cache.
+    ``probes`` are the ``(key, op_id)`` replay probes it will ask
+    (``op_seen``, and the journal half of ``apply``/``put_once``),
+    ``owned`` the keys of its own task it will ``get``, ``fresh`` the
+    keys other tasks own that it will ``get_fresh``.
+    """
+
+    probes: tuple = ()
+    owned: tuple = ()
+    fresh: tuple = ()
+
+
+# a cached key the store does not hold / a key that is not cached
+_MISSING = object()
+_UNCACHED = object()
+
+
+class CachedStore:
+    """A task's unit of work over a TDStore client: gather, compute, commit.
+
+    Stream grouping makes one task the only writer of the keys it owns,
+    so the task may hold their state locally (the fine-grained cache of
+    §5.2) and write it back in bulk:
+
+    - :meth:`prefetch` fetches everything a slice of tuples declared
+      (:class:`Reads`) in one strict read frame;
+    - reads are answered from that, writes update the owned-key cache
+      and append to an ordered buffer;
+    - :meth:`flush` ships the buffer in order as one envelope per server
+      process (:meth:`TDStoreClient.mutate`) and then runs the callbacks
+      registered with :meth:`after_commit`.
+
+    Declarations only buy speed. A read, probe or journaled write whose
+    inputs were not prefetched first ships the buffer and then asks the
+    store directly, so the store sees exactly the sequence of effects an
+    unbuffered task would have produced. Keys owned by other tasks are
+    read with :meth:`get_fresh`, which never consults the owned-key
+    cache.
+
+    After a failed :meth:`flush` the buffered writes are gone while the
+    cache still shows them, so every later call raises: the owner must
+    be discarded with its task (fresh cache, fresh dedup ledger) and the
+    tuples replayed against the store's journals.
     """
 
     def __init__(self, client: TDStoreClient):
         self._client = client
         self._cache: dict[str, Any] = {}
+        # prefetched for the slice in flight; dropped by flush()
+        self._fresh: dict[str, Any] = {}
+        self._probes: dict[tuple[str, str], bool] = {}
+        # ordered (method, args) writes not yet shipped, the values the
+        # journaled increments among them must come back with, and the
+        # callbacks waiting on them
+        self._writes: list[tuple[str, tuple]] = []
+        self._expected: dict[int, float] = {}
+        self._after: list[tuple] = []
+        self._failed: BaseException | None = None
         self.hits = 0
         self.misses = 0
 
+    # -- gather ------------------------------------------------------------
+
+    def prefetch(self, reads: "Iterable[Reads | None]"):
+        """Fetch what a slice declared, in one read frame.
+
+        Owned keys already cached are not fetched again — this task is
+        their only writer, so the cache is the newer copy.
+        """
+        self._check()
+        cache, known = self._cache, self._probes
+        keys: list[str] = []
+        fresh: list[str] = []
+        probes: list[tuple[str, str]] = []
+        for read in reads:
+            if read is None:
+                continue
+            for key in read.owned:
+                if key not in cache:
+                    keys.append(key)
+            fresh.extend(read.fresh)
+            for probe in read.probes:
+                if probe not in known:
+                    probes.append(probe)
+        if len(keys) + len(fresh) + len(probes) < 2:
+            # a lone item is as cheap asked for when needed — and a
+            # journaled write asks its own probe in the trip it commits in
+            return
+        values, seen = self._client.gather(keys + fresh, probes)
+        get = values.get
+        for key in keys:
+            cache[key] = get(key, _MISSING)
+        for key in fresh:
+            self._fresh[key] = get(key, _MISSING)
+        known.update(seen)
+
+    # -- reads -------------------------------------------------------------
+
     def get(self, key: str, default: Any = None) -> Any:
-        if key in self._cache:
+        self._check()
+        value = self._cache.get(key, _UNCACHED)
+        if value is not _UNCACHED:
             self.hits += 1
-            return self._cache[key]
+            return default if value is _MISSING else value
         self.misses += 1
+        self._ship()
         value = self._client.get(key, default)
         self._cache[key] = value
         return value
 
     def get_fresh(self, key: str, default: Any = None) -> Any:
-        """Read straight from TDStore (for keys another task owns)."""
-        return self._client.get(key, default)
+        """Read a key another task owns: prefetched for this slice, or
+        straight from TDStore."""
+        self._check()
+        value = self._fresh.get(key, _UNCACHED)
+        if value is _UNCACHED:
+            self._ship()
+            return self._client.get(key, default)
+        return default if value is _MISSING else value
+
+    def op_seen(self, key: str, op_id: str) -> bool:
+        """True when ``op_id`` already committed against ``key``."""
+        self._check()
+        seen = self._probes.get((key, op_id))
+        if seen is None:
+            self._ship()
+            seen = self._probes[key, op_id] = self._client.op_seen(key, op_id)
+        return seen
+
+    # -- buffered writes ---------------------------------------------------
+
+    def _write(self, method: str, key: str, *args: Any):
+        self._writes.append((method, (key, *args)))
+
+    def _remember(self, key: str, value: Any):
+        self._cache[key] = value
+        if key in self._fresh:
+            self._fresh[key] = value
 
     def put(self, key: str, value: Any):
-        """Write-through: update the cache and TDStore together (§5.2)."""
-        self._cache[key] = value
-        self._client.put(key, value)
+        """Update the cache now and TDStore at the next flush (§5.2)."""
+        self._check()
+        self._remember(key, value)
+        self._write("put", key, value)
 
     def incr(self, key: str, delta: float) -> float:
         value = self.get(key, 0.0) + delta
@@ -148,36 +264,96 @@ class CachedStore:
         """Idempotent increment through the store's op journal.
 
         Like :meth:`incr` but replay-safe: a duplicate ``op_id`` leaves
-        the value untouched. The cache is primed with the authoritative
-        result either way.
+        the value untouched. With the key and the probe at hand the
+        result is computed here — this task is the key's only writer —
+        and the value the store answers with is checked at flush.
         """
-        value, applied = self._client.apply(key, op_id, delta)
-        self._cache[key] = value
-        return value, applied
+        self._check()
+        seen = self._probes.get((key, op_id))
+        current = self._cache.get(key, _UNCACHED)
+        if seen is None or current is _UNCACHED:
+            self._ship()
+            value, applied = self._client.apply(key, op_id, delta)
+            self._probes[key, op_id] = True
+            self._remember(key, value)
+            return value, applied
+        if current is _MISSING:
+            current = 0.0
+        if seen:
+            return current, False
+        value = current + delta
+        self._probes[key, op_id] = True
+        self._remember(key, value)
+        self._expected[len(self._writes)] = value
+        self._write("apply_op", key, op_id, delta)
+        return value, True
 
     def put_once(self, key: str, op_id: str, value: Any) -> bool:
-        """Write-through idempotent put — the atomic commit point for
-        read-modify-write updates (compute from copies, commit last)."""
-        applied = self._client.put_once(key, op_id, value)
-        if applied:
-            self._cache[key] = value
-        else:
+        """Idempotent put — the atomic commit point for read-modify-write
+        updates (compute from copies, commit last)."""
+        self._check()
+        seen = self._probes.get((key, op_id))
+        if seen is None:
+            self._ship()
+            seen = not self._client.put_once(key, op_id, value)
+        elif not seen:
+            self._write("put_once", key, op_id, value)
+        self._probes[key, op_id] = True
+        if seen:
             # replay: the store kept the (authoritative) earlier value
             self._cache.pop(key, None)
-        return applied
-
-    def op_seen(self, key: str, op_id: str) -> bool:
-        """True when ``op_id`` already committed against ``key`` (pure read)."""
-        return self._client.op_seen(key, op_id)
+        else:
+            self._remember(key, value)
+        return not seen
 
     def delete(self, key: str):
-        """Write-through delete: drop the key from the cache and TDStore.
+        """Drop the key from the cache now and TDStore at the next flush.
 
         Deleting an absent key is a no-op, so re-executed cleanup (e.g.
         a replayed centroid merge) stays idempotent.
         """
-        self._cache.pop(key, None)
-        self._client.delete(key)
+        self._check()
+        self._remember(key, _MISSING)
+        self._write("delete", key)
+
+    def after_commit(self, callback: Callable[..., Any], *args: Any):
+        """Run ``callback(*args)`` once the writes buffered so far have
+        landed (never if their flush fails)."""
+        self._after.append((callback, args))
+
+    # -- commit ------------------------------------------------------------
+
+    def flush(self):
+        """Commit the slice: ship the buffer, then forget what was
+        prefetched for it."""
+        self._fresh.clear()
+        self._probes.clear()
+        self._check()
+        self._ship()
+
+    def _check(self):
+        if self._failed is not None:
+            raise self._failed
+
+    def _ship(self):
+        writes, self._writes = self._writes, []
+        expected, self._expected = self._expected, {}
+        after, self._after = self._after, []
+        if writes:
+            try:
+                results = self._client.mutate(writes)
+                for index, value in expected.items():
+                    if results[index][0] != value:
+                        raise TDStoreError(
+                            f"{writes[index][1][0]!r} came back as "
+                            f"{results[index][0]!r} where its single writer "
+                            f"computed {value!r}"
+                        )
+            except Exception as exc:
+                self._failed = exc
+                raise
+        for callback, args in after:
+            callback(*args)
 
     def invalidate(self, key: str | None = None):
         if key is None:
@@ -188,6 +364,30 @@ class CachedStore:
     @property
     def client(self) -> TDStoreClient:
         return self._client
+
+
+class StoreBacked:
+    """Mixin for a bolt whose state sits behind ``self._store``.
+
+    Implements the executor's slice protocol
+    (:meth:`~repro.storm.component.Bolt.prefetch` /
+    :meth:`~repro.storm.component.Bolt.flush`) over the bolt's
+    :class:`CachedStore`; list it before the bolt base class. A bolt
+    speeds its slices up by overriding :meth:`reads`.
+    """
+
+    _store: CachedStore
+
+    def reads(self, tup) -> "Reads | None":
+        """What executing ``tup`` will read. Pure: no store access, no
+        state change. Anything left out is read directly when needed."""
+        return None
+
+    def prefetch(self, tuples):
+        self._store.prefetch(map(self.reads, tuples))
+
+    def flush(self):
+        self._store.flush()
 
 
 class Combiner:
@@ -242,6 +442,7 @@ class Combiner:
 
     def flush(self):
         """Apply all buffered values to the store."""
+        self._store.prefetch([Reads(owned=tuple(self._buffer))])
         for key, value in self._buffer.items():
             if self._combine_name == "add":
                 self._store.incr(key, value)

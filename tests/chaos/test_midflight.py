@@ -54,9 +54,13 @@ TUPLES_PER_ROUND = 30
 # mid-flight SIGKILL (trigger ~60-90 tuples) so the respawn's CRC scan
 # is what detects them, and both frame corruptions land *after* the
 # last SIGKILL (~210-240 tuples) so no kill wipes the injection or
-# detection tallies before the report reconciles them.
+# detection tallies before the report reconciles them. The WAL-keyed
+# trigger counts envelopes, one per task slice and host process: the
+# first userHistory wave logs 20 of them (32 records when every mutation
+# was its own), so 6 sits where 10 used to — a third of the way into
+# that wave, polled at tuple 12.
 CORRUPTION_ENTRIES = [
-    (MidFlightTrigger("wal_records", 10), Fault(2, "bit_flip", (1,))),
+    (MidFlightTrigger("wal_records", 6), Fault(2, "bit_flip", (1,))),
     (MidFlightTrigger("tuples", 35), Fault(2, "wal_corrupt", (1,))),
     (MidFlightTrigger("tuples", 300), Fault(9, "frame_corrupt", (0, 1))),
     (MidFlightTrigger("tuples", 302), Fault(9, "frame_corrupt", (1, 1))),

@@ -31,13 +31,15 @@ def built_store():
     """A store with learned rows for 24 items and a built VQ index."""
     cluster = TDStoreCluster(num_data_servers=2, num_instances=8)
     client = cluster.client()
-    index = StreamingVQIndex(CachedStore(cluster.client()), VCFG)
+    store = CachedStore(cluster.client())
+    index = StreamingVQIndex(store, VCFG)
     for item in ITEMS:
         row = EmbeddingRow.from_value(item, None, ECFG)
         for __ in range(10):
             row = updated_row(row, f"ctx-{item[0]}", 1.0, ECFG)
         client.put(K.embedding(item), row.to_value())
         index.observe(item, list(row.vec), f"build@{item}")
+    store.flush()
     return cluster, client
 
 

@@ -25,6 +25,8 @@ from repro.retrieval.vq import (
 from repro.tdstore import TDStoreCluster
 from repro.topology.state import CachedStore
 
+from tests.topology.helpers import EnvelopeClient
+
 CFG = VQConfig(
     dim=4,
     seed_centroids=2,
@@ -37,10 +39,24 @@ CFG = VQConfig(
 ITEMS = [f"x{i}" for i in range(12)]
 
 
+class CommittedIndex(StreamingVQIndex):
+    """An index whose every op is its own slice: ``observe`` commits
+    what it buffered, as the executor does after the bolt returns."""
+
+    def observe(self, item, vec, op_id, weight=1.0):
+        try:
+            return super().observe(item, vec, op_id, weight)
+        finally:
+            self.commit()
+
+    def commit(self):
+        self._store.flush()
+
+
 def make_index(config=CFG):
     cluster = TDStoreCluster(num_data_servers=2, num_instances=8)
     store = CachedStore(cluster.client())
-    return cluster, StreamingVQIndex(store, config)
+    return cluster, CommittedIndex(store, config)
 
 
 def op_stream(rounds=3):
@@ -76,6 +92,7 @@ class TestBootstrap:
     def test_seeds_the_configured_centroids(self):
         cluster, index = make_index()
         meta = index.bootstrap()
+        index.commit()
         assert sorted(meta) == ["g0", "g1"]
         snaps = centroid_snapshots(cluster.client())
         assert all(len(s.vec) == CFG.dim and s.count == 0.0 for s in snaps)
@@ -83,8 +100,10 @@ class TestBootstrap:
     def test_bootstrap_is_idempotent(self):
         cluster, index = make_index()
         index.bootstrap()
+        index.commit()
         before = digest(cluster.client())
         index.bootstrap()
+        index.commit()
         assert digest(cluster.client()) == before
 
 
@@ -152,39 +171,23 @@ class _Crash(Exception):
     pass
 
 
-class FlakyStore(CachedStore):
-    """A CachedStore that dies before its Nth write — the unit-level
-    stand-in for a worker SIGKILL mid-op."""
+class FlakyClient(EnvelopeClient):
+    """A client that dies ``budget`` writes into the flushes it carries
+    — the unit-level stand-in for losing the store between the
+    envelopes of one commit, at every op boundary."""
 
-    def __init__(self, client):
-        super().__init__(client)
-        self.budget = None
+    def __init__(self, inner, budget):
+        super().__init__(inner)
+        self.budget = budget
 
-    def _spend(self):
-        if self.budget is not None:
-            if self.budget <= 0:
-                raise _Crash()
-            self.budget -= 1
-
-    def put(self, key, value):
-        self._spend()
-        super().put(key, value)
-
-    def put_once(self, key, op_id, value):
-        self._spend()
-        return super().put_once(key, op_id, value)
-
-    def incr(self, key, delta):
-        self._spend()
-        return super().incr(key, delta)
-
-    def apply(self, key, op_id, delta):
-        self._spend()
-        return super().apply(key, op_id, delta)
-
-    def delete(self, key):
-        self._spend()
-        super().delete(key)
+    def mutate(self, ops):
+        if len(ops) > self.budget:
+            if self.budget:
+                self._inner.mutate(ops[: self.budget])
+            self.budget = 0
+            raise _Crash()
+        self.budget -= len(ops)
+        return self._inner.mutate(ops)
 
 
 class TestCrashReplay:
@@ -197,9 +200,8 @@ class TestCrashReplay:
             budget = 0
             while True:
                 # fresh store per attempt: a restarted worker has no cache
-                flaky = FlakyStore(cluster.client())
-                index = StreamingVQIndex(flaky, CFG)
-                flaky.budget = budget
+                flaky = FlakyClient(cluster.client(), budget)
+                index = CommittedIndex(CachedStore(flaky), CFG)
                 try:
                     index.observe(item, vec, op)
                 except _Crash:
@@ -208,7 +210,7 @@ class TestCrashReplay:
                     continue
                 break
             # and one full replay of the now-committed op
-            replay = StreamingVQIndex(CachedStore(cluster.client()), CFG)
+            replay = CommittedIndex(CachedStore(cluster.client()), CFG)
             assert replay.observe(item, vec, op).deduped
         return cluster, crashes
 

@@ -192,9 +192,10 @@ class TestCrashRecovery:
 
     def test_server_host_restart_replays_wal(self, tmp_path):
         # SIGKILL the only TDStore host after durable mutations of every
-        # kind; the restart hook replays its WAL, and each one-record
-        # mutation re-derives the host write *and* the replica sync — so
-        # every engine, host and slave, matches an un-crashed simulator
+        # kind, single and enveloped; the restart hook replays its WAL,
+        # and each one-record envelope re-derives every host write *and*
+        # replica sync in it — so every engine, host and slave, matches
+        # an un-crashed simulator
         def mutate(store):
             client = store.client()
             for index in range(20):
@@ -205,6 +206,18 @@ class TestCrashRecovery:
             client.delete("key:7")
             client.check_and_set("cas", "v1", 0)
             client.apply("count:0", "op-0", 1.5)  # a logged dedup
+            # one envelope over both logical servers: one log record
+            # that must replay every op and every replica sync in order
+            client.mutate(
+                [
+                    ("put", ("env:a", {"n": 1})),
+                    ("apply_op", ("count:1", "env-1", 2.5)),
+                    ("put_once", ("list:3", "env-2", [3, 3])),
+                    ("delete", ("key:9",)),
+                    ("put_once", ("list:3", "op-3", [0])),  # deduped
+                    ("put", ("env:a", {"n": 2})),
+                ]
+            )
 
         def engines(store):
             store.sync_replicas()
@@ -235,6 +248,6 @@ class TestCrashRecovery:
             substrate.supervisor.restart("tdstore-host-0")
             fresh = store.client()
             for index in range(20):
-                if index != 7:
+                if index not in (7, 9):
                     assert fresh.get(f"key:{index}") == {"value": index}
             assert engines(store) == want

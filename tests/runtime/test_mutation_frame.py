@@ -1,11 +1,14 @@
-"""One frame, one WAL record, one ack per TDStore mutation.
+"""One frame, one WAL record, one ack per envelope of TDStore mutations.
 
-A client mutation names its replicas; the host applies the op and queues
-the sync records on every replica living in its own process in the same
-dispatch. These tests pin the three consequences: the wire methods that
-carry mutations are all in ``MUTATING_DATA_METHODS``, an ack lost after
-the apply leaves no replica behind, and the RPC/WAL cost of a mutation
-is exactly one (two across processes, however many records it syncs).
+A client envelope is an ordered list of mutations, each naming its host
+and its replicas; the host process applies the leading run it owns and
+queues the sync records on every replica living in it, in the same
+dispatch. A single mutation is an envelope of one. These tests pin the
+consequences: the wire methods that carry mutations are all in
+``MUTATING_DATA_METHODS``, an ack lost after the apply leaves no replica
+behind, and the RPC/WAL cost of an envelope is exactly one per server
+process it touches — however many ops, logical servers and sync records
+it carries.
 """
 
 import pytest
@@ -29,6 +32,24 @@ MUTATIONS = [
     ("put_once", lambda c, key, n: c.put_once(key, f"op-{n}", {"n": n})),
     ("run_once", lambda c, key, n: c.run_once(key, f"op-{n}")),
 ]
+
+
+def envelope(keys, tag):
+    """Mixed mutations, four per key, in the order a bolt would buffer
+    them: side write, journaled count, journaled commit, cleanup."""
+    ops = []
+    for n, key in enumerate(keys):
+        ops += [
+            ("put", (f"side:{key}", [tag, n])),
+            ("apply_op", (f"count:{key}", f"{tag}-{n}#inc", 1.5)),
+            ("put_once", (key, f"{tag}-{n}", {"n": n})),
+            ("delete", (f"gone:{key}",)),
+        ]
+    return ops
+
+
+def hosts_of(table, ops):
+    return {table.route_for_key(args[0]).host for __, args in ops}
 
 
 def durable_state(server):
@@ -66,8 +87,9 @@ class Recorder:
 
 class TestMutatingMethodSet:
     def test_every_state_changing_server_call_is_in_the_set(self):
-        # servers that share no process, so the client also ships the
-        # batched sync itself — the whole wire surface of a mutation
+        # servers that share no process, so every envelope stops at the
+        # first replica or op that lives elsewhere and the client sends
+        # the rest on — the whole wire surface of a mutation
         cluster = TDStoreCluster(SERVERS, INSTANCES)
         changed: set = set()
         for server in cluster.data_servers:
@@ -83,15 +105,24 @@ class TestMutatingMethodSet:
             client.get_versioned(f"key:{name}")
             client.op_seen(f"key:{name}", f"op-{n}")
             client.multi_get([f"key:{name}", f"seed:{name}"])
+        ops = envelope([f"k{n}" for n in range(8)], "env")
+        assert len(hosts_of(cluster.config.route_table(), ops)) == SERVERS
+        client.mutate(ops)
+        client.gather(
+            [args[0] for __, args in ops], [("k0", "env-0"), ("k1", "nope")]
+        )
         for server in cluster.config.servers():
             server.apply_pending()
             server.apply_repair(0, {"repaired": 1}, [])
             server.adopt_snapshot(0, {"adopted": 1})
             server.ensure_instance(INSTANCES)
-        assert {"mutate", "enqueue_syncs"} <= changed
+        # host writes and forwarded replica records both ride ``mutate``
+        assert "mutate" in changed
         # a state-changing call outside the set would skip the WAL and
         # be blindly re-sent by the transport after a corrupt reply
         assert changed <= MUTATING_DATA_METHODS
+        cluster.sync_replicas()
+        assert cluster.scrub_replicas()["divergent_buckets"] == 0
 
     def test_the_set_names_only_real_server_methods(self):
         for name in MUTATING_DATA_METHODS:
@@ -99,7 +130,8 @@ class TestMutatingMethodSet:
 
 
 def lose_next_ack(substrate, store, server_id):
-    """The next mutation on ``server_id`` applies, then its ack is lost."""
+    """The next envelope sent to ``server_id`` applies, then its ack is
+    lost."""
     runtime = substrate.chaos_runtime()
     if runtime is not None:
         runtime.network_fault(store.placement[server_id], "frame_drop", 1)
@@ -121,10 +153,11 @@ def test_lost_ack_leaves_no_replica_behind(make_substrate):
         store = substrate.build_tdstore(SERVERS, INSTANCES)
         client = store.client()
 
-        def host(key):
-            return store.config.route_table().route_for_key(key).host
+        def route(key):
+            return store.config.route_table().route_for_key(key)
 
-        hosts = host("sim:i1"), host("count:i1")
+        ops = envelope([f"k{n}" for n in range(6)], "env")
+        hosts = [route(key).host for key in ("sim:i1", "count:i1", "side:k0")]
         # a route-table download drops the client's cached migration set;
         # re-learn it now so the next frame on the wire is the mutation
         client.put("warm", 0)
@@ -134,13 +167,30 @@ def test_lost_ack_leaves_no_replica_behind(make_substrate):
         client.apply("count:i1", "op-b", 3.0)
         assert client.ops_deduped == 2  # both first sends had applied
 
+        # the same loss under a whole envelope: the retry dedups every
+        # journaled op in it and rewrites the plain ones
+        lose_next_ack(substrate, store, hosts[2])
+        results = client.mutate(ops)
+        journaled = [
+            result for (method, __), result in zip(ops, results)
+            if method in ("apply_op", "put_once")
+        ]
+        assert journaled == [(1.5, False), False] * 6
+        assert client.ops_deduped == 2 + 12
+
         store.sync_replicas()
         assert store.scrub_replicas()["divergent_buckets"] == 0
+        for n in range(6):  # every slave holds value and journal entry
+            at = route(f"k{n}")
+            held = store.config.server(at.slave).read_replica(
+                at.instance, [f"k{n}", f"__ops__:k{n}"]
+            )
+            assert held == {f"k{n}": {"n": n}, f"__ops__:k{n}": [f"env-{n}"]}
         for key, op_id, value in (
             ("sim:i1", "op-a", {"i2": 0.5}),
             ("count:i1", "op-b", 3.0),
         ):
-            store.crash_data_server(host(key))
+            store.crash_data_server(route(key).host)
             assert client.op_seen(key, op_id)  # served by the promoted slave
             assert client.get(key) == value
 
@@ -175,8 +225,48 @@ class TestRpcAndWalCounts:
             records = runtime_counts(store)[1]
             with pytest.raises(TDStoreError, match="must travel in a mutate"):
                 store.config.server(route.host).put(route.instance, "bare", 1)
+            # nor may replica records arrive outside an envelope
+            with pytest.raises(TDStoreError, match="must travel in a mutate"):
+                store.config.server(route.slave).enqueue_syncs(
+                    route.instance, []
+                )
             assert runtime_counts(store)[1] == records
             assert client.get("bare") is None
+
+    def test_one_rpc_and_one_wal_record_per_envelope(self):
+        # 32 mixed mutations over all four logical servers of one host
+        # process: one request, one log record — and their reads, values
+        # and probes together, one request and no record
+        with ProcessSubstrate(worker_procs=1, server_procs=1) as substrate:
+            store = substrate.build_tdstore(SERVERS, INSTANCES)
+            client = store.client()
+            ops = envelope([f"k{n}" for n in range(8)], "env")
+            assert len(hosts_of(store.config.route_table(), ops)) == SERVERS
+            client.put("warm", 0)  # after the route lookup, as above
+            rpcs, records = runtime_counts(store)
+            results = client.mutate(ops)
+            rpcs_after, records_after = runtime_counts(store)
+            assert rpcs_after - rpcs - 1 == 1
+            assert records_after - records == 1
+            assert results == [None, (1.5, True), True, None] * 8
+
+            rpcs, records = rpcs_after, records_after
+            values, seen = client.gather(
+                [args[0] for __, args in ops],
+                [("k0", "env-0"), ("count:k1", "env-1#inc"), ("k2", "nope")],
+            )
+            rpcs_after, records_after = runtime_counts(store)
+            assert rpcs_after - rpcs - 1 == 1
+            assert records_after == records
+            assert values["k3"] == {"n": 3} and values["count:k3"] == 1.5
+            assert "gone:k3" not in values  # missing keys are left out
+            assert seen == {
+                ("k0", "env-0"): True,
+                ("count:k1", "env-1#inc"): True,
+                ("k2", "nope"): False,
+            }
+            store.sync_replicas()
+            assert store.scrub_replicas()["clean"]
 
     def test_cross_process_replica_costs_one_batched_sync(self):
         with ProcessSubstrate(worker_procs=1, server_procs=2) as substrate:
@@ -184,19 +274,56 @@ class TestRpcAndWalCounts:
             client = store.client()
             table, placement = store.config.route_table(), store.placement
             client.put("warm", 0)  # re-learns the migration set, as above
+
+            def process_of(key, role):
+                return placement[getattr(table.route_for_key(key), role)]
+
             # keys whose slave lives in the other host process
             keys = [
                 f"k{n}" for n in range(1000)
-                if placement[table.route_for_key(f"k{n}").host]
-                != placement[table.route_for_key(f"k{n}").slave]
+                if process_of(f"k{n}", "host") != process_of(f"k{n}", "slave")
             ]
             for n, (name, mutation) in enumerate(MUTATIONS):
                 rpcs, records = runtime_counts(store)
                 mutation(client, keys[n], n)
                 rpcs_after, records_after = runtime_counts(store)
-                # mutation + one enqueue_syncs, never 1 + len(records)
+                # mutation + one envelope of records, never 1 + len(records)
                 # (put_once and apply sync three); one stats read per host
                 assert rpcs_after - rpcs - 2 == 2, name
                 assert records_after - records == 2, name
+
+            def family_in(key, process):
+                return all(
+                    process_of(f"{prefix}{key}", "host") == process
+                    for prefix in ("", "side:", "count:", "gone:")
+                )
+
+            # an envelope hosted entirely by process 0, over both of its
+            # logical servers, every replica in process 1: still 2 + 2
+            here = [key for key in keys if family_in(key, 0)][:4]
+            ops = envelope(here, "env")
+            assert len(hosts_of(table, ops)) == 2
+            rpcs, records = runtime_counts(store)
+            client.mutate(ops)
+            rpcs_after, records_after = runtime_counts(store)
+            assert rpcs_after - rpcs - 2 == 2
+            assert records_after - records == 2
+
+            # ops of both processes, in runs: process 0, then 1, then 0.
+            # Each run is one envelope, and each envelope also carries
+            # the records the one before left for its process — so the
+            # cost is one per run plus one to deliver the last records,
+            # not one per op
+            there = [key for key in keys if family_in(key, 1)][:2]
+            ops = (
+                envelope(here[:2], "mix")
+                + envelope(there, "mix")
+                + envelope(here[2:], "mix")
+            )
+            rpcs, records = runtime_counts(store)
+            client.mutate(ops)
+            rpcs_after, records_after = runtime_counts(store)
+            assert rpcs_after - rpcs - 2 == 4
+            assert records_after - records == 4
             store.sync_replicas()
             assert store.scrub_replicas()["clean"]

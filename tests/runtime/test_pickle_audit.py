@@ -72,17 +72,38 @@ class TestDataPlaneTypes:
         )
 
     def test_mutation_frame_and_its_reply(self):
-        # the one request a client mutation sends, and the reply that
-        # hands back records for replicas in another host process
-        request = Request(
-            "mutate",
-            (3, "put_once", ("sim:i4", "op-1", {"i7": 0.5}), (1, 2)),
-            ("data", 0),
-        )
-        assert spawn_round_trip(request) == request
+        # the one request an envelope of client mutations sends, and the
+        # reply handing back what belongs to another host process: the
+        # records for a replica there and the ops from the first foreign
+        # one on
         records = [SyncRecord("__put__", "sim:i4", {"i7": 0.5})]
-        back = spawn_round_trip(Response(value=(True, records, [2])))
-        assert back.unwrap() == (True, records, [2])
+        ops = [
+            (0, 3, "put_once", ("sim:i4", "op-1", {"i7": 0.5}), (1, 2)),
+            (0, 5, "apply_op", ("itemCount:i4", "op-2", 2.0), (1,)),
+            (1, 6, "put", ("recent:u1", [("i4", 1.0, 0.0)]), (0,)),
+            (0, 3, "delete", ("pruned:i4",), (1,)),
+        ]
+        request = Request("mutate", (ops,), ("data", 0))
+        assert spawn_round_trip(request) == request
+        rest = [(2, 3, "enqueue_syncs", (records,), ())] + ops[2:]
+        reply = Response(value=([True, (2.0, True)], rest))
+        assert spawn_round_trip(reply).unwrap() == reply.value
+
+    def test_read_frame_and_its_reply(self):
+        reads = [
+            (0, 3, ["hist:u1", "recent:u1"], [("hist:u1", "actions@7")]),
+            (1, 6, ["pruned:i4"], []),
+        ]
+        request = Request("gather", (reads,), ("data", 0))
+        assert spawn_round_trip(request) == request
+        reply = Response(
+            value=(
+                {"hist:u1": {"i4": (2.0, 1.0)}},
+                {("hist:u1", "actions@7"): False},
+                reads[1:],
+            )
+        )
+        assert spawn_round_trip(reply).unwrap() == reply.value
 
 
 class TestRouteTable:

@@ -1,8 +1,8 @@
 """Serving caches under the replay/commit protocol.
 
 The invalidation bus is only allowed to fire *after* a bolt's commit
-lands (put_once succeeded). These tests drive the bolts through the
-same mid-commit failure + replay sequences as
+lands (the flush carrying its put_once succeeded). These tests drive the
+bolts through the same mid-flush failure + replay sequences as
 ``tests/topology/test_replay_commit.py`` and assert the read path never
 acts on torn state: no invalidation before the commit, exactly one per
 committed op, none for dedup'd replays, and the cache converges to the
@@ -14,86 +14,18 @@ import pytest
 from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.errors import DataServerDownError
 from repro.serving import InvalidationBus, ServingLayer
-from repro.storm.component import OutputCollector, TopologyContext
-from repro.storm.streams import OutputDeclaration
-from repro.storm.tuples import StormTuple
-from repro.tdstore.cluster import TDStoreCluster
 from repro.topology.bolts_cf import SimListBolt, UserHistoryBolt
 from repro.topology.bolts_db import GroupCountBolt
 from repro.topology.state import StateKeys
 
-
-class FlakyClient:
-    """Client proxy that raises once on the first call of one method."""
-
-    def __init__(self, inner, fail_method):
-        self._inner = inner
-        self._fail_method = fail_method
-        self.failed = False
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name == self._fail_method and not self.failed:
-            def boom(*args, **kwargs):
-                self.failed = True
-                raise DataServerDownError("injected mid-update failure")
-
-            return boom
-        return attr
-
-
-def prepare(bolt, name="bolt"):
-    declaration = OutputDeclaration()
-    bolt.declare_outputs(declaration)
-    emitted = []
-    collector = OutputCollector(
-        name, 0, declaration,
-        emit_fn=lambda tup, message_id: emitted.append(tup),
-        ack_fn=lambda tup: None,
-        fail_fn=lambda tup: None,
-        clock_now=lambda: 0.0,
-    )
-    bolt.prepare(TopologyContext(name, 0, 1, "test"), collector)
-    return emitted
-
-
-def deliver(bolt, tup):
-    bolt.collector.set_input_context(frozenset(), tup.op_id)
-    bolt.execute(tup)
-
-
-def action_tuple(user, item, offset, action="click", timestamp=0.0):
-    return StormTuple(
-        (user, item, action, timestamp),
-        ("user", "item", "action", "timestamp"),
-        "default",
-        "source",
-        op_id=f"actions@{offset}",
-    )
-
-
-def sim_tuple(item, other, similarity, offset):
-    return StormTuple(
-        (item, other, similarity),
-        ("item", "other", "similarity"),
-        "sim_update",
-        "pairCount",
-        op_id=f"actions@{offset}>pairCount.0:0",
-    )
-
-
-def group_tuple(group, item, delta, offset):
-    return StormTuple(
-        (group, item, delta),
-        ("group", "item", "delta"),
-        "group_delta",
-        "userHistory",
-        op_id=f"actions@{offset}>userHistory.0:1",
-    )
-
-
-def fresh_cluster():
-    return TDStoreCluster(num_data_servers=3, num_instances=8)
+from tests.topology.helpers import (
+    FlakyClient,
+    Task,
+    action_tuple,
+    fresh_cluster,
+    group_tuple,
+    sim_tuple,
+)
 
 
 def serving_over(cluster, bus):
@@ -113,9 +45,10 @@ class TestCommitOrdering:
         cluster = fresh_cluster()
         bus = InvalidationBus()
         seed_sim_lists(cluster)
-        healthy = UserHistoryBolt(client_factory=cluster.client, bus=bus)
-        prepare(healthy)
-        deliver(healthy, action_tuple("u1", "i1", 0, timestamp=1.0))
+        healthy = Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+        )
+        healthy.deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
         assert bus.published == 1
 
         layer = serving_over(cluster, bus)
@@ -126,11 +59,12 @@ class TestCommitOrdering:
         # second action fails mid-commit: the recent list already moved
         # (idempotent side write) but the history commit did not land
         flaky = FlakyClient(cluster.client(), "put_once")
-        flaky_bolt = UserHistoryBolt(client_factory=lambda: flaky, bus=bus)
-        prepare(flaky_bolt)
+        flaky_bolt = Task(
+            lambda: UserHistoryBolt(client_factory=lambda: flaky, bus=bus)
+        )
         tup = action_tuple("u1", "i2", 1, timestamp=3.0)
         with pytest.raises(DataServerDownError):
-            deliver(flaky_bolt, tup)
+            flaky_bolt.deliver(tup)
         assert bus.published == 1  # nothing published before the commit
         # so the cache keeps serving the committed answer, never a torn
         # recompute over half-applied state
@@ -140,7 +74,7 @@ class TestCommitOrdering:
 
         # the replay commits, publishes exactly once, and the staled
         # entry recomputes from fully-committed state
-        deliver(flaky_bolt, tup)
+        flaky_bolt.deliver(tup)
         assert bus.published == 2
         assert layer.result_cache.get(("cf", "u1", 2)) is None
         final, tier = layer.serve("u1", 2, 4.0)
@@ -152,10 +86,11 @@ class TestCommitOrdering:
         cluster = fresh_cluster()
         bus = InvalidationBus()
         seed_sim_lists(cluster)
-        bolt = UserHistoryBolt(client_factory=cluster.client, bus=bus)
-        prepare(bolt)
-        deliver(bolt, action_tuple("u1", "i1", 0, timestamp=1.0))
-        deliver(bolt, action_tuple("u1", "i2", 1, timestamp=3.0))
+        bolt = Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+        )
+        bolt.deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
+        bolt.deliver(action_tuple("u1", "i2", 1, timestamp=3.0))
         layer = serving_over(cluster, bus)
         results, __ = layer.serve("u1", 2, 4.0)
         return [r.item_id for r in results]
@@ -165,12 +100,13 @@ class TestReplayPublishesOnce:
     def test_dedup_ledger_replay_does_not_republish(self):
         cluster = fresh_cluster()
         bus = InvalidationBus()
-        bolt = UserHistoryBolt(client_factory=cluster.client, bus=bus)
-        prepare(bolt)
+        bolt = Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+        )
         tup = action_tuple("u1", "i1", 0, timestamp=1.0)
-        deliver(bolt, tup)
+        bolt.deliver(tup)
         assert bus.published == 1
-        deliver(bolt, tup)  # in-memory ledger catches it
+        bolt.deliver(tup)  # in-memory ledger catches it
         assert bus.published == 1
 
     def test_store_journal_replay_does_not_republish(self):
@@ -178,26 +114,29 @@ class TestReplayPublishesOnce:
         # replay — and it must stop the publish too
         cluster = fresh_cluster()
         bus = InvalidationBus()
-        bolt = UserHistoryBolt(client_factory=cluster.client, bus=bus)
-        prepare(bolt)
+        bolt = Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+        )
         tup = action_tuple("u1", "i1", 0, timestamp=1.0)
-        deliver(bolt, tup)
-        reborn = UserHistoryBolt(client_factory=cluster.client, bus=bus)
-        prepare(reborn)
-        deliver(reborn, tup)
+        bolt.deliver(tup)
+        reborn = Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+        )
+        reborn.deliver(tup)
         assert bus.published == 1
 
     def test_sim_list_failure_then_replay_publishes_once(self):
         cluster = fresh_cluster()
         bus = InvalidationBus()
         flaky = FlakyClient(cluster.client(), "put_once")
-        bolt = SimListBolt(client_factory=lambda: flaky, k=4, bus=bus)
-        prepare(bolt)
+        bolt = Task(
+            lambda: SimListBolt(client_factory=lambda: flaky, k=4, bus=bus)
+        )
         tup = sim_tuple("i1", "a", 0.9, 0)
         with pytest.raises(DataServerDownError):
-            deliver(bolt, tup)
+            bolt.deliver(tup)
         assert bus.published == 0
-        deliver(bolt, tup)
+        bolt.deliver(tup)
         assert bus.published == 1
         assert bus.by_kind == {"item": 1}
 
@@ -214,9 +153,10 @@ class TestStreamStalesTheRightEntries:
         results, __ = layer.serve("u1", 1, 0.0)
         assert [r.item_id for r in results] == ["a"]
 
-        bolt = SimListBolt(client_factory=cluster.client, k=4, bus=bus)
-        prepare(bolt)
-        deliver(bolt, sim_tuple("i1", "b", 0.95, 0))
+        bolt = Task(
+            lambda: SimListBolt(client_factory=cluster.client, k=4, bus=bus)
+        )
+        bolt.deliver(sim_tuple("i1", "b", 0.95, 0))
         # the answer depended on item i1's list; it staled immediately
         assert layer.result_cache.get(("cf", "u1", 1)) is None
         updated, tier = layer.serve("u1", 1, 0.0)
@@ -232,9 +172,10 @@ class TestStreamStalesTheRightEntries:
         assert [r.item_id for r in results] == ["h1"]
         assert layer.hot_cache.get("global") == {"h1": 4.0}
 
-        bolt = GroupCountBolt(client_factory=cluster.client, bus=bus)
-        prepare(bolt)
-        deliver(bolt, group_tuple("global", "h2", 9.0, 0))
+        bolt = Task(
+            lambda: GroupCountBolt(client_factory=cluster.client, bus=bus)
+        )
+        bolt.deliver(group_tuple("global", "h2", 9.0, 0))
         assert layer.result_cache.get(("cf", "cold-user", 1)) is None
         assert layer.hot_cache.get("global") is None
         updated, __ = layer.serve("cold-user", 1, 0.0)

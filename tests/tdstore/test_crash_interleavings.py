@@ -155,13 +155,13 @@ class TestHostFencing:
         server = TDStoreDataServer(0, MDBEngine)
         server.ensure_instance(3)
         with pytest.raises(StaleRouteError, match="no longer hosts"):
-            server.put(3, "k", 1)
+            server.mutate([(0, 3, "put", ("k", 1), ())])
         with pytest.raises(StaleRouteError):
             server.get(3, "k")
         with pytest.raises(StaleRouteError):
-            server.delete(3, "k")
+            server.mutate([(0, 3, "delete", ("k",), ())])
         server.set_host_role(3, True)
-        server.put(3, "k", 1)
+        server.mutate([(0, 3, "put", ("k", 1), ())])
         assert server.get(3, "k") == 1
         server.set_host_role(3, False)
         with pytest.raises(StaleRouteError):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.topology.state import CachedStore, Combiner, StateKeys
+from repro.storm.component import Bolt
+from repro.storm.tuples import StormTuple
+from repro.topology.state import CachedStore, Combiner, StateKeys, StoreBacked
+
+from tests.topology.helpers import Task
 
 
 class TestStateKeys:
@@ -39,6 +43,9 @@ class TestCachedStore(object):
         store = CachedStore(client_factory())
         store.put("k", 42)
         other = client_factory()
+        assert store.get("k") == 42  # the writer reads its own write
+        assert other.get("k") is None  # buffered until the slice commits
+        store.flush()
         assert other.get("k") == 42
 
     def test_cached_reads_do_not_hit_tdstore(self, tdstore):
@@ -64,9 +71,44 @@ class TestCachedStore(object):
     def test_invalidate(self, client_factory):
         store = CachedStore(client_factory())
         store.put("k", 1)
+        store.flush()
         client_factory().put("k", 2)
         store.invalidate("k")
         assert store.get("k") == 2
+
+
+class CountBolt(Bolt):
+    """Owns a CachedStore the way the topology bolts do."""
+
+    def __init__(self, client_factory):
+        self._client_factory = client_factory
+
+    def prepare(self, context, collector):
+        super().prepare(context, collector)
+        self._store = CachedStore(self._client_factory())
+
+    def execute(self, tup):
+        self._store.incr("n", tup["delta"])
+
+
+class FlushedCountBolt(StoreBacked, CountBolt):
+    pass
+
+
+class TestStoreBacked:
+    TUP = StormTuple((1.0,), ("delta",), "default", "src", 0)
+
+    def test_slice_commit_ships_the_buffer(self, client_factory):
+        Task(lambda: FlushedCountBolt(client_factory)).deliver(self.TUP)
+        assert client_factory().get("n") == 1.0
+
+    def test_a_store_owner_without_the_mixin_is_refused(self, client_factory):
+        # the inherited no-op flush would leave every write in the buffer
+        with pytest.raises(ConfigurationError, match="StoreBacked"):
+            Task(lambda: CountBolt(client_factory)).deliver(self.TUP)
+
+    def test_a_stateless_bolt_needs_no_mixin(self):
+        Bolt().flush()
 
 
 class TestCombiner:

@@ -1,18 +1,32 @@
 """ANN-style candidate serving from the streaming VQ index.
 
-The read path is three batched hops, all through the serving-hardened
-client (so hedged reads, per-shard degradation, and deadlines apply):
+The read path is four batched hops, all through the serving-hardened
+client (so hedged reads, per-shard degradation, and deadlines apply);
+each hop is one ``multi_get``, i.e. one read frame per server process:
 
-1. build the query vector — one ``multi_get`` of the user's recent
-   items' embedding rows, normalized mean;
-2. probe — rank centroids by dot product against the query, take the
-   top ``probe_width``, and ``multi_get`` their posting lists;
-3. re-rank — ``multi_get`` the candidate rows and score by dot
-   product, dropping already-consumed items.
+1. the user — recent items, consumed history and the index's centroid
+   set (``vq:meta``) together: none of the three depends on another;
+2. vectors — the recent items' embedding rows (normalized mean = the
+   query vector) and every live centroid's vector;
+3. probe — rank centroids by dot product against the query, take the
+   top ``probe_width`` and fetch their posting lists;
+4. re-rank — fetch the candidate rows hop 2 did not already bring and
+   score by dot product, dropping already-consumed items.
+
+Four is the dependency floor of this key layout: which rows to fetch
+depends on the postings, which postings on the probe, the probe on the
+query vector and the centroid ids, and those on the user's keys and the
+meta object. Going lower means storing vectors inside the posting lists
+(denormalised, so every embedding step rewrites a posting) or caching
+the codebook client-side, which needs a writer-side version it does not
+have — centroid vectors move on every ``observe``.
 
 A cold index (no centroids yet, or no embedded recent items for this
 user) raises :class:`~repro.errors.ColdIndexError`; the front end
-counts it and degrades to CF, so retrieval never blocks a serve.
+counts it and degrades to CF, so retrieval never blocks a serve. A
+*degraded* user-side key is not an empty one: when the client could not
+reach ``recent``/``history``/``vq:meta`` the store failure is raised
+(same fallback), never served as "no history to exclude".
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ColdIndexError, ConfigurationError
+from repro.errors import ColdIndexError, ConfigurationError, DataServerDownError
 from repro.retrieval.keys import RetrievalKeys as K
 from repro.retrieval.types import RetrievalAnswer, RetrievalStats
 from repro.tdstore.client import TDStoreClient
@@ -45,6 +59,17 @@ class RetrieverConfig:
             )
 
 
+def _ranked(query: np.ndarray, vecs: dict) -> list:
+    """``(-score, id)`` ascending over ``vecs`` (id -> vector): best dot
+    product first, ids break ties. One row-wise C call; ``vecdot`` runs
+    the same per-row dot kernel as ``np.dot`` on each row, so scores
+    match it bit for bit (a ``rows @ query`` matvec does not)."""
+    if not vecs:
+        return []
+    rows = np.asarray(list(vecs.values()), dtype=np.float64)
+    return sorted(zip((-np.vecdot(rows, query)).tolist(), vecs))
+
+
 class VQRetriever:
     """Nearest-centroid probe → posting lists → dot-product re-rank."""
 
@@ -57,20 +82,32 @@ class VQRetriever:
         self.cfg = config if config is not None else RetrieverConfig()
         self.stats = RetrievalStats()
 
+    def _read_all(self, keys: list) -> dict:
+        """``multi_get`` for keys whose absence changes the answer's
+        meaning: a degraded one raises instead of reading as empty."""
+        got = self._store.multi_get(keys)
+        lost = self._store.last_failed_keys
+        if lost:
+            raise DataServerDownError(
+                f"VQ read path could not reach {sorted(lost)}"
+            )
+        return got
+
     # -- query vector -------------------------------------------------------
 
-    def query_vector(self, user_id: str) -> np.ndarray:
-        """Normalized mean of the user's recent items' embedding rows."""
-        recent = self._store.get(StateKeys.recent(user_id), None) or []
-        items = [item for item, __, __t in recent[: self.cfg.recent_k]]
+    def _recent_items(self, user_id: str, recent) -> list:
+        items = [item for item, __, __t in (recent or [])[: self.cfg.recent_k]]
         if not items:
             raise ColdIndexError(
                 f"user {user_id!r} has no recent items", reason="no_recent"
             )
-        rows = self._store.multi_get([K.embedding(i) for i in items])
+        return items
+
+    @staticmethod
+    def _mean_query(user_id: str, rows) -> np.ndarray:
         vecs = [
             np.asarray(row["vec"], dtype=np.float64)
-            for row in rows.values()
+            for row in rows
             if row is not None
         ]
         if not vecs:
@@ -87,25 +124,46 @@ class VQRetriever:
             )
         return mean / norm
 
+    def query_vector(self, user_id: str) -> np.ndarray:
+        """Normalized mean of the user's recent items' embedding rows."""
+        key = StateKeys.recent(user_id)
+        items = self._recent_items(user_id, self._read_all([key])[key])
+        rows = self._store.multi_get([K.embedding(i) for i in items])
+        return self._mean_query(user_id, rows.values())
+
     # -- the probe ----------------------------------------------------------
 
     def retrieve(
-        self, query: np.ndarray, n: int, exclude: set[str] | None = None
+        self,
+        query: np.ndarray,
+        n: int,
+        exclude: set[str] | None = None,
+        *,
+        index: "tuple[list, dict] | None" = None,
     ) -> RetrievalAnswer:
-        """Serve candidates for an explicit query vector."""
+        """Serve candidates for an explicit query vector.
+
+        ``index`` is :meth:`recommend` handing over what its hop 2
+        already read — the sorted centroid ids and a dict holding their
+        vectors (plus some embedding rows) — so only hops 3 and 4 remain
+        here; without it the centroid set and vectors are read first.
+        The rows hop 4 brings are added to that dict.
+        """
         self.stats.queries += 1
-        meta = self._store.get(K.meta(), None) or {}
-        if not meta:
+        if index is None:
+            cids = sorted(self._read_all([K.meta()])[K.meta()] or {})
+            index = cids, self._store.multi_get([K.centroid(c) for c in cids])
+        cids, fetched = index
+        exclude = exclude or set()
+        if not cids:
             self.stats.cold_misses += 1
             raise ColdIndexError("VQ index has no centroids yet")
-        cids = sorted(meta)
-        cents = self._store.multi_get([K.centroid(c) for c in cids])
-        ranked = sorted(
-            (
-                (-float(np.dot(query, np.asarray(vec, dtype=np.float64))), cid)
-                for cid in cids
-                if (vec := cents.get(K.centroid(cid))) is not None
-            ),
+        ranked = _ranked(
+            query,
+            {
+                cid: vec for cid in cids
+                if (vec := fetched.get(K.centroid(cid))) is not None
+            },
         )
         probed = [cid for __, cid in ranked[: self.cfg.probe_width]]
         if not probed:
@@ -114,7 +172,6 @@ class VQRetriever:
         self.stats.probes += len(probed)
         self.stats.probe_history.append(len(probed))
         postings = self._store.multi_get([K.posting(c) for c in probed])
-        exclude = exclude or set()
         candidates = sorted(
             {
                 item
@@ -126,16 +183,23 @@ class VQRetriever:
         if not candidates:
             self.stats.empty_answers += 1
             return RetrievalAnswer(probed_centroids=tuple(probed))
-        rows = self._store.multi_get([K.embedding(i) for i in candidates])
-        scored = sorted(
-            (
-                (-float(np.dot(query, np.asarray(row["vec"], dtype=np.float64))), item)
-                for item in candidates
-                if (row := rows.get(K.embedding(item))) is not None
-            ),
+        fetched.update(
+            self._store.multi_get(
+                [
+                    key for item in candidates
+                    if (key := K.embedding(item)) not in fetched
+                ]
+            )
         )
-        self.stats.candidates_scored += len(scored)
-        top = scored[:n]
+        top = _ranked(
+            query,
+            {
+                item: row["vec"] for item in candidates
+                if (row := fetched.get(K.embedding(item))) is not None
+            },
+        )
+        self.stats.candidates_scored += len(top)
+        del top[n:]
         return RetrievalAnswer(
             items=tuple(item for __, item in top),
             scores=tuple(-s for s, __ in top),
@@ -145,12 +209,22 @@ class VQRetriever:
 
     def recommend(self, user_id: str, n: int, now: float) -> list[Recommendation]:
         """The engine-facing entry point: top-N for a user."""
-        query = self.query_vector(user_id)
-        exclude: set[str] = set()
+        recent_key = StateKeys.recent(user_id)
+        history_key = StateKeys.history(user_id)
+        keys = [recent_key, K.meta()]
         if self.cfg.exclude_consumed:
-            history = self._store.get(StateKeys.history(user_id), None) or {}
-            exclude = set(history)
-        answer = self.retrieve(query, n, exclude)
+            keys.append(history_key)
+        user = self._read_all(keys)
+        items = self._recent_items(user_id, user[recent_key])
+        cids = sorted(user[K.meta()] or {})
+        row_keys = [K.embedding(i) for i in items]
+        fetched = self._store.multi_get(
+            row_keys + [K.centroid(c) for c in cids]
+        )
+        query = self._mean_query(user_id, [fetched[k] for k in row_keys])
+        answer = self.retrieve(
+            query, n, set(user.get(history_key) or {}), index=(cids, fetched)
+        )
         return [
             Recommendation(item, score, source="vq")
             for item, score in zip(answer.items, answer.scores)
@@ -168,15 +242,15 @@ def brute_force_rank(
     """
     exclude = exclude or set()
     rows = client.multi_get([K.embedding(i) for i in items])
-    scored = sorted(
-        (
-            (-float(np.dot(query, np.asarray(row["vec"], dtype=np.float64))), item)
-            for item in items
+    ranked = _ranked(
+        query,
+        {
+            item: row["vec"] for item in items
             if item not in exclude
             and (row := rows.get(K.embedding(item))) is not None
-        ),
+        },
     )
-    return [item for __, item in scored[:n]]
+    return [item for __, item in ranked[:n]]
 
 
 class VQIndexProbe:

@@ -286,9 +286,11 @@ class TDStoreClient:
         ``keys`` that exist (a missing key is simply absent — no default
         stands in for it), ``seen`` maps every ``(key, op_id)`` of
         ``probes`` to whether the op id is journaled against the key.
-        Unlike :meth:`multi_get` nothing degrades: a shard that stays
-        unreachable after the failover retry raises, because the caller
-        is about to compute writes from what it read.
+        It travels in the same read frame as :meth:`multi_get`
+        (:meth:`_read_frame`) under the other failure policy: nothing
+        degrades. Whatever a server refuses is raised, and a shard that
+        stays unreachable after the failover retry fails the call,
+        because the caller is about to compute writes from what it read.
         """
         if not keys and not probes:
             return {}, {}
@@ -309,36 +311,54 @@ class TDStoreClient:
                 read_at(key)[2].append(key)
             for probe in probes:
                 read_at(probe[0])[3].append(probe)
-            pending = list(reads.values())
-            server = self._config.server
-            values, seen, pending = server(pending[0][0]).gather(pending)
-            while pending:
-                # each server answers what its process owns and hands
-                # back the rest
-                more, more_seen, pending = server(pending[0][0]).gather(pending)
-                values.update(more)
-                seen.update(more_seen)
+            values, seen, refused = self._read_frame(list(reads.values()))
+            if refused:
+                raise refused[0][1]
             return values, seen
 
         return self._with_failover(keys[0] if keys else probes[0][0], op)
 
+    def _read_frame(self, reads: list) -> "tuple[dict, dict, list]":
+        """Send one read frame round the server processes it names.
+
+        ``reads`` is a list of ``(host, instance, keys, probes)``. Each
+        process answers every entry it owns — for however many logical
+        servers — and hands back the rest, so the frame costs one
+        request per server *process*. Returns ``(values, seen,
+        refused)``, ``refused`` pairing each entry a server would not
+        serve with its error (see :meth:`TDStoreDataServer.gather`).
+        """
+        server = self._config.server
+        self.batch_ops += 1
+        values, seen, reads, refused = server(reads[0][0]).gather(reads)
+        while reads:
+            self.batch_ops += 1
+            more, more_seen, reads, bad = server(reads[0][0]).gather(reads)
+            values.update(more)
+            seen.update(more_seen)
+            refused.extend(bad)
+        return values, seen, refused
+
     def multi_get(self, keys, default: Any = None) -> dict[str, Any]:
         """Batched read: every key answered in one pass over the shards.
 
-        Keys are grouped by host server from **one** route-table snapshot
-        (one epoch check) and each server gets **one** batch op covering
-        all of its instances — the per-key route lookup, breaker gate and
-        failover bookkeeping of :meth:`get` are paid once per server
-        instead of once per key.
+        Keys are grouped by instance from **one** route-table snapshot
+        (one epoch check) and travel in **one** read frame
+        (:meth:`_read_frame`, shared with :meth:`gather`): one request
+        per server process, one batch op per logical server it names —
+        the per-key route lookup, breaker gate and failover bookkeeping
+        of :meth:`get` are paid once per batch instead of once per key.
 
-        Failure semantics differ from the per-key path on purpose: a
-        shard that stays unreachable after one failover/re-route attempt
-        **degrades only its own keys** — first hedging to any live
-        replica (stale-but-served), then falling back to ``default`` —
-        rather than failing the whole query. The degraded keys are
-        reported in :attr:`last_failed_keys`; the breaker records a
-        failure for the batch when any key degraded to ``default``. A
-        blown :class:`~repro.resilience.Deadline` still aborts the whole
+        The failure policy is the lenient one, on purpose: the entries a
+        server refuses get one failover/re-route attempt of their own
+        (the healthy servers' answers already stand and are not read
+        again), and a shard that stays unreachable **degrades only its
+        own keys** — first hedging to any live replica
+        (stale-but-served), then falling back to ``default`` — rather
+        than failing the whole query. The degraded keys are reported in
+        :attr:`last_failed_keys`; the breaker records a failure for the
+        batch when any key degraded to ``default``. A blown
+        :class:`~repro.resilience.Deadline` still aborts the whole
         batch — time is a query-level budget, not a shard-level one.
         """
         keys = list(keys)
@@ -356,20 +376,19 @@ class TDStoreClient:
             if deadline is not None:
                 deadline.check(f"tdstore multi_get of {len(keys)} keys")
             self._maybe_refresh()  # the one route snapshot for this batch
-            by_host: dict[int, dict[int, list[str]]] = {}
+            instance_for_key = self._table.instance_for_key
+            batches: dict[int, list[str]] = {}
             for key in keys:
-                route = self._table.route_for_key(key)
-                by_host.setdefault(route.host, {}).setdefault(
-                    route.instance, []
-                ).append(key)
-            results: dict[str, Any] = {}
+                batches.setdefault(instance_for_key(key), []).append(key)
+            found, refused = self._batch_read(batches.items(), deadline)
+            by_host: dict[int, list] = {}
+            for entry in refused:
+                by_host.setdefault(entry[0][0], []).append(entry)
             failed: list[str] = []
             for host in sorted(by_host):
-                got, bad = self._serve_batch(
-                    host, by_host[host], default, deadline
+                failed += self._serve_refused(
+                    host, by_host[host], default, deadline, found
                 )
-                results.update(got)
-                failed.extend(bad)
         except DeadlineExceededError:
             self.deadline_misses += 1
             if self._breaker is not None:
@@ -379,61 +398,65 @@ class TDStoreClient:
         if failed:
             self.degraded_keys += len(failed)
             self.last_failed_keys = frozenset(failed)
-            for key in failed:
-                results[key] = default
             if self._breaker is not None:
                 self._breaker.record_failure()
         elif self._breaker is not None:
             self._breaker.record_success()
-        return results
+        # a key no server held (or that degraded) reads as the default
+        return {key: found.get(key, default) for key in keys}
 
-    def _batch_op(
+    def _batch_read(
+        self, batches, deadline: Deadline | None
+    ) -> "tuple[dict[str, Any], list]":
+        """Read ``(instance, keys)`` batches from their instances'
+        current hosts in one frame, the degraded latency of every host
+        it names charged once. Returns the values found and the entries
+        a server refused, each with its error."""
+        route = self._table.route
+        reads = [
+            (route(instance).host, instance, keys, ())
+            for instance, keys in batches
+        ]
+        for host in sorted({read[0] for read in reads}):
+            self._charge_latency(host, deadline)
+        values, __, refused = self._read_frame(reads)
+        return values, refused
+
+    def _retry_refused(
+        self, refused: list, deadline: Deadline | None, found: dict
+    ) -> list:
+        """Re-send refused entries to their instances' current hosts;
+        what is answered lands in ``found``, the rest comes back."""
+        got, refused = self._batch_read(
+            [read[1:3] for read, __ in refused], deadline
+        )
+        found.update(got)
+        return refused
+
+    def _serve_refused(
         self,
         host: int,
-        batches: dict[int, list[str]],
+        refused: list,
         default: Any,
         deadline: Deadline | None,
-    ) -> dict[str, Any]:
-        """One per-server batch op; degraded latency charged once."""
-        self._charge_latency(host, deadline)
-        self.batch_ops += 1
-        return self._config.server(host).multi_get(batches, default)
+        found: dict,
+    ) -> list[str]:
+        """Second chances for the entries ``host`` refused in a batch.
 
-    def _serve_batch(
-        self,
-        host: int,
-        batches: dict[int, list[str]],
-        default: Any,
-        deadline: Deadline | None,
-    ) -> tuple[dict[str, Any], list[str]]:
-        """Serve one server's batch with one failover/re-route attempt.
-
-        Returns ``(results, degraded_keys)`` — shard failures degrade to
-        hedged replica reads and then to the caller's default instead of
-        propagating (Deadline misses excepted).
+        One failover/re-route attempt, then hedged replica reads; values
+        land in ``found`` and the keys that stay unanswered are returned
+        — shard failures degrade instead of propagating (Deadline misses
+        excepted).
         """
-        try:
-            return self._batch_op(host, batches, default, deadline), []
-        except MigrationInProgressError as exc:
-            # only this server's shard is moving: wait out the cutover
-            # (which refreshes the table) and retry just these batches —
-            # results from the other servers in the query already stand
-            self._await_migration(exc.instance, deadline)
-        except StaleRouteError:
-            # fenced: a failover moved routes under us — epoch check
-            # below picks up the new table
-            pass
-        except DataServerDownError:
-            server = self._config.server(host)
-            if server.alive:
+        error = refused[0][1]
+        if isinstance(error, DataServerDownError):
+            if self._config.server(host).alive:
                 # injected error rate or recovered under us: one retry in
                 # place, mirroring the per-key path
-                try:
-                    return self._batch_op(host, batches, default, deadline), []
-                except MigrationInProgressError as exc:
-                    self._await_migration(exc.instance, deadline)
-                except (DataServerDownError, StaleRouteError):
-                    pass
+                refused = self._retry_refused(refused, deadline, found)
+                if not refused:
+                    return []
+                error = refused[0][1]
             else:
                 try:
                     self._config.handle_server_failure(host)
@@ -441,80 +464,36 @@ class TDStoreClient:
                     # failover impossible right now (not enough live
                     # servers); hedged replica reads below still answer
                     pass
+        if isinstance(error, MigrationInProgressError):
+            # only this shard is moving: wait out the cutover (which
+            # refreshes the table) and retry just these entries
+            self._await_migration(error.instance, deadline)
+        # a StaleRouteError fence means a failover moved routes under us:
+        # the epoch check picks up the new table
         self._maybe_refresh()
-        # regroup this server's instances onto their current hosts
-        regrouped: dict[int, dict[int, list[str]]] = {}
-        for instance, instance_keys in batches.items():
-            route = self._table.route(instance)
-            regrouped.setdefault(route.host, {})[instance] = instance_keys
-        results: dict[str, Any] = {}
-        failed: list[str] = []
-        for new_host in sorted(regrouped):
-            got, bad = self._serve_regrouped(
-                new_host, regrouped[new_host], default, deadline
-            )
-            results.update(got)
-            failed.extend(bad)
-        return results, failed
-
-    def _serve_regrouped(
-        self,
-        host: int,
-        batches: dict[int, list[str]],
-        default: Any,
-        deadline: Deadline | None,
-    ) -> tuple[dict[str, Any], list[str]]:
-        """Second-chance batch against current routes, then degrade."""
-        try:
-            return self._batch_op(host, batches, default, deadline), []
-        except MigrationInProgressError as exc:
+        refused = self._retry_refused(refused, deadline, found)
+        moving = next(
+            (
+                exc for __, exc in refused
+                if isinstance(exc, MigrationInProgressError)
+            ),
+            None,
+        )
+        if moving is not None:
             # a cutover raced the re-route: wait it out, then one final
-            # per-instance pass on post-cutover routes before degrading
-            self._await_migration(exc.instance, deadline)
-            results: dict[str, Any] = {}
-            failed: list[str] = []
-            for instance, instance_keys in batches.items():
-                route = self._table.route(instance)
-                try:
-                    results.update(
-                        self._batch_op(
-                            route.host, {instance: instance_keys},
-                            default, deadline,
-                        )
-                    )
-                except (
-                    DataServerDownError,
-                    StaleRouteError,
-                    MigrationInProgressError,
-                ):
-                    got, bad = self._hedge_batches(
-                        {instance: instance_keys}, default, deadline,
-                        route.host,
-                    )
-                    results.update(got)
-                    failed.extend(bad)
-            return results, failed
-        except (DataServerDownError, StaleRouteError):
-            # this shard stays degraded: hedge each instance to any
-            # live replica; keys with no replica fall to the default
-            return self._hedge_batches(batches, default, deadline, host)
-
-    def _hedge_batches(
-        self,
-        batches: dict[int, list[str]],
-        default: Any,
-        deadline: Deadline | None,
-        exclude: int,
-    ) -> tuple[dict[str, Any], list[str]]:
-        results: dict[str, Any] = {}
+            # pass on post-cutover routes before degrading
+            self._await_migration(moving.instance, deadline)
+            refused = self._retry_refused(refused, deadline, found)
+        # what stays refused is degraded: hedge each instance to any live
+        # replica; keys with no replica fall to the default
         failed: list[str] = []
-        for instance, instance_keys in batches.items():
-            got = self._hedge(instance, instance_keys, default, deadline, exclude)
+        for (at, instance, keys, __), __ in refused:
+            got = self._hedge(instance, keys, default, deadline, at)
             if got is None:
-                failed.extend(instance_keys)
+                failed.extend(keys)
             else:
-                results.update(got)
-        return results, failed
+                found.update(got)
+        return failed
 
     def _hedge(
         self,

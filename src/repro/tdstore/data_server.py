@@ -260,58 +260,52 @@ class TDStoreDataServer:
         self.reads += 1
         return value
 
-    def multi_get(
-        self, batches: dict[int, list[str]], default: Any = None
-    ) -> dict[str, Any]:
-        """One batch read covering every ``instance -> keys`` group.
-
-        This is one request on the wire: liveness and the degradation
-        cadence are checked once for the whole op (which is the batching
-        win — a 100-key batch is one error opportunity, not 100), while
-        host fencing is still enforced per instance so a stale route on
-        any shard fails the batch before data from a non-owned instance
-        can leak into the result.
-        """
-        self._check_alive()
-        engines = {}
-        for instance in batches:
-            engines[instance] = self.engine(instance)
-            self._check_host(instance)
-        self._check_degraded()
-        results: dict[str, Any] = {}
-        for instance, keys in batches.items():
-            results.update(engines[instance].multi_get(keys, default))
-            self.reads += len(keys)
-        self.batch_ops += 1
-        return results
-
-    def gather(self, reads: list) -> "tuple[dict, dict, list]":
-        """One strict read frame: values and replay probes together.
+    def gather(self, reads: list) -> "tuple[dict, dict, list, list]":
+        """One read frame: values and replay probes together.
 
         ``reads`` is a list of ``(server_id, instance, keys, probes)``
         with ``probes`` a list of ``(key, op_id)``; it may name any
-        servers of this process. Every entry this process owns is
-        checked like :meth:`multi_get` (liveness and host fence per
-        instance, the degradation cadence once per server) before
-        anything is read. Returns ``(values, seen, rest)``: ``values``
-        holds only the keys that exist (no default is invented for a
-        missing one), ``seen`` maps each probe to whether its op id is
-        journaled against its key, and ``rest`` is the entries that
-        belong to another process, for the client to send there.
+        servers of this process — this is one request on the wire, so a
+        100-key batch over four colocated servers is one trip. Returns
+        ``(values, seen, rest, refused)``: ``values`` holds only the
+        keys that exist (no default is invented for a missing one),
+        ``seen`` maps each probe to whether its op id is journaled
+        against its key, ``rest`` is the entries that belong to another
+        process, for the client to send there, and ``refused`` pairs
+        each entry this process owns but may not serve with its error.
+
+        Nothing is raised for a refusal, because the two callers differ
+        on what it means (:meth:`TDStoreClient.gather` raises the first,
+        :meth:`TDStoreClient.multi_get` degrades that entry alone). The
+        host fence is enforced per instance, so a stale route on one
+        shard can leak no data from an instance this server no longer
+        owns; a downed server, or one whose degradation cadence — met
+        once per server per frame, the batching win — drops the frame,
+        refuses its every entry.
         """
         peers = self._colocated
-        local, rest = [], []
-        cadence_checked = set()
+        values: dict[str, Any] = {}
+        seen: dict[tuple[str, str], bool] = {}
+        rest, refused = [], []
+        cadence_checked: set = set()
+        down: dict[int, DataServerDownError] = {}
         for read in reads:
-            server = peers.get(read[0])
+            server_id, instance, keys, probes = read
+            server = peers.get(server_id)
             if server is None:
                 rest.append(read)
                 continue
-            engine = server._admit(read[1], cadence_checked)
-            local.append((server, engine, read[2], read[3]))
-        values: dict[str, Any] = {}
-        seen: dict[tuple[str, str], bool] = {}
-        for server, engine, keys, probes in local:
+            error = down.get(server_id)
+            if error is None:
+                try:
+                    engine = server._admit(instance, cadence_checked)
+                except DataServerDownError as exc:
+                    error = down[server_id] = exc
+                except (StaleRouteError, MigrationInProgressError) as exc:
+                    error = exc
+            if error is not None:
+                refused.append((read, error))
+                continue
             for key in keys:
                 value = engine.get(key, _ABSENT)
                 if value is not _ABSENT:
@@ -319,8 +313,9 @@ class TDStoreDataServer:
             for probe in probes:
                 seen[probe] = engine.op_seen(*probe)
             server.reads += len(keys) + len(probes)
-            server.batch_ops += 1
-        return values, seen, rest
+        for server_id in cadence_checked - down.keys():
+            peers[server_id].batch_ops += 1
+        return values, seen, rest, refused
 
     def read_replica(
         self, instance: int, keys: list[str], default: Any = None

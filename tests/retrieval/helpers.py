@@ -9,10 +9,13 @@ chaos suite compares across substrates — raw floats, no rounding.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 
 from repro.retrieval import RetrievalConfig, EmbeddingConfig, VQConfig
 from repro.retrieval.keys import RetrievalKeys as K
+from repro.runtime.rpc import RpcClient
 from repro.storm.grouping import FieldsGrouping, ShuffleGrouping
 from repro.storm.topology import TopologyBuilder
 from repro.topology.bolts_cf import (
@@ -24,6 +27,7 @@ from repro.topology.bolts_cf import (
 from repro.topology.bolts_common import PretreatmentBolt
 from repro.topology.framework import add_retrieval_bolts
 from repro.topology.spouts import TDAccessSpout
+from repro.topology.state import StateKeys
 
 from tests.recovery.helpers import ITEMS, USERS  # noqa: F401  (re-export)
 
@@ -114,3 +118,46 @@ def vq_digest(client, items=ITEMS, users=USERS) -> bytes:
         },
     }
     return json.dumps(state, sort_keys=True).encode()
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_index(seed: int = 2015):
+    """The state the end-to-end benchmark serves from: CF state and VQ
+    index built from 960 events through the real bolts.
+
+    Returns ``(snapshot, users, cold_user)``: the ``restore_contents``
+    image (16 instances — treat it as read-only, it is shared), every
+    user who acted, and one who never did.
+    """
+    from benchmarks.e2e.load import EventTrace
+    from benchmarks.e2e.workload import build_seed_state
+
+    events = EventTrace(seed)
+    snapshot, __ = build_seed_state(events)
+    stored = {key for contents in snapshot.values() for key in contents}
+    acted = [u for u in events.users if StateKeys.recent(u) in stored]
+    cold = next(u for u in events.users if StateKeys.recent(u) not in stored)
+    return snapshot, acted, cold
+
+
+def seeded_store(substrate):
+    """A 4-server, 16-instance TDStore on ``substrate`` (the shape the
+    snapshot restores into) holding the seeded index."""
+    store = substrate.build_tdstore(4, 16)
+    store.restore_contents(seeded_index()[0])
+    return store
+
+
+@contextlib.contextmanager
+def sent_requests(monkeypatch):
+    """Record the method of every RPC request this process sends."""
+    sent: list = []
+    call_raw = RpcClient.call_raw
+
+    def recording(self, request):
+        sent.append(request.method)
+        return call_raw(self, request)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RpcClient, "call_raw", recording)
+        yield sent

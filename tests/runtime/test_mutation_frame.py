@@ -236,7 +236,8 @@ class TestRpcAndWalCounts:
     def test_one_rpc_and_one_wal_record_per_envelope(self):
         # 32 mixed mutations over all four logical servers of one host
         # process: one request, one log record — and their reads, values
-        # and probes together, one request and no record
+        # and probes together (or values alone, through ``multi_get``),
+        # one request and no record
         with ProcessSubstrate(worker_procs=1, server_procs=1) as substrate:
             store = substrate.build_tdstore(SERVERS, INSTANCES)
             client = store.client()
@@ -265,6 +266,15 @@ class TestRpcAndWalCounts:
                 ("count:k1", "env-1#inc"): True,
                 ("k2", "nope"): False,
             }
+
+            # the lenient batched read travels in the same frame: all
+            # four logical servers, one request (it was one per server)
+            rpcs, records = rpcs_after, records_after
+            got = client.multi_get([args[0] for __, args in ops], "absent")
+            rpcs_after, records_after = runtime_counts(store)
+            assert rpcs_after - rpcs - 1 == 1
+            assert records_after == records
+            assert got["k3"] == values["k3"] and got["gone:k3"] == "absent"
             store.sync_replicas()
             assert store.scrub_replicas()["clean"]
 

@@ -90,20 +90,30 @@ class TestDataPlaneTypes:
         assert spawn_round_trip(reply).unwrap() == reply.value
 
     def test_read_frame_and_its_reply(self):
+        # the reply hands back what belongs to another host process and
+        # what this one refused, each refusal with its typed error
         reads = [
             (0, 3, ["hist:u1", "recent:u1"], [("hist:u1", "actions@7")]),
+            (0, 5, ["sim:i4"], ()),
             (1, 6, ["pruned:i4"], []),
         ]
         request = Request("gather", (reads,), ("data", 0))
         assert spawn_round_trip(request) == request
+        fence = MigrationInProgressError("instance 5 is mid-cutover", 5)
         reply = Response(
             value=(
                 {"hist:u1": {"i4": (2.0, 1.0)}},
                 {("hist:u1", "actions@7"): False},
-                reads[1:],
+                reads[2:],
+                [(reads[1], fence)],
             )
         )
-        assert spawn_round_trip(reply).unwrap() == reply.value
+        values, seen, rest, refused = spawn_round_trip(reply).unwrap()
+        assert (values, seen, rest) == reply.value[:3]
+        [(read, error)] = refused
+        assert read == reads[1]
+        assert type(error) is MigrationInProgressError
+        assert (error.args, error.instance) == (fence.args, 5)
 
 
 class TestRouteTable:

@@ -14,12 +14,16 @@ from repro.recovery.coordinator import CheckpointCoordinator
 from repro.recovery.faults import (
     BROWNOUT_ERROR_EVERY,
     BROWNOUT_LATENCY,
+    CONSUMER_NAME,
+    FAULT_KINDS,
     LAYERS,
     Fault,
     FaultInjector,
+    FaultPlan,
+    Trigger,
     seeded_plan,
 )
-from repro.recovery.harness import CONSUMER_NAME, RecoveryHarness
+from repro.recovery.harness import RecoveryHarness
 from repro.recovery.manifest import (
     MANIFEST_FORMAT_VERSION,
     CheckpointManifest,
@@ -31,6 +35,7 @@ __all__ = [
     "BROWNOUT_ERROR_EVERY",
     "BROWNOUT_LATENCY",
     "CONSUMER_NAME",
+    "FAULT_KINDS",
     "LAYERS",
     "MANIFEST_FORMAT_VERSION",
     "CheckpointCoordinator",
@@ -38,8 +43,10 @@ __all__ = [
     "CheckpointStore",
     "Fault",
     "FaultInjector",
+    "FaultPlan",
     "RecoveryHarness",
     "RecoveryManager",
     "RecoveryReport",
+    "Trigger",
     "seeded_plan",
 ]

@@ -8,15 +8,23 @@ TDStore are discarded, exactly the state a process crash would lose,
 while the TDAccess cluster (disk-backed logs) and the checkpoint store
 survive. :meth:`recover` rebuilds a fresh stack, restores the latest
 checkpoint into it, and resuming the run replays the log suffix.
+
+This is the only crash -> ``recover()`` -> re-attach loop in the
+codebase. Anything that hooks the Storm cluster — the fault-firing loop
+(:class:`FaultInjector`), an online invariant monitor, a chaos
+orchestrator's serve probe — registers with the harness once
+(:meth:`RecoveryHarness.register`) and is attached to every deployment
+the harness builds and detached from every one it loses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import RecoveryError, SimulatedCrash
 from repro.recovery.coordinator import CheckpointCoordinator
-from repro.recovery.faults import Fault, FaultInjector
+from repro.recovery.faults import CONSUMER_NAME, FaultInjector, FaultPlan
 from repro.recovery.manifest import CheckpointStore
 from repro.recovery.recovery import RecoveryManager, RecoveryReport
 from repro.runtime.substrate import SimSubstrate, Substrate
@@ -33,27 +41,17 @@ TopologyFactory = Callable[
     [SimClock, Callable[[], TDStoreClient], Consumer], Topology
 ]
 
-CONSUMER_NAME = "source"
 
-
+@dataclass
 class _Stack:
     """One computation deployment: everything a process crash destroys."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        tdstore: TDStoreCluster,
-        consumer: Consumer,
-        topology: Topology,
-        cluster: LocalCluster,
-        coordinator: CheckpointCoordinator,
-    ):
-        self.clock = clock
-        self.tdstore = tdstore
-        self.consumer = consumer
-        self.topology = topology
-        self.cluster = cluster
-        self.coordinator = coordinator
+    clock: SimClock
+    tdstore: TDStoreCluster
+    consumer: Consumer
+    topology: Topology
+    cluster: LocalCluster
+    coordinator: CheckpointCoordinator
 
 
 class RecoveryHarness:
@@ -118,17 +116,29 @@ class RecoveryHarness:
             self.store, allow_truncated_replay=allow_truncated_replay
         )
         self.injector: FaultInjector | None = None
+        self._registered: list = []
         self.crashes = 0
         self.checkpoints_taken = 0
         self._stack: _Stack | None = None
 
     # -- deployment lifecycle --------------------------------------------
 
-    def start(self, fault_plan: "list[Fault] | None" = None):
+    def start(self, fault_plan: FaultPlan | None = None):
         """Build the initial deployment, optionally under a fault plan."""
         if fault_plan is not None:
             self.injector = FaultInjector(fault_plan, tdaccess=self._tdaccess)
         self._stack = self._build_stack()
+
+    def register(self, hooked):
+        """Attach ``hooked`` (anything with ``attach(cluster)`` /
+        ``detach()``) to every deployment built from here on: after the
+        checkpoint coordinator and the fault injector, in registration
+        order."""
+        self._registered.append(hooked)
+
+    def _hooked(self) -> list:
+        injector = [self.injector] if self.injector is not None else []
+        return injector + self._registered
 
     def _build_stack(self) -> _Stack:
         clock = SimClock()
@@ -160,7 +170,8 @@ class RecoveryHarness:
                 consumers={CONSUMER_NAME: consumer},
                 runtime=self.substrate.chaos_runtime(),
             )
-            self.injector.attach(cluster)
+        for hooked in self._hooked():
+            hooked.attach(cluster)
         return _Stack(clock, tdstore, consumer, topology, cluster, coordinator)
 
     def _require_stack(self) -> _Stack:
@@ -185,8 +196,8 @@ class RecoveryHarness:
             self.crashes += 1
             self.checkpoints_taken += stack.coordinator.checkpoints_taken
             self._stack = None  # computation layer is dead
-            if self.injector is not None:
-                self.injector.detach()
+            for hooked in self._hooked():
+                hooked.detach()
             return "crashed"
         if self.recovery.in_progress:
             self.recovery.replay_complete(stack.clock.now())

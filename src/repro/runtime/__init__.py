@@ -33,8 +33,9 @@ Layering (stdlib only — ``socket`` / ``selectors`` / ``multiprocessing``):
 ``process_cluster``   ``LocalCluster`` subclass dispatching bolt
                       execution to the worker pool
 ``substrate``         ``SimSubstrate`` / ``ProcessSubstrate``
-``chaos``             process-native fault injection (SIGKILL, network,
-                      disk) + barrier-keyed orchestration and MTTR
+``chaos``             process-native fault methods (SIGKILL, network,
+                      disk) behind ``repro.recovery.faults``' table +
+                      serve-probe/report orchestration and MTTR
 ====================  ====================================================
 """
 

@@ -1,26 +1,29 @@
 """Process-native chaos: real SIGKILL, network, and disk faults.
 
-This is the layer ROADMAP item 1 called for: the full chaos vocabulary
-running against *real* OS processes instead of the simulator's modeled
-failures. Three pieces:
+The fault vocabulary, the trigger list and the loop that fires it live
+in :mod:`repro.recovery.faults`; the crash -> recover -> re-attach loop
+lives in :class:`~repro.recovery.harness.RecoveryHarness`. This module
+adds what only exists when there is an OS underneath:
 
-- :class:`ChaosRuntime` — the adapter a :class:`FaultInjector` fires
-  process-native faults through. It SIGKILLs supervised hosts and
-  workers, arms network-fault windows on the hosts' RPC transports
-  (``_chaos`` admin op -> ``RpcServer.fault_hook``), and arms one-shot
-  WAL disk faults (``_wal_fault`` -> ``DiskFaultShim``). Every
-  host-level fault is driven to recovery *synchronously at the barrier*
-  (kill -> respawn -> WAL replay -> serving probe) and timed into an
-  MTTR sample.
-- :class:`ChaosOrchestrator` — drives a ``RecoveryHarness`` under a
-  seeded, barrier-keyed plan (never wall clock: a plan replays
-  identically at any machine speed), probing front-end serve rate at
-  every barrier and distilling the run into a :class:`ChaosReport`
-  whose invariants the acceptance suites assert: zero lost keys, 100%
-  serve rate, final state byte-identical to a fault-free reference.
+- :class:`ChaosRuntime` — the methods the process-native rows of the
+  fault table fire through. It SIGKILLs supervised hosts and workers,
+  arms network-fault windows on the hosts' RPC transports (``_chaos``
+  admin op -> ``RpcServer.fault_hook``), and arms one-shot WAL disk
+  faults (``_wal_fault`` -> ``DiskFaultShim``). Every host-level fault
+  is driven to recovery *synchronously where it fires* (kill -> respawn
+  -> WAL replay -> serving probe) and timed into an MTTR sample. It
+  also reads the hosts' RPC / WAL tallies for remote-keyed triggers.
+- :class:`ChaosOrchestrator` — a serve probe and a report around one
+  harness run: it probes front-end serve rate at every barrier and
+  distils the run into a :class:`ChaosReport` whose invariants the
+  acceptance suites assert: zero lost keys, 100% serve rate, final
+  state byte-identical to a fault-free reference.
+- :class:`OnlineInvariantMonitor` — invariant probes that run
+  concurrently with execution, while the faults are landing.
 - :func:`seeded_process_plan` — deterministic generator for plans
   mixing SIGKILLs, partitions, resets, delayed/dropped frames, disk
-  faults, and (real-delay) latency spikes.
+  faults, and (real-delay) latency spikes; :func:`rekey_plan_midflight`
+  moves any barrier-keyed plan onto mid-wave ``tuples`` triggers.
 
 Why the faults converge: every mutating TDStore op is op-journaled
 (``put_once``/``apply_op`` dedup) or last-write-wins, acks are withheld
@@ -35,17 +38,19 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.errors import FaultPlanError, RemoteOpError
 from repro.recovery.faults import (
     Fault,
-    NETWORK_FAULT_KINDS,
+    FaultPlan,
+    Trigger,
     WAL_CORRUPTION_KINDS,
     WAL_FAULT_KINDS,
 )
 from repro.runtime.rpc import RpcClient
+from repro.runtime.substrate import SERVER_HOST_PREFIX, WORKER_PREFIX
 from repro.runtime.wire import CORRUPTION_STATS
 from repro.utils.rng import SeedSequenceFactory
 
@@ -99,32 +104,12 @@ class ChaosReport:
         return self.serve_answered / self.serve_attempts
 
     def to_dict(self) -> dict:
-        return {
-            "kills": dict(self.kills),
-            "network_faults": dict(self.network_faults),
-            "disk_faults": dict(self.disk_faults),
-            "mttr": {
-                "count": self.mttr_count,
-                "p50": self.mttr_p50,
-                "p99": self.mttr_p99,
-                "max": self.mttr_max,
-            },
-            "lost_keys": self.lost_keys,
-            "serve_attempts": self.serve_attempts,
-            "serve_answered": self.serve_answered,
-            "serve_rate": self.serve_rate,
-            "fingerprint_match": self.fingerprint_match,
-            "skipped_faults": self.skipped_faults,
-            "injected_faults": self.injected_faults,
-            "rounds": self.rounds,
-            "crashes": self.crashes,
-            "corruptions_injected": self.corruptions_injected,
-            "corruptions_detected": self.corruptions_detected,
-            "midflight_fired": self.midflight_fired,
-            "flushed_faults": self.flushed_faults,
-            "online_probes": self.online_probes,
-            "invariant_violations": list(self.invariant_violations),
+        flat = asdict(self)
+        mttr = {
+            name: flat.pop(f"mttr_{name}")
+            for name in ("count", "p50", "p99", "max")
         }
+        return {**flat, "mttr": mttr, "serve_rate": self.serve_rate}
 
 
 def percentile(values: "list[float]", q: float) -> "float | None":
@@ -154,13 +139,14 @@ def lost_keys(reference_state: dict, observed_state: dict) -> int:
 
 
 class ChaosRuntime:
-    """Process-native fault adapter bound to one ``ProcessSubstrate``.
+    """Process-native fault methods bound to one ``ProcessSubstrate``.
 
-    The :class:`FaultInjector` calls :meth:`fire` (and
-    :meth:`kill_worker` for armed mid-drain SIGKILLs) from barrier
-    hooks — quiescent points with no execution waves in flight, which
-    is what lets a host be killed, respawned, and WAL-replayed
-    synchronously without racing the worker pool.
+    The process-native rows of the fault table
+    (:data:`repro.recovery.faults.FAULT_KINDS`) fire through these
+    methods, from the :class:`FaultInjector`'s barrier hook or execute
+    hook. Both run parent-side between worker dispatches, which is what
+    lets a host be killed, respawned, and WAL-replayed synchronously
+    without racing the worker pool.
     """
 
     def __init__(self, substrate):
@@ -174,55 +160,14 @@ class ChaosRuntime:
         # reports only detections that happened under *this* runtime
         self._parent_crc_baseline = CORRUPTION_STATS["frames_detected"]
 
-    # -- dispatch ---------------------------------------------------------
-
-    def fire(self, fault: Fault) -> None:
-        kind = fault.kind
-        if kind == "host_sigkill":
-            self.kill_host(fault.target[0])
-        elif kind in ("conn_reset", "frame_drop", "frame_corrupt"):
-            self.network_fault(fault.target[0], kind, fault.target[1])
-        elif kind == "frame_delay":
-            host_index, count, seconds = fault.target
-            self.network_fault(host_index, "frame_delay", count, seconds)
-        elif kind == "one_way_partition":
-            host_index, direction, count = fault.target
-            # inbound: requests die before dispatch (connection reset);
-            # outbound: requests apply but their acks never come back
-            mapped = "conn_reset" if direction == "inbound" else "frame_drop"
-            self.network_fault(
-                host_index, mapped, count * PARTITION_WIDTH,
-                record_as=f"partition_{direction}",
-            )
-        elif kind in WAL_CORRUPTION_KINDS:
-            self.corrupt_wal(fault.target[0], kind)
-        elif kind in WAL_FAULT_KINDS:
-            self.disk_fault(fault.target[0], kind)
-        else:
-            raise FaultPlanError(
-                f"chaos runtime cannot fire fault kind {kind!r}"
-            )
-
     # -- SIGKILL ----------------------------------------------------------
 
     def kill_host(self, host_index: int) -> MttrSample:
         """``kill -9`` a server host, respawn it, replay its WAL, and
         verify it serves again; the whole span is one MTTR sample."""
-        from repro.runtime.substrate import SERVER_HOST_PREFIX
-
-        name = f"{SERVER_HOST_PREFIX}{host_index}"
-        supervisor = self._substrate.supervisor
-        managed = supervisor.get(name)
         start = time.monotonic()
-        self._sigkill(managed)
-        # restart hooks repoint the facade and drive _replay_wal; the
-        # respawn rebinds the same port, so worker-held proxies survive
-        supervisor.restart(name)
-        self._probe_serving(host_index)
-        sample = MttrSample(
-            "host_sigkill", host_index, time.monotonic() - start
-        )
-        self.mttr_samples.append(sample)
+        self._sigkill(self._host(host_index))
+        sample = self._recovered(host_index, "host_sigkill", start)
         self.kills["host_sigkill"] = self.kills.get("host_sigkill", 0) + 1
         return sample
 
@@ -231,11 +176,9 @@ class ChaosRuntime:
         *lazy*: the parent's next dispatch finds the corpse and drives
         respawn + topology reload + re-dispatch — the exactly-once
         layer absorbs the re-executed tuples."""
-        from repro.runtime.substrate import WORKER_PREFIX
-
-        name = f"{WORKER_PREFIX}{worker_index}"
-        managed = self._substrate.supervisor.get(name)
-        self._sigkill(managed)
+        self._sigkill(
+            self._substrate.supervisor.get(f"{WORKER_PREFIX}{worker_index}")
+        )
         self.kills["worker_sigkill"] = (
             self.kills.get("worker_sigkill", 0) + 1
         )
@@ -244,6 +187,16 @@ class ChaosRuntime:
         if managed.alive and managed.pid is not None:
             os.kill(managed.pid, signal.SIGKILL)
         managed.process.join(timeout=10.0)
+
+    def _recovered(self, host_index: int, kind: str, start: float) -> MttrSample:
+        """Respawn a dead host and stop the MTTR clock once it answers."""
+        # restart hooks repoint the facade and drive _replay_wal; the
+        # respawn rebinds the same port, so worker-held proxies survive
+        self._substrate.supervisor.restart(self._host(host_index).name)
+        self._probe_serving(host_index)
+        sample = MttrSample(kind, host_index, time.monotonic() - start)
+        self.mttr_samples.append(sample)
+        return sample
 
     # -- network ----------------------------------------------------------
 
@@ -257,120 +210,85 @@ class ChaosRuntime:
         record_as: "str | None" = None,
     ) -> None:
         """Arm a window of ``count`` transport faults on one host."""
-        rpc = self._host_rpc(host_index)
-        try:
+        with RpcClient(*self._host(host_index).address) as rpc:
             rpc.call("_chaos", kind, count, seconds)
-        finally:
-            rpc.close()
         label = record_as or kind
         self.network_faults[label] = (
             self.network_faults.get(label, 0) + count
         )
 
+    def partition(self, host_index: int, direction: str, count: int) -> None:
+        """A one-way partition of ``count`` windows. Inbound: requests
+        die before dispatch (connection reset); outbound: requests apply
+        but their acks never come back."""
+        self.network_fault(
+            host_index,
+            "conn_reset" if direction == "inbound" else "frame_drop",
+            count * PARTITION_WIDTH,
+            record_as=f"partition_{direction}",
+        )
+
     # -- disk -------------------------------------------------------------
 
-    def disk_fault(self, host_index: int, kind: str) -> MttrSample:
-        """Arm a one-shot WAL fault, trigger it, and recover the host.
+    def disk_fault(self, host_index: int, kind: str) -> "MttrSample | None":
+        """Arm a one-shot WAL fault and trigger it with a probe mutation.
 
-        The trigger is a probe mutation that will never be acknowledged:
-        the host fail-stops on the poisoned append (``torn_write`` /
-        ``disk_full``) or commit (``fsync_error``), so the probe's
-        transport error *is* the fault firing. Losing an un-acked write
-        is correct; WAL replay restores exactly the acknowledged prefix.
+        Loud kinds (``torn_write`` / ``disk_full`` / ``fsync_error``):
+        the probe will never be acknowledged — the host fail-stops on
+        the poisoned append or commit, so the probe's transport error
+        *is* the fault firing. Losing an un-acked write is correct; WAL
+        replay restores exactly the acknowledged prefix, and the respawn
+        is timed into an MTTR sample.
+
+        Silent kinds (``bit_flip`` / ``wal_corrupt``): the append is
+        poisoned but the probe IS acknowledged — silence is the property
+        under test. The damaged record sits in the log, invisible, until
+        the host's next respawn CRC-scans it during replay — at which
+        point the substrate quarantines the log and re-seeds the host's
+        state from its live replica. The plan must therefore kill this
+        host *later* for the corruption to be detected (and the
+        acceptance accounting to reconcile injected == detected).
         """
-        from repro.runtime.substrate import SERVER_HOST_PREFIX
-
-        name = f"{SERVER_HOST_PREFIX}{host_index}"
-        supervisor = self._substrate.supervisor
-        managed = supervisor.get(name)
+        silent = kind in WAL_CORRUPTION_KINDS
+        managed = self._host(host_index)
         server_id = self._local_server(host_index)
         if server_id is None:
             raise FaultPlanError(
                 f"host {host_index} owns no data server to poison"
             )
-        arm = RpcClient(*managed.address)
-        try:
+        with RpcClient(*managed.address) as arm:
             arm.call("_wal_fault", kind)
-        finally:
-            arm.close()
+        # an instance the server hosts: the probe mutation exercises
+        # the real acceptance path end to end
         instance = self._hosted_instance(server_id)
         start = time.monotonic()
-        trigger = RpcClient(*managed.address, timeout=10.0)
+        probe = ("__chaos_probe__", f"{kind}@{host_index}")
         try:
-            probe = ("__chaos_probe__", f"{kind}@{host_index}")
-            trigger.call(
-                "mutate",
-                [(server_id, instance, "put", probe, ())],
-                target=("data", server_id),
-            )
+            with RpcClient(*managed.address, timeout=10.0) as trigger:
+                trigger.call(
+                    "mutate",
+                    [(server_id, instance, "put", probe, ())],
+                    target=("data", server_id),
+                )
         except RemoteOpError:
-            pass  # expected: the host died before (or instead of) acking
-        finally:
-            trigger.close()
+            if silent:
+                raise
+            # expected: the host died before (or instead of) acking
+        self.disk_faults[kind] = self.disk_faults.get(kind, 0) + 1
+        if silent:
+            self.corruptions_injected += 1
+            return None
         managed.process.join(timeout=10.0)
-        supervisor.restart(name)
-        self._probe_serving(host_index)
-        sample = MttrSample(kind, host_index, time.monotonic() - start)
-        self.mttr_samples.append(sample)
-        self.disk_faults[kind] = self.disk_faults.get(kind, 0) + 1
-        return sample
-
-    def corrupt_wal(self, host_index: int, kind: str) -> None:
-        """Arm a *silent* WAL corruption and trigger it with a probe
-        mutation that IS acknowledged.
-
-        Unlike the loud disk faults, nothing fail-stops here: the
-        damaged record sits in the log, invisible, until the host's
-        next respawn CRC-scans it during replay — at which point the
-        substrate quarantines the log and re-seeds the host's state
-        from its live replica. The plan must therefore kill this host
-        *later* for the corruption to be detected (and the acceptance
-        accounting to reconcile injected == detected).
-        """
-        from repro.runtime.substrate import SERVER_HOST_PREFIX
-
-        managed = self._substrate.supervisor.get(
-            f"{SERVER_HOST_PREFIX}{host_index}"
-        )
-        server_id = self._local_server(host_index)
-        if server_id is None:
-            raise FaultPlanError(
-                f"host {host_index} owns no data server to corrupt"
-            )
-        arm = RpcClient(*managed.address)
-        try:
-            arm.call("_wal_fault", kind)
-        finally:
-            arm.close()
-        instance = self._hosted_instance(server_id)
-        trigger = RpcClient(*managed.address, timeout=10.0)
-        try:
-            # the append is poisoned but the op acks normally — silence
-            # is the property under test
-            probe = ("__chaos_probe__", f"{kind}@{host_index}")
-            trigger.call(
-                "mutate",
-                [(server_id, instance, "put", probe, ())],
-                target=("data", server_id),
-            )
-        finally:
-            trigger.close()
-        self.disk_faults[kind] = self.disk_faults.get(kind, 0) + 1
-        self.corruptions_injected += 1
+        return self._recovered(host_index, kind, start)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _host_rpc(self, host_index: int) -> RpcClient:
-        from repro.runtime.substrate import SERVER_HOST_PREFIX
-
-        managed = self._substrate.supervisor.get(
+    def _host(self, host_index: int):
+        return self._substrate.supervisor.get(
             f"{SERVER_HOST_PREFIX}{host_index}"
         )
-        return RpcClient(*managed.address)
 
     def _hosted_instance(self, server_id: int) -> int:
-        """An instance the server currently hosts — a probe mutation
-        against it exercises the real acceptance path end to end."""
         table = self._substrate.facade.config.route_table()
         for instance in range(table.num_instances):
             if table.route(instance).host == server_id:
@@ -391,14 +309,21 @@ class ChaosRuntime:
     def _probe_serving(self, host_index: int) -> None:
         """The recovered host must answer both the admin plane and a
         data-plane read before the MTTR clock stops."""
-        rpc = self._host_rpc(host_index)
-        try:
+        with RpcClient(*self._host(host_index).address) as rpc:
             rpc.call("_ping")
             server_id = self._local_server(host_index)
             if server_id is not None:
                 rpc.call(".alive", target=("data", server_id))
-        finally:
-            rpc.close()
+
+    def progress(self) -> dict:
+        """Cluster-wide RPC / WAL progress, summed across the hosts:
+        what the injector polls for ``rpcs`` / ``wal_records`` triggers."""
+        rpcs = 0
+        wal_records = 0
+        for stats in self._substrate.facade.host_stats():
+            rpcs += stats.get("rpc_requests", 0)
+            wal_records += (stats.get("wal") or {}).get("records", 0)
+        return {"rpcs": rpcs, "wal_records": wal_records}
 
     def stats(self) -> dict:
         durations = [s.seconds for s in self.mttr_samples]
@@ -444,165 +369,6 @@ class ChaosRuntime:
             for stats in cluster.worker_stats():
                 detected += stats.get("frame_corruptions_detected", 0)
         return {"injected": injected, "detected": detected}
-
-
-MIDFLIGHT_COUNTERS = ("tuples", "rpcs", "wal_records")
-
-# poll remote counters (host RPC/WAL tallies) every N executions — a
-# counter RPC per tuple would dominate the run without adding precision
-MIDFLIGHT_POLL_EVERY = 4
-
-
-@dataclass(frozen=True)
-class MidFlightTrigger:
-    """Fire a fault when a progress counter crosses ``at``.
-
-    ``counter`` is one of :data:`MIDFLIGHT_COUNTERS`:
-
-    - ``"tuples"`` — bolt executions observed parent-side;
-    - ``"rpcs"`` — RPC requests served across the TDStore hosts;
-    - ``"wal_records"`` — WAL records appended across the hosts.
-
-    All three are monotone progress measures, never wall clock, so a
-    seeded mid-flight schedule replays at any machine speed. On the
-    simulator substrate (no host processes, so no remote counters) the
-    remote counters degrade to the tuple counter — the plan still
-    replays completely, with the process-native kinds recorded skipped.
-    """
-
-    counter: str
-    at: int
-
-    def __post_init__(self):
-        if self.counter not in MIDFLIGHT_COUNTERS:
-            raise FaultPlanError(
-                f"unknown mid-flight counter {self.counter!r}; "
-                f"expected one of {MIDFLIGHT_COUNTERS}"
-            )
-        if self.at < 0:
-            raise FaultPlanError(
-                f"mid-flight threshold must be >= 0, got {self.at}"
-            )
-
-
-class _MidFlightEntry:
-    __slots__ = ("trigger", "fault", "fired")
-
-    def __init__(self, trigger: MidFlightTrigger, fault: Fault):
-        self.trigger = trigger
-        self.fault = fault
-        self.fired = False
-
-
-class MidFlightScheduler:
-    """Non-quiescent fault scheduling: faults land *mid-wave*.
-
-    Barrier hooks fire at quiescent points — every queue drained, no
-    tuple trees open. That is exactly when real failures do **not**
-    happen. This scheduler keys faults to execute hooks instead: a
-    SIGKILL, partition, or silent corruption fires while tuple trees
-    are open, acks are pending, and the WAL group-committer holds dirty
-    records.
-
-    Execute hooks run parent-side between worker dispatches, so firing
-    a fault here is race-free with the RPC plumbing while still landing
-    mid-wave from the system's point of view: workers hold queued
-    tuples, un-acked writes, and open ledgers when the fault lands.
-
-    ``flush()`` fires whatever the stream was too short to reach — a
-    plan always completes, so cross-substrate runs stay comparable.
-    """
-
-    def __init__(
-        self, entries: "list[tuple[MidFlightTrigger, Fault]]"
-    ):
-        self._entries = [_MidFlightEntry(t, f) for t, f in entries]
-        self._injector = None
-        self._counter_source: "Callable[[], dict] | None" = None
-        self._attached_to = None
-        self._tuples = 0
-        self._since_poll = 0
-        self._remote: dict = {"rpcs": 0, "wal_records": 0}
-        self.fired_midflight: "list[Fault]" = []
-        self.flushed: "list[Fault]" = []
-
-    # -- wiring -----------------------------------------------------------
-
-    def attach(self, cluster, injector, counter_source=None) -> None:
-        """Hook into ``cluster``'s execute stream, firing through
-        ``injector``. ``counter_source`` (process substrate only) is a
-        zero-arg callable returning ``{"rpcs": int, "wal_records": int}``
-        summed across hosts; None degrades remote triggers to tuples."""
-        self.detach()
-        self._injector = injector
-        self._counter_source = counter_source
-        cluster.add_execute_hook(self._on_execute)
-        self._attached_to = cluster
-
-    def detach(self) -> None:
-        if self._attached_to is not None:
-            self._attached_to.remove_execute_hook(self._on_execute)
-            self._attached_to = None
-
-    def pending(self) -> int:
-        return sum(1 for entry in self._entries if not entry.fired)
-
-    # -- the non-quiescent trigger path -----------------------------------
-
-    def _on_execute(self, topology_name: str) -> None:
-        self._tuples += 1
-        if self.pending() == 0:
-            return
-        if self._counter_source is not None and self._remote_pending():
-            self._since_poll += 1
-            if self._since_poll >= MIDFLIGHT_POLL_EVERY:
-                self._since_poll = 0
-                try:
-                    polled = self._counter_source()
-                except RemoteOpError:
-                    polled = None  # a host is mid-respawn; poll next time
-                if polled is not None:
-                    self._remote.update(polled)
-        self._fire_due(self._counters(), self.fired_midflight)
-
-    def _remote_pending(self) -> bool:
-        return any(
-            not entry.fired and entry.trigger.counter != "tuples"
-            for entry in self._entries
-        )
-
-    def _counters(self) -> dict:
-        if self._counter_source is None:
-            # simulator fallback: every counter is tuple progress
-            return {
-                "tuples": self._tuples,
-                "rpcs": self._tuples,
-                "wal_records": self._tuples,
-            }
-        counters = dict(self._remote)
-        counters["tuples"] = self._tuples
-        return counters
-
-    def _fire_due(self, counters: dict, record_into: "list[Fault]") -> None:
-        for entry in self._entries:
-            if entry.fired:
-                continue
-            if counters.get(entry.trigger.counter, 0) >= entry.trigger.at:
-                entry.fired = True
-                record_into.append(entry.fault)
-                if self._injector is not None:
-                    self._injector.fire_now(entry.fault)
-
-    def flush(self) -> int:
-        """Fire every remaining trigger at quiescence (stream ended
-        before its counter crossed the threshold). Returns the count."""
-        remaining = [e for e in self._entries if not e.fired]
-        for entry in remaining:
-            entry.fired = True
-            self.flushed.append(entry.fault)
-            if self._injector is not None:
-                self._injector.fire_now(entry.fault)
-        return len(remaining)
 
 
 class OnlineInvariantMonitor:
@@ -696,56 +462,72 @@ def rekey_plan_midflight(
     plan: "list[Fault]",
     tuples_per_round: int,
     seed: int = 0,
-) -> "list[tuple[MidFlightTrigger, Fault]]":
-    """Convert a barrier-keyed plan into mid-flight tuple triggers.
+) -> "list[tuple[Trigger, Fault]]":
+    """Move a barrier-keyed plan onto mid-wave ``tuples`` triggers.
 
     A fault at barrier round ``r`` becomes a trigger at
     ``(r - 1) * tuples_per_round + offset`` tuples, with a seeded
     offset inside the round — the fault that used to fire *after* the
-    round's wave drains now fires somewhere *inside* it. Deterministic
-    for a given (plan, tuples_per_round, seed).
+    round's wave drains now fires somewhere *inside* it, while tuple
+    trees are open and the WAL group-committer holds dirty records.
+    Deterministic for a given (plan, tuples_per_round, seed).
     """
     if tuples_per_round < 1:
         raise FaultPlanError(
             f"tuples_per_round must be >= 1, got {tuples_per_round}"
         )
     rng = SeedSequenceFactory(seed).generator("midflight-rekey")
-    entries: "list[tuple[MidFlightTrigger, Fault]]" = []
+    entries: "list[tuple[Trigger, Fault]]" = []
     for fault in sorted(plan, key=lambda f: f.round):
         offset = int(rng.integers(1, max(2, tuples_per_round)))
         at = max(1, (fault.round - 1) * tuples_per_round + offset)
-        entries.append((MidFlightTrigger("tuples", at), fault))
+        entries.append((Trigger("tuples", at), fault))
     return entries
 
 
 class ChaosOrchestrator:
-    """Barrier-keyed chaos driver over a :class:`RecoveryHarness`.
+    """A serve probe and a report around one chaos run of a harness.
 
-    Fault timelines are keyed to progress barriers, never wall clock —
-    the same seeded plan fires at the same logical points on any
-    machine and either substrate. ``serve_probe`` (optional) runs at
-    every barrier and returns ``(attempts, answered)`` for the
+    The plan — bare ``Fault``s, ``(Trigger, Fault)`` entries, or both —
+    goes to the harness's :class:`FaultInjector`; crashes are recovered
+    by the harness's own loop, which re-attaches everything registered
+    with it (this probe and ``monitor`` included) to each rebuilt
+    cluster. Fault timelines are keyed to progress counters, never wall
+    clock — the same seeded plan fires at the same logical points on
+    any machine and either substrate. ``serve_probe`` (optional) runs
+    at every barrier and returns ``(attempts, answered)`` for the
     front-end serve-rate invariant.
     """
 
     def __init__(
         self,
         harness,
-        plan: "list[Fault]",
+        plan: FaultPlan,
         *,
         serve_probe: "Callable[[], tuple[int, int]] | None" = None,
-        scheduler: "MidFlightScheduler | None" = None,
         monitor: "OnlineInvariantMonitor | None" = None,
     ):
         self.harness = harness
         self.plan = list(plan)
         self.serve_probe = serve_probe
-        self.scheduler = scheduler
         self.monitor = monitor
         self.serve_attempts = 0
         self.serve_answered = 0
         self.rounds = 0
-        self.crashes = 0
+        self._attached_to = None
+        harness.register(self)
+        if monitor is not None:
+            harness.register(monitor)
+
+    def attach(self, cluster) -> None:
+        self.detach()
+        cluster.add_barrier_hook(self._on_barrier)
+        self._attached_to = cluster
+
+    def detach(self) -> None:
+        if self._attached_to is not None:
+            self._attached_to.remove_barrier_hook(self._on_barrier)
+            self._attached_to = None
 
     def _on_barrier(self, barrier_round: int) -> None:
         self.rounds = max(self.rounds, barrier_round)
@@ -754,54 +536,14 @@ class ChaosOrchestrator:
             self.serve_attempts += attempts
             self.serve_answered += answered
 
-    def _hook_storm(self) -> None:
-        self.harness.cluster.add_barrier_hook(self._on_barrier)
-        if self.scheduler is not None:
-            # fired flags persist across re-attach: a crash/rebuild never
-            # re-fires an already-landed mid-flight fault
-            self.scheduler.attach(
-                self.harness.cluster,
-                self.harness.injector,
-                self._counter_source(),
-            )
-        if self.monitor is not None:
-            self.monitor.attach(self.harness.cluster)
-
-    def _counter_source(self) -> "Callable[[], dict] | None":
-        """Cluster-wide RPC/WAL progress reader for mid-flight triggers;
-        None on the simulator substrate (no host processes to poll)."""
-        facade = getattr(self.harness.substrate, "facade", None)
-        if facade is None or not hasattr(facade, "host_stats"):
-            return None
-
-        def read() -> dict:
-            rpcs = 0
-            wal_records = 0
-            for stats in facade.host_stats():
-                rpcs += stats.get("rpc_requests", 0)
-                wal_records += (stats.get("wal") or {}).get("records", 0)
-            return {"rpcs": rpcs, "wal_records": wal_records}
-
-        return read
-
     def run(self, *, max_crashes: int = 8) -> str:
-        """Start the harness under the plan and drive it to completion,
-        re-hooking the rebuilt storm cluster after each crash."""
+        """Start the harness under the plan, let it run to completion
+        through whatever crashes the plan holds, then flush what the
+        stream was too short to reach."""
         self.harness.start(self.plan)
-        self._hook_storm()
-        while True:
-            status = self.harness.run()
-            if status != "crashed":
-                if self.scheduler is not None:
-                    self.scheduler.flush()
-                return status
-            self.crashes += 1
-            if self.crashes > max_crashes:
-                raise FaultPlanError(
-                    f"chaos run exceeded {max_crashes} crash recoveries"
-                )
-            self.harness.recover()
-            self._hook_storm()
+        self.harness.run_to_completion(max_crashes)
+        self.harness.injector.flush()
+        return "completed"
 
     def report(
         self,
@@ -809,26 +551,21 @@ class ChaosOrchestrator:
         fingerprint: "tuple | None" = None,
         reference: "tuple | None" = None,
     ) -> ChaosReport:
-        """Distill the run. ``fingerprint``/``reference`` are
+        """Distill the run :meth:`run` made. ``fingerprint``/``reference`` are
         ``(recommendations_bytes, state_digest)`` pairs; when both are
         given the report carries byte-identity and lost-key results."""
         runtime = self.harness.substrate.chaos_runtime()
-        stats = runtime.stats() if runtime is not None else {}
         injector = self.harness.injector
         report = ChaosReport(
-            kills=stats.get("kills", {}),
-            network_faults=stats.get("network_faults", {}),
-            disk_faults=stats.get("disk_faults", {}),
-            mttr_count=stats.get("mttr_count", 0),
-            mttr_p50=stats.get("mttr_p50"),
-            mttr_p99=stats.get("mttr_p99"),
-            mttr_max=stats.get("mttr_max"),
+            **(runtime.stats() if runtime is not None else {}),
             serve_attempts=self.serve_attempts,
             serve_answered=self.serve_answered,
-            skipped_faults=len(injector.skipped) if injector else 0,
-            injected_faults=len(injector.injected) if injector else 0,
+            skipped_faults=len(injector.skipped),
+            injected_faults=len(injector.injected),
+            midflight_fired=len(injector.fired_midflight),
+            flushed_faults=len(injector.flushed),
             rounds=self.rounds,
-            crashes=self.crashes,
+            crashes=self.harness.crashes,
         )
         if runtime is not None:
             # armed mid-drain worker SIGKILLs fire through the injector
@@ -838,9 +575,6 @@ class ChaosOrchestrator:
             )
             report.corruptions_injected = accounting["injected"]
             report.corruptions_detected = accounting["detected"]
-        if self.scheduler is not None:
-            report.midflight_fired = len(self.scheduler.fired_midflight)
-            report.flushed_faults = len(self.scheduler.flushed)
         if self.monitor is not None:
             report.online_probes = self.monitor.probes
             report.invariant_violations = list(self.monitor.violations)
@@ -850,6 +584,12 @@ class ChaosOrchestrator:
             report.fingerprint_match = fingerprint == reference
             report.lost_keys = lost_keys(reference[1], fingerprint[1])
         return report
+
+
+# what a seeded plan's delayed frames and (real-delay) latency spikes
+# stall for: long against a loopback RPC, short against a test run
+DELAY_SECONDS = 0.02
+SPIKE_SECONDS = 0.05
 
 
 def seeded_process_plan(
@@ -864,10 +604,8 @@ def seeded_process_plan(
     conn_resets: int = 1,
     frame_drops: int = 1,
     frame_delays: int = 1,
-    delay_seconds: float = 0.02,
     disk_faults: "tuple[str, ...]" = (),
     latency_spikes: int = 0,
-    spike_seconds: float = 0.05,
     tdstore_servers: "list[int] | None" = None,
     sigkill_after: int = 3,
     rewind_depth: int = 6,
@@ -920,7 +658,7 @@ def seeded_process_plan(
             Fault(
                 _round(1, horizon),
                 "frame_delay",
-                (_host(), 2, delay_seconds),
+                (_host(), 2, DELAY_SECONDS),
             )
         )
     for kind in disk_faults:
@@ -935,7 +673,7 @@ def seeded_process_plan(
             start = _round(1, horizon - 2)
             plan.append(
                 Fault(
-                    start, "latency_spike", ("tdstore", server, spike_seconds)
+                    start, "latency_spike", ("tdstore", server, SPIKE_SECONDS)
                 )
             )
             plan.append(
@@ -946,23 +684,3 @@ def seeded_process_plan(
                 )
             )
     return sorted(plan, key=lambda fault: fault.round)
-
-
-__all__ = [
-    "ChaosOrchestrator",
-    "ChaosReport",
-    "ChaosRuntime",
-    "MidFlightScheduler",
-    "MidFlightTrigger",
-    "MttrSample",
-    "OnlineInvariantMonitor",
-    "lost_keys",
-    "percentile",
-    "rekey_plan_midflight",
-    "seeded_process_plan",
-    "MIDFLIGHT_COUNTERS",
-    "PARTITION_WIDTH",
-    "NETWORK_FAULT_KINDS",
-    "WAL_CORRUPTION_KINDS",
-    "WAL_FAULT_KINDS",
-]

@@ -48,6 +48,7 @@ import threading
 import time
 
 from repro.errors import TDStoreError
+from repro.faultkinds import NETWORK_WINDOW_KINDS
 from repro.runtime.proxies import MUTATING_DATA_METHODS, RemoteDataServer
 from repro.runtime.rpc import RpcClient, RpcServer
 from repro.runtime.wal import GroupCommitWal, WalError, replay
@@ -69,6 +70,14 @@ REAL_DELAY_CAP = 0.01
 # distinct from clean exits so the supervisor's restart bookkeeping and
 # the chaos report can tell the two apart
 WAL_FAIL_STOP_EXIT = 70
+
+# what ``RpcServer`` does to a request frame for each armed window kind;
+# ``frame_delay`` carries its seconds and is built at the hook
+WINDOW_ACTIONS = {
+    "conn_reset": "reset",
+    "frame_drop": "drop_response",
+    "frame_corrupt": "corrupt_response",
+}
 
 # control-plane calls that rebuild data-plane state and must therefore
 # survive a later host crash: logged as ("__cluster__", method, args)
@@ -277,10 +286,8 @@ class ServerHost:
         self._max_group_wait = config.get("max_group_wait", 0.002)
         # chaos state: armed network-fault windows (counts of non-admin
         # request frames to disturb) and real per-data-server delays
-        self._net_reset = 0
-        self._net_drop = 0
-        self._net_corrupt = 0
-        self._net_delay: tuple[int, float] = (0, 0.0)
+        self._net: dict[str, int] = dict.fromkeys(NETWORK_WINDOW_KINDS, 0)
+        self._net_delay_seconds = 0.0
         self._delays: dict[int, float] = {}
         # CRC failures found by this host's own WAL replay scan; the
         # parent counts those from the surfaced WalError, so _stats
@@ -430,37 +437,23 @@ class ServerHost:
     def _rpc_fault_hook(self, conn_id: int, request: Request):
         if request.method.startswith("_"):
             return None  # supervision and chaos control stay fault-free
-        if self._net_reset > 0:
-            self._net_reset -= 1
-            return "reset"
-        if self._net_drop > 0:
-            self._net_drop -= 1
-            return "drop_response"
-        if self._net_corrupt > 0:
-            self._net_corrupt -= 1
-            return "corrupt_response"
-        count, seconds = self._net_delay
-        if count > 0:
-            self._net_delay = (count - 1, seconds)
-            return ("delay", seconds)
+        for kind in NETWORK_WINDOW_KINDS:  # reset > drop > corrupt > delay
+            if self._net[kind] > 0:
+                self._net[kind] -= 1
+                if kind == "frame_delay":
+                    return ("delay", self._net_delay_seconds)
+                return WINDOW_ACTIONS[kind]
         return None
 
     def _chaos(self, kind: str, count: int = 1, seconds: float = 0.0) -> dict:
         """Arm a window of ``count`` network faults on this host's RPC
         transport; one armed fault disturbs one non-admin request frame."""
-        if kind == "conn_reset":
-            self._net_reset += int(count)
-        elif kind == "frame_drop":
-            self._net_drop += int(count)
-        elif kind == "frame_corrupt":
-            self._net_corrupt += int(count)
-        elif kind == "frame_delay":
-            self._net_delay = (self._net_delay[0] + int(count), float(seconds))
-        elif kind == "clear":
-            self._net_reset = 0
-            self._net_drop = 0
-            self._net_corrupt = 0
-            self._net_delay = (0, 0.0)
+        if kind == "clear":
+            self._net = dict.fromkeys(NETWORK_WINDOW_KINDS, 0)
+        elif kind in self._net:
+            self._net[kind] += int(count)
+            if kind == "frame_delay":
+                self._net_delay_seconds = float(seconds)
         else:
             raise TDStoreError(f"unknown network fault kind {kind!r}")
         self.server.fault_hook = self._rpc_fault_hook
@@ -468,12 +461,7 @@ class ServerHost:
 
     def _chaos_stats(self) -> dict:
         return {
-            "armed": {
-                "conn_reset": self._net_reset,
-                "frame_drop": self._net_drop,
-                "frame_corrupt": self._net_corrupt,
-                "frame_delay": self._net_delay[0],
-            },
+            "armed": dict(self._net),
             "injected": dict(self.server.faults_injected),
             "delayed_servers": sorted(self._delays),
             "wal_faults_fired": dict(self.wal.io.fired),

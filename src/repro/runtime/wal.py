@@ -28,6 +28,7 @@ import time
 from typing import Any, Callable, Iterator
 
 from repro.errors import RuntimeSubstrateError
+from repro.faultkinds import DISK_FAULT_KINDS, SILENT_CORRUPTION_KINDS
 from repro.runtime.wire import (
     FrameCorruptionError,
     FrameError,
@@ -51,16 +52,6 @@ class WalError(RuntimeSubstrateError):
 
     def __reduce__(self):
         return (type(self), (self.args[0], self.corrupt_records))
-
-
-# disk-fault kinds the IO shim can arm; mirrored by the chaos layer's
-# Fault vocabulary (repro.recovery.faults). The first three are loud
-# (the append or commit call fails); the last two are *silent* — the
-# call succeeds, the caller acks, and only the record's checksum knows.
-DISK_FAULT_KINDS = frozenset(
-    {"torn_write", "disk_full", "fsync_error", "bit_flip", "wal_corrupt"}
-)
-SILENT_CORRUPTION_KINDS = frozenset({"bit_flip", "wal_corrupt"})
 
 
 class DiskFaultShim:

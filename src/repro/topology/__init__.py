@@ -29,11 +29,6 @@ from repro.topology.framework import (
     build_ctr_topology,
     unit_registry,
 )
-from repro.topology.autoscale import (
-    ParallelismPlan,
-    WorkloadProfile,
-    plan_parallelism,
-)
 
 __all__ = [
     "CachedStore",
@@ -59,7 +54,4 @@ __all__ = [
     "build_cf_topology",
     "build_ctr_topology",
     "unit_registry",
-    "ParallelismPlan",
-    "WorkloadProfile",
-    "plan_parallelism",
 ]

@@ -26,12 +26,10 @@ fault and still converges — non-quiescent plans stay substrate-portable.
 
 import pytest
 
-from repro.recovery import Fault
+from repro.recovery import Fault, Trigger
 from repro.runtime import ProcessSubstrate, SimSubstrate
 from repro.runtime.chaos import (
     ChaosOrchestrator,
-    MidFlightScheduler,
-    MidFlightTrigger,
     OnlineInvariantMonitor,
     rekey_plan_midflight,
 )
@@ -60,10 +58,10 @@ TUPLES_PER_ROUND = 30
 # was its own), so 6 sits where 10 used to — a third of the way into
 # that wave, polled at tuple 12.
 CORRUPTION_ENTRIES = [
-    (MidFlightTrigger("wal_records", 6), Fault(2, "bit_flip", (1,))),
-    (MidFlightTrigger("tuples", 35), Fault(2, "wal_corrupt", (1,))),
-    (MidFlightTrigger("tuples", 300), Fault(9, "frame_corrupt", (0, 1))),
-    (MidFlightTrigger("tuples", 302), Fault(9, "frame_corrupt", (1, 1))),
+    (Trigger("wal_records", 6), Fault(2, "bit_flip", (1,))),
+    (Trigger("tuples", 35), Fault(2, "wal_corrupt", (1,))),
+    (Trigger("tuples", 300), Fault(9, "frame_corrupt", (0, 1))),
+    (Trigger("tuples", 302), Fault(9, "frame_corrupt", (1, 1))),
 ]
 
 
@@ -85,22 +83,21 @@ class TestMidFlightChaos:
         entries = midflight_entries()
         with process_substrate() as substrate:
             harness = make_harness(substrate, payloads, start=False)
-            scheduler = MidFlightScheduler(entries)
             monitor = OnlineInvariantMonitor(harness)
             orchestrator = ChaosOrchestrator(
                 harness,
-                [],  # every fault arrives mid-flight, none at barriers
+                entries,  # every fault arrives mid-flight, none at barriers
                 serve_probe=make_serve_probe(harness),
-                scheduler=scheduler,
                 monitor=monitor,
             )
             assert orchestrator.run() == "completed"
 
             # every fault fired natively, every one of them mid-wave
-            assert harness.injector.skipped == []
-            assert scheduler.fired_midflight != []
-            assert len(scheduler.fired_midflight) == len(entries)
-            assert scheduler.flushed == []
+            injector = harness.injector
+            assert injector.skipped == []
+            assert injector.fired_midflight != []
+            assert len(injector.fired_midflight) == len(entries)
+            assert injector.flushed == []
 
             runtime = substrate.chaos_runtime()
             assert runtime.kills["host_sigkill"] == 2
@@ -157,15 +154,12 @@ class TestMidFlightChaos:
         want_recs, want_state, ref_now = reference
         entries = midflight_entries()
         harness = make_harness(SimSubstrate(), payloads, start=False)
-        scheduler = MidFlightScheduler(entries)
         monitor = OnlineInvariantMonitor(harness)
-        orchestrator = ChaosOrchestrator(
-            harness, [], scheduler=scheduler, monitor=monitor
-        )
+        orchestrator = ChaosOrchestrator(harness, entries, monitor=monitor)
         assert orchestrator.run() == "completed"
         # triggers all crossed (remote counters degrade to tuples), the
         # process-native kinds were recorded skipped, nothing fired
-        assert len(scheduler.fired_midflight) == len(entries)
+        assert len(harness.injector.fired_midflight) == len(entries)
         skipped = {f.kind for f in harness.injector.skipped}
         assert skipped == {
             "one_way_partition", "host_sigkill", "conn_reset",

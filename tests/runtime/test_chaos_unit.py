@@ -181,3 +181,50 @@ class TestSubstrateLifecycleRegressions:
             assert runtime is substrate.chaos_runtime()
         finally:
             substrate.teardown()
+
+
+class TestHostChaosSeam:
+    def test_armed_windows_drain_in_precedence_order(self):
+        """reset beats drop beats corrupt beats delay, one window per
+        non-admin request frame; ``armed`` reports the four kinds."""
+        from repro.errors import RemoteOpError
+        from repro.faultkinds import NETWORK_WINDOW_KINDS
+        from repro.runtime import RpcClient
+
+        def armed_after(request=None):
+            if request is not None:
+                probe = RpcClient(*address, timeout=0.5)
+                try:
+                    probe.call(".alive", target=("data", 0))
+                except RemoteOpError:
+                    pass  # a reset or a swallowed reply is the fault
+                finally:
+                    probe.close()
+            return admin.call("_stats")["chaos"]["armed"]
+
+        with ProcessSubstrate(worker_procs=1, server_procs=1) as substrate:
+            substrate.build_tdstore(2, 8)
+            address = substrate.supervisor.get("tdstore-host-0").address
+            admin = RpcClient(*address)
+            try:
+                for kind in reversed(NETWORK_WINDOW_KINDS):
+                    admin.call("_chaos", kind, 1, 0.001)
+                assert armed_after() == dict.fromkeys(NETWORK_WINDOW_KINDS, 1)
+                reset, drop, corrupt, delay = NETWORK_WINDOW_KINDS
+                assert armed_after("probe") == {
+                    reset: 0, drop: 1, corrupt: 1, delay: 1
+                }
+                assert armed_after("probe") == {
+                    reset: 0, drop: 0, corrupt: 1, delay: 1
+                }
+                # the corrupt reply fails its CRC and the idempotent
+                # probe is re-sent once: the retry meets the delay
+                assert armed_after("probe") == dict.fromkeys(
+                    NETWORK_WINDOW_KINDS, 0
+                )
+                admin.call("_chaos", drop, 3)
+                assert admin.call("_chaos", "clear")["armed"] == dict.fromkeys(
+                    NETWORK_WINDOW_KINDS, 0
+                )
+            finally:
+                admin.close()

@@ -1,21 +1,20 @@
-"""Unit coverage for non-quiescent chaos scheduling: MidFlightScheduler,
-OnlineInvariantMonitor, and barrier-plan re-keying — all against fake
-clusters/injectors, no processes."""
+"""Unit coverage for non-quiescent chaos scheduling: the injector's
+counter-keyed triggers, OnlineInvariantMonitor, and barrier-plan
+re-keying — all against fake clusters/runtimes, no processes."""
 
 import pickle
 
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.recovery.faults import Fault
-from repro.runtime.chaos import (
-    MIDFLIGHT_COUNTERS,
+from repro.recovery.faults import (
+    COUNTERS,
     MIDFLIGHT_POLL_EVERY,
-    MidFlightScheduler,
-    MidFlightTrigger,
-    OnlineInvariantMonitor,
-    rekey_plan_midflight,
+    Fault,
+    FaultInjector,
+    Trigger,
 )
+from repro.runtime.chaos import OnlineInvariantMonitor, rekey_plan_midflight
 from repro.runtime.rpc import RemoteOpError
 
 
@@ -29,106 +28,119 @@ class FakeCluster:
     def remove_execute_hook(self, hook):
         self.hooks.remove(hook)
 
+    def add_barrier_hook(self, hook):
+        pass
+
+    def remove_barrier_hook(self, hook):
+        pass
+
     def execute(self, n=1, topology="app"):
         for _ in range(n):
             for hook in list(self.hooks):
                 hook(topology)
 
 
-class FakeInjector:
-    def __init__(self):
-        self.fired = []
+class FakeRuntime:
+    """Stands in for ``ChaosRuntime``: records the host kills the
+    injector fires and serves the remote counters it polls."""
 
-    def fire_now(self, fault):
-        self.fired.append(fault)
+    def __init__(self, counter_source=None):
+        self.fired = []
+        self.progress = counter_source
+
+    def kill_host(self, host_index):
+        self.fired.append(kill(host_index))
 
 
 def kill(host=0):
     return Fault(1, "host_sigkill", (host,))
 
 
+def tuples_only():  # pragma: no cover - must not run
+    raise AssertionError("polled despite tuples-only plan")
+
+
 class TestTriggerValidation:
     def test_counters_are_closed_set(self):
-        for counter in MIDFLIGHT_COUNTERS:
-            MidFlightTrigger(counter, 5)
+        for counter in COUNTERS:
+            Trigger(counter, 5)
         with pytest.raises(FaultPlanError):
-            MidFlightTrigger("wall_clock", 5)
+            Trigger("wall_clock", 5)
 
     def test_negative_threshold_refused(self):
         with pytest.raises(FaultPlanError):
-            MidFlightTrigger("tuples", -1)
+            Trigger("tuples", -1)
 
     def test_trigger_pickles(self):
-        trigger = MidFlightTrigger("wal_records", 40)
+        trigger = Trigger("wal_records", 40)
         assert pickle.loads(pickle.dumps(trigger)) == trigger
 
 
 class TestMidFlightScheduler:
     def test_fires_when_tuple_counter_crosses(self):
-        cluster, injector = FakeCluster(), FakeInjector()
+        cluster, runtime = FakeCluster(), FakeRuntime(tuples_only)
         fault = kill()
-        scheduler = MidFlightScheduler([(MidFlightTrigger("tuples", 3), fault)])
-        scheduler.attach(cluster, injector)
+        injector = FaultInjector(
+            [(Trigger("tuples", 3), fault)], runtime=runtime
+        )
+        injector.attach(cluster)
         cluster.execute(2)
-        assert injector.fired == []
-        assert scheduler.pending() == 1
+        assert runtime.fired == []
+        assert injector.remaining == [fault]
         cluster.execute(1)
-        assert injector.fired == [fault]
-        assert scheduler.fired_midflight == [fault]
-        assert scheduler.pending() == 0
+        assert runtime.fired == [fault]
+        assert injector.fired_midflight == [fault]
+        assert injector.exhausted
         cluster.execute(5)  # never refires
-        assert injector.fired == [fault]
+        assert runtime.fired == [fault]
 
     def test_simulator_fallback_degrades_remote_counters_to_tuples(self):
-        cluster, injector = FakeCluster(), FakeInjector()
-        scheduler = MidFlightScheduler(
+        cluster = FakeCluster()
+        injector = FaultInjector(
             [
-                (MidFlightTrigger("rpcs", 2), kill(0)),
-                (MidFlightTrigger("wal_records", 4), kill(1)),
+                (Trigger("rpcs", 2), kill(0)),
+                (Trigger("wal_records", 4), kill(1)),
             ]
         )
-        scheduler.attach(cluster, injector)  # no counter_source
+        injector.attach(cluster)  # no runtime: nothing to poll
         cluster.execute(2)
-        assert len(injector.fired) == 1
+        assert injector.fired_midflight == [kill(0)]
         cluster.execute(2)
-        assert len(injector.fired) == 2
+        assert injector.fired_midflight == [kill(0), kill(1)]
+        # ...and the process-native kinds are recorded, not fired
+        assert injector.skipped == [kill(0), kill(1)]
 
     def test_remote_counter_source_is_polled_sparsely(self):
-        cluster, injector = FakeCluster(), FakeInjector()
         polls = []
 
         def source():
             polls.append(len(polls))
             return {"rpcs": 100, "wal_records": 0}
 
-        scheduler = MidFlightScheduler(
-            [(MidFlightTrigger("rpcs", 50), kill())]
+        cluster, runtime = FakeCluster(), FakeRuntime(source)
+        injector = FaultInjector(
+            [(Trigger("rpcs", 50), kill())], runtime=runtime
         )
-        scheduler.attach(cluster, injector, counter_source=source)
+        injector.attach(cluster)
         cluster.execute(MIDFLIGHT_POLL_EVERY - 1)
         assert polls == []  # below the poll cadence
-        assert injector.fired == []
+        assert runtime.fired == []
         cluster.execute(1)
         assert len(polls) == 1  # polled once, crossed, fired
-        assert injector.fired == [kill()]
+        assert runtime.fired == [kill()]
         cluster.execute(MIDFLIGHT_POLL_EVERY * 3)
         assert len(polls) == 1  # nothing pending: polling stops
 
     def test_tuples_trigger_never_polls_remote(self):
-        cluster, injector = FakeCluster(), FakeInjector()
-
-        def source():  # pragma: no cover - must not run
-            raise AssertionError("polled despite tuples-only plan")
-
-        scheduler = MidFlightScheduler(
-            [(MidFlightTrigger("tuples", 2), kill())]
+        cluster, runtime = FakeCluster(), FakeRuntime(tuples_only)
+        injector = FaultInjector(
+            [(Trigger("tuples", 2), kill())], runtime=runtime
         )
-        scheduler.attach(cluster, injector, counter_source=source)
+        injector.attach(cluster)
         cluster.execute(8)
-        assert injector.fired == [kill()]
+        assert runtime.fired == [kill()]
 
     def test_poll_tolerates_host_mid_respawn(self):
-        cluster, injector = FakeCluster(), FakeInjector()
         calls = []
 
         def source():
@@ -137,59 +149,61 @@ class TestMidFlightScheduler:
                 raise RemoteOpError("host mid-respawn")
             return {"rpcs": 9, "wal_records": 9}
 
-        scheduler = MidFlightScheduler(
-            [(MidFlightTrigger("wal_records", 5), kill())]
+        cluster, runtime = FakeCluster(), FakeRuntime(source)
+        injector = FaultInjector(
+            [(Trigger("wal_records", 5), kill())], runtime=runtime
         )
-        scheduler.attach(cluster, injector, counter_source=source)
+        injector.attach(cluster)
         cluster.execute(MIDFLIGHT_POLL_EVERY)  # first poll raises
-        assert injector.fired == []
+        assert runtime.fired == []
         cluster.execute(MIDFLIGHT_POLL_EVERY)  # second poll succeeds
-        assert injector.fired == [kill()]
+        assert runtime.fired == [kill()]
 
     def test_flush_fires_unreached_triggers(self):
-        cluster, injector = FakeCluster(), FakeInjector()
+        cluster, runtime = FakeCluster(), FakeRuntime(tuples_only)
         near, far = kill(0), kill(1)
-        scheduler = MidFlightScheduler(
+        injector = FaultInjector(
             [
-                (MidFlightTrigger("tuples", 1), near),
-                (MidFlightTrigger("tuples", 1000), far),
-            ]
+                (Trigger("tuples", 1), near),
+                (Trigger("tuples", 1000), far),
+            ],
+            runtime=runtime,
         )
-        scheduler.attach(cluster, injector)
+        injector.attach(cluster)
         cluster.execute(3)
-        assert scheduler.fired_midflight == [near]
-        assert scheduler.flush() == 1
-        assert scheduler.flushed == [far]
-        assert injector.fired == [near, far]
-        assert scheduler.flush() == 0  # idempotent
+        assert injector.fired_midflight == [near]
+        assert injector.flush() == 1
+        assert injector.flushed == [far]
+        assert runtime.fired == [near, far]
+        assert injector.flush() == 0  # idempotent
 
     def test_fired_flags_survive_reattach(self):
         # the harness rebuilds its cluster after a crash; a re-attached
-        # scheduler must not replay already-fired faults
-        cluster, injector = FakeCluster(), FakeInjector()
-        scheduler = MidFlightScheduler(
-            [(MidFlightTrigger("tuples", 2), kill())]
+        # injector must not replay already-fired faults
+        cluster, runtime = FakeCluster(), FakeRuntime(tuples_only)
+        injector = FaultInjector(
+            [(Trigger("tuples", 2), kill())], runtime=runtime
         )
-        scheduler.attach(cluster, injector)
+        injector.attach(cluster)
         cluster.execute(2)
-        assert len(injector.fired) == 1
+        assert len(runtime.fired) == 1
         rebuilt = FakeCluster()
-        scheduler.attach(rebuilt, injector)
+        injector.attach(rebuilt)
         assert cluster.hooks == []  # detached from the old cluster
         rebuilt.execute(10)
-        assert len(injector.fired) == 1
+        assert len(runtime.fired) == 1
 
     def test_detach_stops_counting(self):
-        cluster, injector = FakeCluster(), FakeInjector()
-        scheduler = MidFlightScheduler(
-            [(MidFlightTrigger("tuples", 3), kill())]
+        cluster, runtime = FakeCluster(), FakeRuntime(tuples_only)
+        injector = FaultInjector(
+            [(Trigger("tuples", 3), kill())], runtime=runtime
         )
-        scheduler.attach(cluster, injector)
+        injector.attach(cluster)
         cluster.execute(2)
-        scheduler.detach()
+        injector.detach()
         cluster.execute(10)
-        assert injector.fired == []
-        assert scheduler.pending() == 1
+        assert runtime.fired == []
+        assert injector.remaining == [kill()]
 
 
 class FakeRouteConfig:

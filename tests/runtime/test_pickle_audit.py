@@ -286,10 +286,10 @@ class TestChaosTypes:
         assert back.to_dict() == report.to_dict()
 
     def test_midflight_trigger_and_rekeyed_plan(self):
-        from repro.recovery.faults import Fault
-        from repro.runtime.chaos import MidFlightTrigger, rekey_plan_midflight
+        from repro.recovery.faults import Fault, Trigger
+        from repro.runtime.chaos import rekey_plan_midflight
 
-        trigger = spawn_round_trip(MidFlightTrigger("wal_records", 40))
+        trigger = spawn_round_trip(Trigger("wal_records", 40))
         assert (trigger.counter, trigger.at) == ("wal_records", 40)
         plan = [Fault(2, "host_sigkill", (1,)), Fault(5, "fsync_error", (0,))]
         entries = rekey_plan_midflight(plan, 25, seed=7)

@@ -209,9 +209,11 @@ class TestDiskFaultShim:
         assert wal.io.armed() == []
 
     def test_kinds_match_the_fault_vocabulary(self):
-        from repro.recovery.faults import WAL_FAULT_KINDS
+        # one definition (repro.faultkinds), not two sets held equal
+        from repro.recovery.faults import FAULT_KINDS, WAL_FAULT_KINDS
 
-        assert WAL_FAULT_KINDS == DISK_FAULT_KINDS
+        assert WAL_FAULT_KINDS is DISK_FAULT_KINDS
+        assert all(kind in FAULT_KINDS for kind in DISK_FAULT_KINDS)
 
     def test_bit_flip_is_silent_until_replay(self, tmp_path):
         # the poisoned append *succeeds* — the caller acks — and only

@@ -1,9 +1,9 @@
 """Runtime rebalancing: the Section 7 future work applied live.
 
-An auto-parallelism plan is computed from a stream sample and applied to
-a running CF topology mid-stream; because every piece of algorithm state
-lives in TDStore, the rebalanced run must produce exactly the same
-counts as an untouched one.
+Task counts are changed on a running CF topology mid-stream — the move
+`repro.elastic.autoscaler` makes from monitoring signals; because every
+piece of algorithm state lives in TDStore, the rebalanced run must
+produce exactly the same counts as an untouched one.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.algorithms.itemcf import PracticalItemCF
 from repro.errors import ClusterStateError
 from repro.storm import LocalCluster
 from repro.tdstore import TDStoreCluster
-from repro.topology import StateKeys, WorkloadProfile, plan_parallelism
+from repro.topology import StateKeys
 from repro.topology.framework import CFTopologyConfig, build_cf_topology
 from repro.types import UserAction
 from repro.utils.clock import SimClock
@@ -96,13 +96,9 @@ class TestRebalance:
             cluster.rebalance("cf", "spout", 3)
 
     def test_plan_feeds_rebalance(self):
-        """The full §7 loop: profile a sample, plan, apply live."""
+        """A whole per-component plan, every layer resized, applied live."""
         actions = random_actions(seed=31)
-        plan = plan_parallelism(
-            WorkloadProfile.from_sample(actions, pairs_per_event=3.0),
-            events_per_task_per_second=0.5,
-            max_parallelism=6,
-        )
+        plan = {"userHistory": 3, "itemCount": 3, "pairCount": 6, "simList": 6}
         clock = SimClock()
         store = TDStoreCluster(num_data_servers=3, num_instances=16)
         topo = build_cf_topology(
@@ -113,7 +109,7 @@ class TestRebalance:
         cluster.submit(topo)
         for __ in range(40):
             cluster.step()
-        for component, parallelism in plan.as_dict().items():
+        for component, parallelism in plan.items():
             cluster.rebalance("cf", component, parallelism)
         cluster.run_until_idle()
         reference = PracticalItemCF(linked_time=BIG)

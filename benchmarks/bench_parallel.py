@@ -6,12 +6,13 @@ extra worker processes into throughput. On a box with more cores than
 workers that is unremarkable, so the benchmark is calibrated for the
 harder case — a single shared CPU — where the only parallel resource
 is the time workers spend *waiting*: every TDStore mutation is
-fsync-durable before it is acknowledged. A worker commits a task's
-slice of a wave as one envelope — one log record, one barrier for all
-of its mutations — so even a lone blocking worker amortizes the barrier
-(mutations per ``fsync``, reported as ``M``, is the direct measure),
-and N workers keep N envelopes in flight for the server host's group
-commit to cover with one barrier (WAL records per commit, ``K``).
+fsync-durable before it is acknowledged. A worker commits its share of
+a component wave as one envelope — one log record, one barrier for all
+of its tasks' mutations — so even a lone blocking worker amortizes the
+barrier (mutations per ``fsync``, reported as ``M``, is the direct
+measure), and N workers keep N envelopes in flight for the server
+host's group commit to cover with one barrier (WAL records per commit,
+``K``).
 
 Two calibration choices keep the measurement meaningful:
 
@@ -44,7 +45,9 @@ Writes ``BENCH_parallel.json``: ops/s per worker count (1, 2, 4), gated
 on absolute floors — what each count reached when every mutation paid
 its own barrier — and on a lone worker committing more than one
 mutation per ``fsync``. The 1->4 ratio is reported, not gated: it
-measured how much a lone worker wasted, and shrinks as that is fixed.
+measured how much a lone worker wasted, and shrinks as that is fixed —
+below one since a lone worker sends a whole wave as one envelope, which
+N workers on the one CPU split into N.
 """
 
 import hashlib

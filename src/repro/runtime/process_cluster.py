@@ -3,17 +3,20 @@ processes.
 
 The parent keeps everything that makes the simulator deterministic —
 spout polling, stream routing, groupings, the acker, metrics, queues,
-barrier/execute hooks — and replaces only the innermost step: instead
-of calling ``bolt.execute`` on a local instance, it drains each bolt
-queue into a *wave*, dispatches every task's batch to its pinned worker
-process (one RPC per worker, all in flight at once), and then replays
-the recorded emissions through its own collectors in a fixed order.
+the component-wave drain, settling, barrier/execute hooks — and
+replaces only the innermost step: instead of gathering, executing and
+committing a wave on local instances, it dispatches every task's slice
+to its pinned worker process (one RPC per worker, all in flight at
+once), where each worker runs its share as one wave of its own — one
+gather, one commit — and then replays the recorded emissions through
+its own collectors in a fixed order.
 
 Execution within a wave is genuinely concurrent across workers; the
 parent-side replay is deterministic. Fields groupings pin each key's
 tuples to one task, and tasks are pinned to workers, so cross-worker
 TDStore effects within a wave are on disjoint keys (or commutative
-increments) — the invariant that keeps final state reproducible. With
+increments) — the invariant that keeps final state reproducible, and
+the same one that lets a worker merge its tasks' store traffic. With
 ``serialize_waves=True`` even server-side arrival order is sequential,
 trading the parallel speedup for simulator-grade determinism.
 
@@ -171,118 +174,69 @@ class ProcessCluster(LocalCluster):
             except RemoteOpError:
                 pass
 
-    # -- execution: wave-based drain --------------------------------------
+    # -- execution: the wave runs in the workers ---------------------------
 
-    def drain(self) -> int:
-        """Process queued tuples to quiescence; returns tuples executed.
-
-        Same contract as the simulator's drain. A *wave* is all queued
-        tuples of one component, dispatched across the worker pool in
-        one overlapped RPC per worker. Waves follow the topology's
-        declaration order within each pass — the simulator's task
-        iteration order — so a component's upstream has fully executed
-        its share of the pass before the component reads TDStore, and
-        tasks executing concurrently within a wave belong to the same
-        fields/shuffle-grouped component and touch disjoint keys. That
-        is what keeps results equal to the simulator's instead of merely
-        self-consistent.
-        """
-        executed = 0
-        while True:
-            batch = 0
-            for run in list(self._running.values()):
-                for component in list(run.topology.specs):
-                    wave = self._collect_component_wave(run, component)
-                    if wave:
-                        self._run_wave(wave)
-                        batch += sum(len(tuples) for _, _, tuples in wave)
-            self._maybe_tick()
-            if batch == 0:
-                return executed
-            executed += batch
-
-    def _collect_component_wave(self, run: _RunningTopology, component: str):
-        """Drain one component's queues into ``[(run, key, tuples), ...]``."""
-        wave = []
-        for key in sorted(k for k in run.tasks if k[0] == component):
-            task = run.tasks.get(key)
-            if task is None or not task.queue:
-                continue
-            if not isinstance(task.instance, Bolt):
-                raise ClusterStateError(f"tuple routed to non-bolt {key[0]!r}")
-            tuples = list(task.queue)
-            task.queue.clear()
-            wave.append((run, key, tuples))
-        return wave
-
-    def _run_wave(self, wave):
+    def _execute_wave(self, run: _RunningTopology, wave) -> "list[list]":
+        """Run the wave on the worker pool — each worker gathers,
+        executes and commits its share as one wave of its own — and
+        feed the recorded emissions through the parent's collectors,
+        slice by slice in task order, with ``bolt.execute`` replaced by
+        the record."""
         self.waves_dispatched += 1
-        results = self._dispatch(wave)
-        # the workers have run the whole wave: settle every slice of it
-        # before the first recorded error propagates, or the tuples
-        # behind that error would be neither acked nor failed
-        error = None
-        for run, key, tuples in wave:
-            records = results[(run.topology.name, key)]
-            failed = self._replay_task_batch(run, key, tuples, records)
-            if error is None:
-                error = failed
-        if error is not None:
-            raise error
+        results = self._dispatch(run.topology.name, wave)
+        outcomes = []
+        for task, tuples in wave:
+            records = results[(task.component_name, task.task_index)]
+            errors = []
+            for tup, (events, error) in zip(tuples, records):
+                task.collector.set_input_context(tup.root_ids, tup.op_id)
+                try:
+                    self._replay_events(task, tup, events)
+                finally:
+                    task.collector.set_input_context(frozenset(), None)
+                errors.append(error)
+            outcomes.append(errors)
+        return outcomes
 
-    def _dispatch(self, wave):
+    def _dispatch(self, topology_name: str, wave):
         """Execute the wave on the worker pool; one in-flight RPC each.
 
-        Returns ``{(topology, key): [per-tuple records]}``. Worker death
-        is handled per worker: respawn, reload, re-dispatch its share.
+        Returns ``{(component, task_index): [per-tuple (events, error)]}``.
+        Worker death is handled per worker: respawn, reload, re-dispatch
+        its share.
         """
         per_worker: dict[int, list] = {}
-        for run, (component, task_index), tuples in wave:
-            index = task_owner(component, task_index, self.num_workers)
-            per_worker.setdefault(index, []).append(
-                (run.topology.name, component, task_index, tuples)
-            )
+        for task, tuples in wave:
+            key = (task.component_name, task.task_index)
+            index = task_owner(*key, self.num_workers)
+            per_worker.setdefault(index, []).append((*key, tuples))
         now = self.clock.now()
+        requests = [
+            (index, Request("execute_batch", (topology_name, now, batches)))
+            for index, batches in sorted(per_worker.items())
+        ]
         results: dict = {}
         if self._serialize_waves:
-            for index, batches in sorted(per_worker.items()):
-                self._collect_worker(index, batches, now, results, retry=True)
+            for index, request in requests:
+                self._collect_worker(index, request, results, retry=True)
             return results
         in_flight = []
-        for index, batches in sorted(per_worker.items()):
-            request = self._batch_request(batches, now)
+        for index, request in requests:
             try:
                 self._worker_rpc(index).send_request(request)
-                in_flight.append((index, batches))
+                in_flight.append((index, request))
             except RemoteOpError:
                 self._recover_worker(index)
-                self._collect_worker(index, batches, now, results, retry=False)
-        for index, batches in in_flight:
+                self._collect_worker(index, request, results, retry=False)
+        for index, request in in_flight:
             try:
-                self._merge_results(
-                    batches, self._worker_rpc(index).recv_response().unwrap(), results
-                )
+                results.update(self._worker_rpc(index).recv_response().unwrap())
             except RemoteOpError:
                 self._recover_worker(index)
-                self._collect_worker(index, batches, now, results, retry=False)
+                self._collect_worker(index, request, results, retry=False)
         return results
 
-    @staticmethod
-    def _batch_request(batches, now: float) -> Request:
-        by_topology: dict[str, list] = {}
-        for topology_name, component, task_index, tuples in batches:
-            by_topology.setdefault(topology_name, []).append(
-                (component, task_index, tuples)
-            )
-        if len(by_topology) == 1:
-            ((name, payload),) = by_topology.items()
-            return Request("execute_batch", (name, now, payload))
-        raise ClusterStateError(
-            "one wave dispatch spans multiple topologies; split the wave"
-        )
-
-    def _collect_worker(self, index, batches, now, results, *, retry: bool):
-        request = self._batch_request(batches, now)
+    def _collect_worker(self, index, request, results, *, retry: bool):
         try:
             response = self._worker_rpc(index).call_raw(request).unwrap()
         except RemoteOpError:
@@ -292,70 +246,9 @@ class ProcessCluster(LocalCluster):
                     "wave; giving up"
                 )
             self._recover_worker(index)
-            response = self._collect_worker(index, batches, now, results, retry=False)
-            return response
-        self._merge_results(batches, response, results)
-        return response
-
-    @staticmethod
-    def _merge_results(batches, response, results):
-        topology_name = batches[0][0]
-        for component, task_index, records in response:
-            results[(topology_name, (component, task_index))] = records
-
-    # -- parent-side replay ------------------------------------------------
-
-    def _replay_task_batch(self, run: _RunningTopology, key, tuples, records):
-        """Feed one task's recorded executions through the parent's
-        collector — the settling half of the simulator's
-        ``_execute_slice`` (ack, then execute hooks, per tuple), with
-        ``bolt.execute`` replaced by the record; the worker has already
-        run the slice and committed it.
-
-        If an execute hook kills this task mid-replay (the fresh
-        instance lives both here and in the worker), the rest of the
-        batch is pushed back on the queue and re-dispatched next wave,
-        so a dead instance never keeps its queue; the
-        worker-side effects of the discarded records are duplicates the
-        dedup ledgers absorb.
-
-        Returns the first error the records carry, once every record is
-        settled: a failed flush marks the whole slice, and each of its
-        tuples must reach the acker as failed (the caller raises).
-        """
-        error = None
-        for position, (tup, record) in enumerate(zip(tuples, records)):
-            task = run.tasks.get(key)
-            if task is None:
-                break
-            failed = self._replay_one(run, task, tup, record)
-            if error is None:
-                error = failed
-            if run.tasks.get(key) is not task:
-                remaining = tuples[position + 1 :]
-                fresh = run.tasks.get(key)
-                if fresh is not None and remaining:
-                    fresh.queue.extendleft(reversed(remaining))
-                break
-        return error
-
-    def _replay_one(self, run: _RunningTopology, task: _Task, tup: StormTuple, record):
-        """Settle one recorded execution; returns the error it carries
-        (its ``fail`` is among the events), else acks and runs hooks."""
-        bolt = task.instance
-        run.metrics.task(task.component_name, task.task_index).executed += 1
-        task.collector.set_input_context(tup.root_ids, tup.op_id)
-        try:
-            self._replay_events(task, tup, record["events"])
-        finally:
-            task.collector.set_input_context(frozenset(), None)
-        if record["error"] is not None:
-            return record["error"]
-        if not getattr(bolt, "manual_ack", False):
-            task.collector.ack(tup)
-        for hook in list(self._execute_hooks):
-            hook(run.topology.name)
-        return None
+            self._collect_worker(index, request, results, retry=False)
+            return
+        results.update(response)
 
     @staticmethod
     def _replay_events(task: _Task, tup: StormTuple, events):

@@ -5,7 +5,11 @@ executes batches of tuples the parent dispatches over RPC. Everything
 *around* execution stays in the parent — routing, grouping, acking,
 metrics, checkpoint policy — so the worker's job is exactly a real
 Storm executor's: run ``bolt.execute`` against local state and report
-what the bolt emitted.
+what the bolt emitted. A dispatch is this worker's share of one
+component wave, and it runs as the simulator runs a whole one
+(:func:`~repro.storm.cluster.execute_wave`): one gather for every task
+in it, their tuples, one commit — so the share is the unit of store
+traffic and of failure.
 
 Emissions are captured by a *recording* ``OutputCollector``: the same
 collector class the simulator uses (so op-id derivation, emit sequence
@@ -36,7 +40,8 @@ from repro.runtime.wire import (
     encode_error,
     sanitize_exception,
 )
-from repro.storm.component import Bolt, OutputCollector, TopologyContext
+from repro.storm.cluster import execute_one, execute_wave, tick_wave
+from repro.storm.component import OutputCollector, TopologyContext
 from repro.storm.tuples import StormTuple
 from repro.utils.clock import SimClock
 
@@ -179,99 +184,76 @@ class WorkerHost:
 
     # -- execution --------------------------------------------------------
 
-    def execute_batch(self, name: str, now: float, batches) -> list:
-        """Run dispatched tuples; return per-tuple event records.
+    def execute_batch(self, name: str, now: float, batches) -> dict:
+        """Run this worker's share of a component wave — one gather, one
+        commit for all of it (:func:`~repro.storm.cluster.execute_wave`)
+        — and return per-tuple records.
 
         ``batches`` is ``[(component, task_index, [StormTuple...]), ...]``;
-        the result is aligned with it. Each record is
-        ``{"events": [...], "error": exc|None}`` — the parent replays
-        events through its own collectors and re-raises the error, so
-        parent-side control flow is byte-for-byte the simulator's.
+        the result maps ``(component, task_index)`` to one ``(events,
+        error)`` record per tuple — the parent replays the events
+        through its own collectors and settles the tuple by the error,
+        so parent-side control flow is byte-for-byte the simulator's.
         """
         entry = self._entry(name)
         entry.clock.advance_to(now)
-        out = []
-        for component, task_index, tuples in batches:
-            task = entry.tasks.get((component, task_index))
-            if task is None:
-                task = self._build_task(entry, component, task_index)
-            out.append(
-                (component, task_index, self._execute_slice(entry, task, tuples))
+        slices = [
+            (
+                entry.tasks.get((component, task_index))
+                or self._build_task(entry, component, task_index),
+                tuples,
             )
-        return out
+            for component, task_index, tuples in batches
+        ]
+        recorded: dict[int, list] = {}  # id(tuple) -> what it emitted
 
-    def _execute_slice(self, entry: _WorkerTopology, task: _WorkerTask, tuples):
-        """One task's share of a wave: gather -> compute -> commit.
-
-        The slice is the unit of store traffic and therefore of failure:
-        a gather that fails fails every tuple unexecuted, a commit that
-        fails fails every tuple that had not failed on its own — their
-        emissions stand (emit first), their writes are replayed.
-        """
-        try:
-            task.instance.prefetch(tuples)
-            refused = None
-        except Exception as exc:
-            refused = exc
-        records = [self._execute_one(task, tup, refused) for tup in tuples]
-        try:
-            self._commit(entry, task)
-        except Exception as exc:
-            error = sanitize_exception(exc)
-            for record in records:
-                if record["error"] is None:
-                    record["events"].append(("fail",))
-                    record["error"] = error
-        return records
-
-    def _commit(self, entry: _WorkerTopology, task: _WorkerTask):
-        """Flush what the task buffered; a failed flush costs the task
-        its memory (cache and dedup ledger name writes that never
-        landed), so the replay meets a fresh instance."""
-        try:
-            task.instance.flush()
-        except Exception:
-            self._build_task(entry, task.component, task.task_index)
-            raise
-
-    def _execute_one(
-        self, task: _WorkerTask, tup: StormTuple, refused: "Exception | None"
-    ) -> dict:
-        events: list[tuple] = []
-        task.events = events
-        task.collector.set_input_context(tup.root_ids, tup.op_id)
-        error = None
-        try:
-            if refused is not None:
-                raise refused
-            task.instance.execute(tup)
-        except Exception as exc:
-            task.collector.fail(tup)
-            error = sanitize_exception(exc)
-        finally:
-            task.collector.set_input_context(frozenset(), None)
-            task.events = None
-        self.executed += 1
-        return {"events": events, "error": error}
-
-    def tick_all(self, name: str, now: float) -> list:
-        """Tick every owned bolt; returns ``[(comp, idx, events), ...]``."""
-        entry = self._entry(name)
-        entry.clock.advance_to(now)
-        out = []
-        for key in sorted(entry.tasks):
-            task = entry.tasks[key]
-            if not isinstance(task.instance, Bolt):
-                continue
-            events: list[tuple] = []
-            task.events = events
+        def execute(task: _WorkerTask, tup: StormTuple):
+            task.events = recorded[id(tup)] = []
             try:
-                task.instance.tick(now)
-                self._commit(entry, task)
+                return execute_one(task, tup)
             finally:
                 task.events = None
-            self.ticks += 1
-            out.append((key[0], key[1], events))
+                self.executed += 1
+
+        outcomes = execute_wave(slices, self._rebuilder(entry), execute)
+        return {
+            (task.component, task.task_index): [
+                (
+                    # nothing, for a tuple a refused gather failed
+                    recorded.get(id(tup), ()),
+                    None if error is None else sanitize_exception(error),
+                )
+                for tup, error in zip(tuples, errors)
+            ]
+            for (task, tuples), errors in zip(slices, outcomes)
+        }
+
+    def _rebuilder(self, entry: _WorkerTopology):
+        """A failed commit costs a task its memory (cache and dedup
+        ledger name writes that never landed): the replay meets a fresh
+        instance."""
+        return lambda task: self._build_task(
+            entry, task.component, task.task_index
+        )
+
+    def tick_all(self, name: str, now: float) -> list:
+        """Tick every owned bolt, a component's tasks as one wave;
+        returns ``[(comp, idx, events), ...]``."""
+        entry = self._entry(name)
+        entry.clock.advance_to(now)
+        out = []
+        owned = sorted(entry.tasks)
+        for component in entry.topology.specs:
+            tasks = [entry.tasks[key] for key in owned if key[0] == component]
+            for task in tasks:
+                task.events = []
+                out.append((task.component, task.task_index, task.events))
+            try:
+                tick_wave(tasks, now, self._rebuilder(entry))
+            finally:
+                for task in tasks:
+                    task.events = None
+            self.ticks += len(tasks)
         return out
 
     # -- task control (parent mirrors of kill/rebalance/checkpoint) ------

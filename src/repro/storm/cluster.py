@@ -21,11 +21,12 @@ from typing import Any, Callable
 from repro.errors import ClusterError, ClusterStateError
 from repro.storm.acking import Acker
 from repro.storm.component import (
-    Bolt,
     Component,
     OutputCollector,
     Spout,
     TopologyContext,
+    commit_wave,
+    gather_wave,
 )
 from repro.storm.metrics import ClusterMetrics
 from repro.storm.topology import Topology
@@ -103,12 +104,78 @@ class _RunningTopology:
     def pending_tuples(self) -> int:
         return sum(len(t.queue) for t in self.tasks.values())
 
+    def tasks_of(self, component: str) -> "list[_Task]":
+        """The component's tasks, in task order."""
+        parallelism = self.topology.specs[component].parallelism
+        return [self.tasks[(component, i)] for i in range(parallelism)]
+
     def spouts_active(self) -> bool:
         return any(
             not task.spout_done
             for task in self.tasks.values()
             if isinstance(task.instance, Spout)
         )
+
+
+def execute_one(task, tup: StormTuple) -> "Exception | None":
+    """Run one tuple with its identity installed; returns its error."""
+    task.collector.set_input_context(tup.root_ids, tup.op_id)
+    try:
+        task.instance.execute(tup)
+    except Exception as exc:
+        return exc
+    finally:
+        task.collector.set_input_context(frozenset(), None)
+    return None
+
+
+def commit_tasks(tasks, restart):
+    """One commit for what ``tasks`` buffered. Writes a failed commit
+    dropped are still in the tasks' caches and dedup ledgers, so every
+    one of them restarts fresh (``restart(task)``) and the replay meets
+    the store's journals."""
+    try:
+        commit_wave(task.instance.to_commit() for task in tasks)
+    except Exception:
+        for task in tasks:
+            restart(task)
+        raise
+
+
+def execute_wave(slices, restart, execute=execute_one) -> "list[list]":
+    """gather -> execute -> commit for the ``(task, tuples)`` slices of
+    one component wave — on either executor, the unit of store traffic
+    and therefore of failure.
+
+    Returns one list per slice, aligned with its tuples: each tuple's
+    error or ``None``. A gather that is refused fails every tuple
+    unexecuted; a commit that fails fails every tuple that had not
+    failed on its own — their emissions stand (emit first), their writes
+    are replayed — and restarts every task of the wave. An envelope that
+    broke part-way leaves an op prefix, which the journals absorb.
+    """
+    try:
+        gather_wave(task.instance.to_gather(tuples) for task, tuples in slices)
+    except Exception as exc:
+        return [[exc] * len(tuples) for __, tuples in slices]
+    outcomes = [
+        [execute(task, tup) for tup in tuples] for task, tuples in slices
+    ]
+    try:
+        commit_tasks([task for task, __ in slices], restart)
+    except Exception as exc:
+        return [
+            [exc if error is None else error for error in errors]
+            for errors in outcomes
+        ]
+    return outcomes
+
+
+def tick_wave(tasks, now: float, restart):
+    """Tick one component's tasks and commit the tick as one wave."""
+    for task in tasks:
+        task.instance.tick(now)
+    commit_tasks(tasks, restart)
 
 
 class LocalCluster:
@@ -278,93 +345,74 @@ class LocalCluster:
     def drain(self) -> int:
         """Process queued tuples to quiescence; returns tuples executed.
 
-        A task's turn is a *slice*: everything queued for it when its
-        turn comes, executed back to back (see :meth:`_execute_slice`).
+        A component's turn is a *wave*: everything queued for its tasks
+        when the turn comes (see :meth:`_run_wave`). Waves follow the
+        topology's declaration order within each pass, so a component's
+        upstream has fully executed — and committed — its share of the
+        pass before the component reads TDStore, and the tasks of one
+        wave belong to one fields/shuffle-grouped component and touch
+        disjoint keys: one read and one write serve them all, here, and
+        worker processes may run them concurrently
+        (:class:`~repro.runtime.process_cluster.ProcessCluster`) with
+        results equal to these instead of merely self-consistent.
         """
         executed = 0
         while True:
             batch = 0
-            for run in self._running.values():
-                for key in list(run.tasks):
-                    # re-look-up per slice: an execute hook may kill_task
-                    # mid-drain, swapping in a fresh instance that shares
-                    # the old queue — the dead instance must not keep
-                    # processing it
-                    while True:
-                        task = run.tasks.get(key)
-                        if task is None or not task.queue:
-                            break
-                        tuples = list(task.queue)
-                        task.queue.clear()
-                        batch += len(tuples)
-                        self._execute_slice(run, task, tuples)
+            for run in list(self._running.values()):
+                for component in list(run.topology.specs):
+                    wave = [
+                        (task, list(task.queue))
+                        for task in run.tasks_of(component)
+                        if task.queue
+                    ]
+                    if wave:
+                        for task, tuples in wave:
+                            task.queue.clear()
+                            batch += len(tuples)
+                        self._run_wave(run, wave)
             self._maybe_tick()
             if batch == 0:
                 return executed
             executed += batch
 
-    def _execute_slice(
-        self, run: _RunningTopology, task: _Task, tuples: list[StormTuple]
-    ):
-        """One task's slice: gather -> compute -> commit, then settle.
+    def _run_wave(self, run: _RunningTopology, wave):
+        """One component wave: gather -> execute -> commit, then settle.
 
-        The bolt may read what the slice needs in one store trip
-        (``prefetch``) and write it back in one (``flush``); tuples are
-        acked, and execute hooks run, once their writes are committed. A
-        tuple that raises ends the slice: what ran before it commits and
-        is acked, it fails, the rest go back on the queue, and the error
-        propagates (fail-fast, as ever). A commit that raises fails the
-        whole slice and restarts the task.
+        Tuples are acked, and execute hooks run, once the wave's writes
+        are committed; a tuple that failed — on its own, with a refused
+        gather or with the wave's commit — reaches the acker as failed.
+        The whole wave is settled before the first error propagates
+        (fail-fast, as ever), or the tuples behind that error would be
+        neither acked nor failed. A hook may kill a task of the wave:
+        its tuples are committed already and settle all the same.
         """
-        bolt = task.instance
-        if not isinstance(bolt, Bolt):
-            raise ClusterStateError(
-                f"tuple routed to non-bolt {task.component_name!r}"
-            )
-        collector = task.collector
-        counters = run.metrics.task(task.component_name, task.task_index)
-        done, error = 0, None
-        try:
-            bolt.prefetch(tuples)
-            for tup in tuples:
+        error = None
+        for (task, tuples), errors in zip(wave, self._execute_wave(run, wave)):
+            counters = run.metrics.task(task.component_name, task.task_index)
+            manual_ack = getattr(task.instance, "manual_ack", False)
+            for tup, failed in zip(tuples, errors):
                 counters.executed += 1
-                collector.set_input_context(tup.root_ids, tup.op_id)
-                bolt.execute(tup)
-                done += 1
-        except Exception as exc:
-            error = exc
-            task.queue.extendleft(reversed(tuples[done + 1 :]))
-        finally:
-            collector.set_input_context(frozenset(), None)
-        ran = tuples[:done]
-        culprit = tuples[done : done + 1] if error is not None else []
-        try:
-            self._commit(run, task)
-        except Exception:
-            for tup in ran + culprit:
-                collector.fail(tup)
-            raise
-        manual_ack = getattr(bolt, "manual_ack", False)
-        for tup in ran:
-            if not manual_ack:
-                collector.ack(tup)
-            for hook in list(self._execute_hooks):
-                hook(run.topology.name)
+                if failed is not None:
+                    task.collector.fail(tup)
+                    error = failed if error is None else error
+                    continue
+                if not manual_ack:
+                    task.collector.ack(tup)
+                for hook in list(self._execute_hooks):
+                    hook(run.topology.name)
         if error is not None:
-            collector.fail(culprit[0])
             raise error
 
-    def _commit(self, run: _RunningTopology, task: _Task):
-        """Flush what the task buffered. Writes a failed flush dropped
-        are still in the task's cache and dedup ledger, so the task
-        restarts fresh and the replay meets the store's journals."""
-        try:
-            task.instance.flush()
-        except Exception:
-            self.kill_task(
-                run.topology.name, task.component_name, task.task_index
-            )
-            raise
+    def _execute_wave(self, run: _RunningTopology, wave) -> "list[list]":
+        """The step a substrate replaces: run the wave's tuples and
+        return, per slice, each tuple's error (or ``None``)."""
+        return execute_wave(wave, self._restarter(run))
+
+    def _restarter(self, run: _RunningTopology):
+        return lambda task: self.kill_task(
+            run.topology.name, task.component_name, task.task_index
+        )
 
     def _maybe_tick(self):
         if self._next_tick is None:
@@ -380,10 +428,9 @@ class LocalCluster:
 
     def _tick_all(self, now: float):
         for run in self._running.values():
-            for task in list(run.tasks.values()):
-                if isinstance(task.instance, Bolt):
-                    task.instance.tick(now)
-                    self._commit(run, task)
+            for name, spec in list(run.topology.specs.items()):
+                if not spec.is_spout:
+                    tick_wave(run.tasks_of(name), now, self._restarter(run))
 
     # ------------------------------------------------------------------
     # checkpoint support (repro.recovery)

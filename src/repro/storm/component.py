@@ -9,7 +9,7 @@ the :class:`OutputCollector` handed to them at preparation time.
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.storm.streams import DEFAULT_STREAM, OutputDeclaration
@@ -198,29 +198,90 @@ class Bolt(Component):
         from here.
         """
 
-    # -- slice protocol: gather -> compute -> commit ------------------------
+    # -- wave protocol: gather -> compute -> commit -------------------------
     #
-    # The executor hands a task its input as slices — everything queued
-    # for the task when its turn comes, on both executors — and brackets
-    # each slice (and each tick) with these two calls, so a bolt that
-    # keeps state behind a store can read it in one trip and write it
-    # back in one.
+    # The executor hands a component its input as waves — everything queued
+    # for its tasks when its turn comes, on both executors — and brackets
+    # each wave (and each tick) with one read and one write for all of its
+    # tasks. A bolt that keeps state behind a store takes part by handing
+    # its I/O over as data for :func:`gather_wave` / :func:`commit_wave`.
 
-    def prefetch(self, tuples: "Sequence[StormTuple]"):
-        """Called before the tuples of a slice are executed."""
+    def to_gather(self, tuples: "Sequence[StormTuple]") -> "tuple | None":
+        """What executing ``tuples`` will read: ``(transport, keys,
+        probes, fill)`` — ``transport.gather(keys, probes)`` answers
+        ``(values, seen)``, ``fill(values, seen)`` takes this bolt's
+        part of it — or ``None``."""
+        return None
 
-    def flush(self):
-        """Called after a slice (or a tick). If it raises, every tuple of
-        the slice fails and the executor discards this instance — what
-        it did not commit is replayed to a fresh one."""
+    def to_commit(self) -> "tuple | None":
+        """What the bolt buffered: ``(transport, writes, settle)`` —
+        ``transport.mutate(writes)`` answers a result per write,
+        ``settle(results)`` takes them, ``settle(None, error)`` hears
+        that the commit failed (the executor then discards this instance
+        and replays what it did not commit to a fresh one) — or ``None``."""
         if hasattr(self, "_store"):
-            # a bolt's ``_store`` buffers its writes until flushed (see
+            # a bolt's ``_store`` buffers its writes until committed (see
             # ``repro.topology.state.StoreBacked``); inheriting this
             # no-op would drop them without a sound
             raise ConfigurationError(
                 f"{type(self).__name__} keeps state behind a store but "
-                "does not flush it; list StoreBacked before its bolt base"
+                "does not commit it; list StoreBacked before its bolt base"
             )
+        return None
+
+    def prefetch(self, tuples: "Sequence[StormTuple]"):
+        """The wave of one: read ahead for this task alone."""
+        gather_wave([self.to_gather(tuples)])
+
+    def flush(self):
+        """The wave of one: commit what this task alone buffered."""
+        commit_wave([self.to_commit()])
+
+
+def gather_wave(entries: "Iterable[tuple | None]"):
+    """One strict read for the :meth:`Bolt.to_gather` entries of a wave.
+
+    Their keys and probes travel together through the first entry's
+    transport — one factory builds a component's tasks, so their
+    transports are handles to one store — and every ``fill`` sees the
+    whole answer.
+    """
+    entries = [entry for entry in entries if entry is not None]
+    keys = [key for entry in entries for key in entry[1]]
+    probes = [probe for entry in entries for probe in entry[2]]
+    if len(keys) + len(probes) < 2:
+        # a lone item is as cheap asked for when needed — and a
+        # journaled write asks its own probe in the trip it commits in
+        return
+    values, seen = entries[0][0].gather(keys, probes)
+    for entry in entries:
+        entry[3](values, seen)
+
+
+def commit_wave(entries: "Iterable[tuple | None]"):
+    """One envelope for the :meth:`Bolt.to_commit` entries of a wave.
+
+    The writes ship in task order through the first entry's transport
+    and each ``settle`` gets its own slice of the results. The wave
+    commits or fails as one: whatever goes wrong — handing over, the
+    envelope, one entry's check of its results — every entry taken so
+    far hears ``settle(None, error)`` and the error propagates.
+    """
+    taken: list[tuple] = []
+    try:
+        for entry in entries:
+            if entry is not None:
+                taken.append(entry)
+        writes = [write for entry in taken for write in entry[1]]
+        results = taken[0][0].mutate(writes) if writes else []
+        at = 0
+        for __, own, settle in taken:
+            settle(results[at : at + len(own)])
+            at += len(own)
+    except Exception as exc:
+        for entry in taken:
+            entry[2](None, exc)
+        raise
 
 
 class FunctionBolt(Bolt):

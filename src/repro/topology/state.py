@@ -4,8 +4,8 @@
 :class:`CachedStore` is the fine-grained cache of Section 5.2: because
 stream grouping sends all tuples with one key to one worker, a task may
 cache the keys *it owns* and write them back in bulk — one gather and
-one commit per slice of tuples; keys owned by other tasks must be read
-fresh. :class:`Combiner` is the partial-aggregation map of
+one commit per wave of a component's tasks; keys owned by other tasks
+must be read fresh. :class:`Combiner` is the partial-aggregation map of
 Section 5.3, flushed at tick intervals, collapsing the hot-item write
 storm into one read-modify-write per key per interval.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError, TDStoreError
+from repro.storm.component import commit_wave, gather_wave
 from repro.tdstore.client import TDStoreClient
 
 
@@ -134,13 +135,17 @@ class CachedStore:
     so the task may hold their state locally (the fine-grained cache of
     §5.2) and write it back in bulk:
 
-    - :meth:`prefetch` fetches everything a slice of tuples declared
-      (:class:`Reads`) in one strict read frame;
+    - :meth:`to_gather` names everything a slice of tuples declared
+      (:class:`Reads`), fetched in one strict read frame;
     - reads are answered from that, writes update the owned-key cache
       and append to an ordered buffer;
-    - :meth:`flush` ships the buffer in order as one envelope per server
-      process (:meth:`TDStoreClient.mutate`) and then runs the callbacks
-      registered with :meth:`after_commit`.
+    - :meth:`to_commit` hands the buffer over to ship in order as one
+      envelope per server process (:meth:`TDStoreClient.mutate`), after
+      which the callbacks registered with :meth:`after_commit` run.
+
+    The executors merge both across the tasks of a component wave — one
+    frame and one envelope for all of them, since their keys are
+    disjoint; :meth:`prefetch` and :meth:`flush` are the wave of one.
 
     Declarations only buy speed. A read, probe or journaled write whose
     inputs were not prefetched first ships the buffer and then asks the
@@ -149,16 +154,17 @@ class CachedStore:
     read with :meth:`get_fresh`, which never consults the owned-key
     cache.
 
-    After a failed :meth:`flush` the buffered writes are gone while the
-    cache still shows them, so every later call raises: the owner must
-    be discarded with its task (fresh cache, fresh dedup ledger) and the
-    tuples replayed against the store's journals.
+    After a failed commit — its own or a wave neighbour's — the buffered
+    writes are gone while the cache still shows them, so every later
+    call raises: the owner must be discarded with its task (fresh cache,
+    fresh dedup ledger) and the tuples replayed against the store's
+    journals.
     """
 
     def __init__(self, client: TDStoreClient):
         self._client = client
         self._cache: dict[str, Any] = {}
-        # prefetched for the slice in flight; dropped by flush()
+        # gathered for the wave in flight; dropped at its commit
         self._fresh: dict[str, Any] = {}
         self._probes: dict[tuple[str, str], bool] = {}
         # ordered (method, args) writes not yet shipped, the values the
@@ -173,8 +179,10 @@ class CachedStore:
 
     # -- gather ------------------------------------------------------------
 
-    def prefetch(self, reads: "Iterable[Reads | None]"):
-        """Fetch what a slice declared, in one read frame.
+    def to_gather(self, reads: "Iterable[Reads | None]") -> tuple:
+        """What a slice declared and this store lacks, as the wave entry
+        ``(transport, keys, probes, fill)`` of
+        :func:`~repro.storm.component.gather_wave`.
 
         Owned keys already cached are not fetched again — this task is
         their only writer, so the cache is the newer copy.
@@ -194,17 +202,22 @@ class CachedStore:
             for probe in read.probes:
                 if probe not in known:
                     probes.append(probe)
-        if len(keys) + len(fresh) + len(probes) < 2:
-            # a lone item is as cheap asked for when needed — and a
-            # journaled write asks its own probe in the trip it commits in
-            return
-        values, seen = self._client.gather(keys + fresh, probes)
-        get = values.get
-        for key in keys:
-            cache[key] = get(key, _MISSING)
-        for key in fresh:
-            self._fresh[key] = get(key, _MISSING)
-        known.update(seen)
+
+        def fill(values, seen):
+            get = values.get
+            for key in keys:
+                cache[key] = get(key, _MISSING)
+            for key in fresh:
+                self._fresh[key] = get(key, _MISSING)
+            for probe in probes:
+                known[probe] = seen[probe]
+
+        return self._client, keys + fresh, probes, fill
+
+    def prefetch(self, reads: "Iterable[Reads | None]"):
+        """Fetch what a slice declared, in one read frame (the wave of
+        one)."""
+        gather_wave([self.to_gather(reads)])
 
     # -- reads -------------------------------------------------------------
 
@@ -250,7 +263,7 @@ class CachedStore:
             self._fresh[key] = value
 
     def put(self, key: str, value: Any):
-        """Update the cache now and TDStore at the next flush (§5.2)."""
+        """Update the cache now and TDStore at the next commit (§5.2)."""
         self._check()
         self._remember(key, value)
         self._write("put", key, value)
@@ -266,7 +279,7 @@ class CachedStore:
         Like :meth:`incr` but replay-safe: a duplicate ``op_id`` leaves
         the value untouched. With the key and the probe at hand the
         result is computed here — this task is the key's only writer —
-        and the value the store answers with is checked at flush.
+        and the value the store answers with is checked at commit.
         """
         self._check()
         seen = self._probes.get((key, op_id))
@@ -307,7 +320,7 @@ class CachedStore:
         return not seen
 
     def delete(self, key: str):
-        """Drop the key from the cache now and TDStore at the next flush.
+        """Drop the key from the cache now and TDStore at the next commit.
 
         Deleting an absent key is a no-op, so re-executed cleanup (e.g.
         a replayed centroid merge) stays idempotent.
@@ -318,42 +331,53 @@ class CachedStore:
 
     def after_commit(self, callback: Callable[..., Any], *args: Any):
         """Run ``callback(*args)`` once the writes buffered so far have
-        landed (never if their flush fails)."""
+        landed (never if their commit fails)."""
         self._after.append((callback, args))
 
     # -- commit ------------------------------------------------------------
 
-    def flush(self):
-        """Commit the slice: ship the buffer, then forget what was
-        prefetched for it."""
+    def to_commit(self) -> tuple:
+        """End the slice: forget what was prefetched for it and hand
+        over the buffer, as the wave entry ``(transport, writes,
+        settle)`` of :func:`~repro.storm.component.commit_wave`."""
         self._fresh.clear()
         self._probes.clear()
         self._check()
-        self._ship()
+        return self._take()
+
+    def flush(self):
+        """Commit the slice (the wave of one)."""
+        commit_wave([self.to_commit()])
 
     def _check(self):
         if self._failed is not None:
             raise self._failed
 
-    def _ship(self):
+    def _take(self) -> tuple:
         writes, self._writes = self._writes, []
         expected, self._expected = self._expected, {}
         after, self._after = self._after, []
-        if writes:
-            try:
-                results = self._client.mutate(writes)
-                for index, value in expected.items():
-                    if results[index][0] != value:
-                        raise TDStoreError(
-                            f"{writes[index][1][0]!r} came back as "
-                            f"{results[index][0]!r} where its single writer "
-                            f"computed {value!r}"
-                        )
-            except Exception as exc:
-                self._failed = exc
-                raise
-        for callback, args in after:
-            callback(*args)
+
+        def settle(results, error=None):
+            if error is not None:
+                self._failed = error
+                return
+            for index, value in expected.items():
+                if results[index][0] != value:
+                    raise TDStoreError(
+                        f"{writes[index][1][0]!r} came back as "
+                        f"{results[index][0]!r} where its single writer "
+                        f"computed {value!r}"
+                    )
+            for callback, args in after:
+                callback(*args)
+
+        return self._client, writes, settle
+
+    def _ship(self):
+        """Commit the buffer mid-slice, ahead of a direct store call."""
+        if self._writes or self._after:
+            commit_wave([self._take()])
 
     def invalidate(self, key: str | None = None):
         if key is None:
@@ -369,11 +393,11 @@ class CachedStore:
 class StoreBacked:
     """Mixin for a bolt whose state sits behind ``self._store``.
 
-    Implements the executor's slice protocol
-    (:meth:`~repro.storm.component.Bolt.prefetch` /
-    :meth:`~repro.storm.component.Bolt.flush`) over the bolt's
+    Implements the executor's wave protocol
+    (:meth:`~repro.storm.component.Bolt.to_gather` /
+    :meth:`~repro.storm.component.Bolt.to_commit`) over the bolt's
     :class:`CachedStore`; list it before the bolt base class. A bolt
-    speeds its slices up by overriding :meth:`reads`.
+    speeds its waves up by overriding :meth:`reads`.
     """
 
     _store: CachedStore
@@ -383,11 +407,11 @@ class StoreBacked:
         state change. Anything left out is read directly when needed."""
         return None
 
-    def prefetch(self, tuples):
-        self._store.prefetch(map(self.reads, tuples))
+    def to_gather(self, tuples):
+        return self._store.to_gather(map(self.reads, tuples))
 
-    def flush(self):
-        self._store.flush()
+    def to_commit(self):
+        return self._store.to_commit()
 
 
 class Combiner:

@@ -53,10 +53,13 @@ TUPLES_PER_ROUND = 30
 # is what detects them, and both frame corruptions land *after* the
 # last SIGKILL (~210-240 tuples) so no kill wipes the injection or
 # detection tallies before the report reconciles them. The WAL-keyed
-# trigger counts envelopes, one per task slice and host process: the
-# first userHistory wave logs 20 of them (32 records when every mutation
-# was its own), so 6 sits where 10 used to — a third of the way into
-# that wave, polled at tuple 12.
+# trigger counts envelopes, one per component wave, worker and host
+# process. Here each of the two workers holds one task of every
+# two-task component, so a worker's share of a wave is one slice and the
+# stream logs what it logged per slice: 6 records by the first poll
+# (tuple 4, the first pretreatment wave settling, trees open), 20 by
+# tuple 12 — the trigger sits at the same stream position under either
+# unit and needs no re-keying.
 CORRUPTION_ENTRIES = [
     (Trigger("wal_records", 6), Fault(2, "bit_flip", (1,))),
     (Trigger("tuples", 35), Fault(2, "wal_corrupt", (1,))),

@@ -8,16 +8,20 @@ consequences: the wire methods that carry mutations are all in
 ``MUTATING_DATA_METHODS``, an ack lost after the apply leaves no replica
 behind, and the RPC/WAL cost of an envelope is exactly one per server
 process it touches — however many ops, logical servers and sync records
-it carries.
+it carries, and however many tasks of a component wave buffered them.
 """
 
 import pytest
 
 from repro.errors import DataServerDownError, TDStoreError
-from repro.runtime import ProcessSubstrate
+from repro.runtime import ProcessSubstrate, topology_recipe
 from repro.runtime.wire import MUTATING_DATA_METHODS
+from repro.storm import Bolt, Spout, TopologyBuilder
+from repro.storm.grouping import FieldsGrouping
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.data_server import TDStoreDataServer
+from repro.topology.state import CachedStore, Reads, StoreBacked
+from repro.utils.clock import SimClock
 
 from tests.chaos.helpers import SUBSTRATES  # sim, and process on one host
 
@@ -204,8 +208,98 @@ def runtime_counts(store):
     )
 
 
+class FedSpout(Spout):
+    """Emits, in one poll, the rows the test put in ``pending``."""
+
+    def __init__(self):
+        self.pending: list[int] = []
+
+    def declare_outputs(self, declarer):
+        declarer.declare(("row",))
+
+    def next_tuple(self) -> bool:
+        pending, self.pending = self.pending, []
+        for row in pending:
+            self.collector.emit((row,), op_id=f"fed@{row}")
+        return bool(pending)
+
+
+class RowBolt(StoreBacked, Bolt):
+    """Per row a side write and a journaled count, reads declared."""
+
+    def __init__(self, client_factory):
+        self._client_factory = client_factory
+
+    def prepare(self, context, collector):
+        super().prepare(context, collector)
+        self._store = CachedStore(self._client_factory())
+
+    def reads(self, tup):
+        key = f"count:{tup['row']}"
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
+
+    def execute(self, tup):
+        self._store.put(f"side:{tup['row']}", tup["row"])
+        self._store.apply(f"count:{tup['row']}", tup.op_id, 1.0)
+
+
+WAVE_TASKS = 4
+
+
+def wave_factory():
+    def factory(clock, client_factory, consumer):
+        builder = TopologyBuilder("row-wave")
+        builder.add_spout("source", FedSpout)
+        builder.add_bolt(
+            "rows", lambda: RowBolt(client_factory), WAVE_TASKS
+        ).grouping("source", FieldsGrouping(["row"]))
+        return builder.build()
+
+    return factory
+
+
 class TestRpcAndWalCounts:
     N = 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_gather_and_one_envelope_per_worker_per_wave(self, workers):
+        # 32 rows over all four tasks of a component and all four
+        # logical servers of one host process: per worker holding tasks
+        # of the wave one read request, one write request, one log
+        # record — not one of each per task
+        factory = topology_recipe(
+            "tests.runtime.test_mutation_frame", "wave_factory"
+        )
+        with ProcessSubstrate(worker_procs=workers, server_procs=1) as substrate:
+            store = substrate.build_tdstore(SERVERS, INSTANCES)
+            clock = SimClock()
+            cluster = substrate.build_storm(clock)
+            cluster.submit(factory(clock, store.client, None))
+            spout = cluster.task_instance("row-wave", "source", 0)
+            table = store.config.route_table()
+
+            def burst(rows):
+                assert len(
+                    {table.route_for_key(f"count:{row}").host for row in rows}
+                ) == SERVERS
+                spout.pending = list(rows)
+                cluster.reactivate_spouts("row-wave")
+                cluster.run_until_idle()
+
+            burst(range(32))  # the workers' clients learn the migration set
+            rpcs, records = runtime_counts(store)
+            burst(range(32, 64))
+            rpcs_after, records_after = runtime_counts(store)
+            executed = cluster.metrics("row-wave").tasks
+            assert all(
+                executed[("rows", task)].executed >= 8
+                for task in range(WAVE_TASKS)
+            )
+            # the closing stats read is itself one request
+            assert rpcs_after - rpcs - 1 == 2 * workers
+            assert records_after - records == workers
+            client = store.client()
+            assert all(client.get(f"count:{row}") == 1.0 for row in range(64))
 
     def test_one_rpc_and_one_wal_record_per_mutation(self):
         with ProcessSubstrate(worker_procs=1, server_procs=1) as substrate:

@@ -1,13 +1,16 @@
-"""A failed flush fails its whole slice — on both executors.
+"""A refused gather or a failed commit fails its whole wave — on both
+executors.
 
-The slice is the unit of store traffic, so it is the unit of failure:
-when a task's commit raises, every tuple of the slice must reach its
-spout as failed (storm has no message timeout to rescue a tuple that is
-neither acked nor failed), the replay must meet a fresh task, and the
-store must end up as after a single delivery. The process substrate
-settles a slice from the worker's records, after the fact; this pins
-that it settles *all* of them before the error propagates, as the
-simulator does.
+The component wave (per worker process: the worker's share of it) is
+the unit of store traffic, so it is the unit of failure: when the one
+gather or the one commit serving its tasks raises, every tuple of it
+must reach its spout as failed (storm has no message timeout to rescue
+a tuple that is neither acked nor failed) — task 1's as much as task
+0's, whose key broke it — every task in it must restart, tuples of
+other waves must stay acked or queued, and the replay must leave the
+store as after a single delivery. The process substrate settles a wave
+from the workers' records, after the fact; this pins that it settles
+*all* of them before the error propagates, as the simulator does.
 """
 
 import os
@@ -15,21 +18,19 @@ import os
 import pytest
 
 from repro.errors import DataServerDownError
-from repro.runtime import topology_recipe
+from repro.runtime import ProcessSubstrate, SimSubstrate, topology_recipe
 from repro.storm import Bolt, Spout, TopologyBuilder
 from repro.storm.grouping import FieldsGrouping
 from repro.topology.state import CachedStore, Reads, StoreBacked
 from repro.utils.clock import SimClock
 
-from tests.chaos.helpers import SUBSTRATES
-
 ROWS = 6
-TASKS = 2  # two slices in the one wave; only task 0's flush breaks
+TASKS = 2  # two slices in the one wave; only task 0's key breaks it
 
 
 class BurstSpout(Spout):
-    """Emits every row in one poll, so each counting task meets its
-    share as one multi-tuple slice, and re-emits what failed."""
+    """Emits every row in one poll, so each component meets them as one
+    wave of multi-tuple slices, and re-emits what failed."""
 
     def __init__(self):
         self._pending = list(range(ROWS))
@@ -53,53 +54,123 @@ class BurstSpout(Spout):
         self._pending.append(message_id)
 
 
-class FlakyCountBolt(StoreBacked, Bolt):
-    """Counts rows in TDStore; task 0's first flush — in whatever
-    process it runs — drops the buffer and raises."""
+class FlakyClient:
+    """A client whose ``method`` (``gather`` or ``mutate``) — in whatever
+    process it runs — raises the first time it carries ``rows:0``,
+    before anything is sent."""
 
-    def __init__(self, client_factory, marker):
-        self._client_factory = client_factory
+    def __init__(self, inner, method, marker):
+        self._inner = inner
+        self._method = method
         self._marker = marker
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _maybe_fail(self, method, keys):
+        if (
+            method == self._method
+            and "rows:0" in keys
+            and not os.path.exists(self._marker)
+        ):
+            open(self._marker, "w").close()
+            raise DataServerDownError(f"{method} lost")
+
+    def gather(self, keys, probes=()):
+        self._maybe_fail("gather", keys)
+        return self._inner.gather(keys, probes)
+
+    def mutate(self, ops):
+        self._maybe_fail("mutate", [args[0] for __, args in ops])
+        return self._inner.mutate(ops)
+
+
+class CountBolt(StoreBacked, Bolt):
+    """Counts the rows of its task under ``<prefix>:<task>`` and passes
+    each on, once per stream of ``forwards``."""
+
+    def __init__(self, make_client, prefix, forwards=()):
+        self._make_client = make_client
+        self._prefix = prefix
+        self._forwards = forwards
+
+    def declare_outputs(self, declarer):
+        for stream in self._forwards:
+            declarer.declare(("row",), stream)
 
     def prepare(self, context, collector):
         super().prepare(context, collector)
-        self._store = CachedStore(self._client_factory())
-
-    def _key(self):
-        return f"rows:{self.context.task_index}"
+        self._store = CachedStore(self._make_client())
+        self._key = f"{self._prefix}:{context.task_index}"
 
     def reads(self, tup):
-        # declared, so the increments wait in the buffer for the flush
-        return Reads(probes=((self._key(), tup.op_id),), owned=(self._key(),))
+        # declared, so the increments wait in the buffer for the commit
+        return Reads(probes=((self._key, tup.op_id),), owned=(self._key,))
 
     def execute(self, tup):
-        self._store.apply(self._key(), tup.op_id, 1.0)
-
-    def flush(self):
-        if self.context.task_index == 0 and not os.path.exists(self._marker):
-            open(self._marker, "w").close()
-            raise DataServerDownError("flush lost")
-        super().flush()
+        self._store.apply(self._key, tup.op_id, 1.0)
+        for stream in self._forwards:
+            self.collector.emit((tup["row"],), stream)
 
 
-def flaky_factory(marker):
+COUNTERS = ("first", "rows", "last")
+
+
+def flaky_factory(method, marker):
+    """source -> first -> rows, and first -> last: per pass, the waves
+    run in that order, and the ``rows`` wave is the one that breaks."""
+
     def factory(clock, client_factory, consumer):
+        def make_client():
+            return FlakyClient(client_factory(), method, marker)
+
+        def counter(name, *forwards):
+            return lambda: CountBolt(make_client, name, forwards)
+
+        by_row = FieldsGrouping(["row"])
         builder = TopologyBuilder("flaky-count")
         builder.add_spout("source", BurstSpout)
         builder.add_bolt(
-            "count", lambda: FlakyCountBolt(client_factory, marker), TASKS
-        ).grouping("source", FieldsGrouping(["row"]))
+            "first", counter("first", "to_rows", "to_last"), TASKS
+        ).grouping("source", by_row)
+        builder.add_bolt("rows", counter("rows"), TASKS).grouping(
+            "first", by_row, "to_rows"
+        )
+        builder.add_bolt("last", counter("last"), TASKS).grouping(
+            "first", by_row, "to_last"
+        )
         return builder.build()
 
     return factory
 
 
-@pytest.mark.parametrize("make_substrate", SUBSTRATES)
-def test_failed_flush_fails_every_tuple_of_the_slice(make_substrate, tmp_path):
+def one_worker():
+    return ProcessSubstrate(worker_procs=1, server_procs=1)
+
+
+def two_workers():
+    return ProcessSubstrate(worker_procs=2, server_procs=1)
+
+
+@pytest.mark.parametrize(
+    "make_substrate, method, whole_wave",
+    [
+        pytest.param(SimSubstrate, "gather", True, id="sim-gather"),
+        pytest.param(SimSubstrate, "mutate", True, id="sim-commit"),
+        pytest.param(one_worker, "gather", True, id="process-gather"),
+        pytest.param(one_worker, "mutate", True, id="process-commit"),
+        # a task per worker: the other worker's share commits on its own
+        pytest.param(two_workers, "mutate", False, id="process-2-commit"),
+    ],
+)
+def test_failed_wave_fails_every_tuple_of_it(
+    make_substrate, method, whole_wave, tmp_path
+):
     factory = topology_recipe(
         "tests.runtime.test_slice_failure",
         "flaky_factory",
-        marker=str(tmp_path / "flush-failed"),
+        method=method,
+        marker=str(tmp_path / "failed-once"),
     )
     with make_substrate() as substrate:
         clock = SimClock()
@@ -107,22 +178,36 @@ def test_failed_flush_fails_every_tuple_of_the_slice(make_substrate, tmp_path):
         cluster = substrate.build_storm(clock)
         cluster.submit(factory(clock, store.client, None))
         spout = cluster.task_instance("flaky-count", "source", 0)
-
-        with pytest.raises(DataServerDownError, match="flush lost"):
-            cluster.run_until_idle()
-        # task 0's slice failed whole, and nothing is stranded: task 1's
-        # slice was committed and acked (a worker had already run it) or
-        # still waits in its queue (the simulator had not reached it)
-        assert len(spout.failed) > 1
-        settled = len(spout.failed) + len(spout.acked)
-        assert settled + cluster.pending_tuples("flaky-count") == ROWS
-        failed = sorted(spout.failed)
         client = store.client()
+
+        with pytest.raises(DataServerDownError, match=f"{method} lost"):
+            cluster.run_until_idle()
+        # the rows wave (task 0's share of it) failed whole, unwritten,
+        # and nothing is stranded: the wave before it is committed, the
+        # wave after it still waits in its queues
+        failed = sorted(spout.failed)
+        assert len(failed) > 1 and spout.acked == []
+        assert cluster.pending_tuples("flaky-count") == ROWS
         assert client.get("rows:0") is None
-        assert client.get("rows:1", 0) == len(spout.acked)
+        if whole_wave:
+            assert failed == list(range(ROWS))
+            assert client.get("rows:1") is None
+        else:
+            assert client.get("rows:1") == ROWS - len(failed) > 0
+        assert client.get("first:0") + client.get("first:1") == ROWS
+        assert client.get("last:0") is None and client.get("last:1") is None
+        restarts = cluster.metrics("flaky-count").task_restarts
+        if method == "mutate" and isinstance(substrate, SimSubstrate):
+            # both tasks lost their buffers with the envelope (a worker
+            # rebuilds its own; the parent does not count those)
+            assert restarts == TASKS
 
         cluster.run_until_idle()
         assert sorted(spout.failed) == failed  # no second failure
         assert sorted(spout.acked) == list(range(ROWS))
-        assert client.get("rows:0") == len(failed)
-        assert client.get("rows:0") + client.get("rows:1") == ROWS
+        # every row counted once, by two tasks — though the waves
+        # around the broken one met the failed rows twice
+        for prefix in COUNTERS:
+            counts = [client.get(f"{prefix}:{task}") for task in range(TASKS)]
+            assert sum(counts) == ROWS and min(counts) > 0
+        assert cluster.metrics("flaky-count").task_restarts == restarts

@@ -1,9 +1,12 @@
-"""Drive one bolt the way an executor drives a task, and break its flush.
+"""Drive one bolt the way an executor drives a task, and break its commit.
 
 Shared by the unit-level replay suites (``test_replay_commit``,
 ``tests/serving/test_coalesce_replay``, ``tests/retrieval/test_vq``):
-bolts buffer their writes and the executor commits them per slice, so a
-test that calls ``bolt.execute`` on its own sees nothing in the store.
+bolts buffer their writes and the executor commits them per component
+wave, so a test that calls ``bolt.execute`` on its own sees nothing in
+the store. Here the wave is the one task: ``prefetch`` / ``flush`` run
+the executors' ``gather_wave`` / ``commit_wave`` over its entry alone,
+so an injected fault lands inside the merged commit.
 """
 
 from repro.errors import DataServerDownError
@@ -14,9 +17,9 @@ from repro.tdstore.cluster import TDStoreCluster
 
 
 class Task:
-    """One bolt behind the executor's slice protocol.
+    """One bolt behind the executor's wave protocol.
 
-    ``deliver(*tuples)`` runs one slice — prefetch, execute each tuple
+    ``deliver(*tuples)`` runs one wave of one — prefetch, execute each tuple
     with its input identity installed (so emissions derive replay-stable
     op ids), flush — and, like the executors, answers a failed flush by
     replacing the instance: ``bolt`` is then a fresh one from

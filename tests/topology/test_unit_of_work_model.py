@@ -1,28 +1,36 @@
-"""Stateful model test of ``CachedStore`` as a task's unit of work.
+"""Stateful model test of ``CachedStore`` as the unit of work of a wave.
 
-Hypothesis drives one task — a bolt-shaped program over a
-``CachedStore`` — against a small simulated TDStore whose three data
-servers each stand for a server process of their own, so every flush
-splits into several envelopes. The schedule mixes declared and
-undeclared tuples, duplicate deliveries, task kills, and flushes cut at
-any op prefix or between two envelopes; a failed slice costs the task
-its memory and is replayed. Whenever the stream is settled, the store
-and its journals must equal a sequential model that applied every op id
-exactly once.
+Hypothesis drives the three tasks of one component — each a bolt-shaped
+program over a ``CachedStore`` of its own, owning its own keys — through
+the executors' ``execute_wave``: one gather and one commit for the
+tasks that have tuples. The TDStore is a small simulated one whose three
+data servers each stand for a server process of their own, so every
+commit splits into several envelopes. The schedule mixes declared and
+undeclared tuples, duplicate deliveries, task kills, and commits cut at
+any op prefix — inside one task's writes or between two tasks' — or
+between two envelopes; a failed commit costs every task of the wave its
+memory (each store refuses further use) and the wave is replayed.
+Whenever the stream is settled, the store and its journals must equal a
+sequential model that applied every op id exactly once, store by store;
+and no ``after_commit`` callback may have run for writes that did not
+land.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.errors import TDStoreError
 from repro.runtime import SimSubstrate
+from repro.storm.cluster import execute_wave
 from repro.tdstore.engines import JOURNAL_PREFIX
 from repro.topology.state import CachedStore, Reads
 
 from tests.topology.helpers import EnvelopeClient
 
-KEYS = ("a", "b")
+KEYS = ("a", "b", "c", "d")  # key k belongs to task KEYS.index(k) % TASKS
+TASKS = 3
 
 
 class Cut(TDStoreError):
@@ -75,30 +83,20 @@ class Tuple:
         self.declared = declared
 
 
-class UnitOfWorkMachine(RuleBasedStateMachine):
-    @initialize()
-    def build(self):
-        self.substrate = SimSubstrate()
-        self.cluster = self.substrate.build_tdstore(3, 6)
-        self.cut = {"envelopes_left": None}
-        for server in self.cluster.data_servers:
-            server.colocate({})  # a process of its own
-            self.cluster.config._servers[server.server_id] = CuttingServer(
-                server, self.cut
-            )
-        self.client = CuttingClient(self.cluster.client())
-        self.peers = {key: 0 for key in KEYS}  # another task's keys
-        self.delivered: dict[str, Tuple] = {}
-        self.inbox: list[Tuple] = []
-        self.failed: list[Tuple] = []
-        self.start_task()
+class Task:
+    """One task of the component: the executor's view (``instance``,
+    ``to_gather``, ``to_commit``) and the bolt's program."""
 
-    def start_task(self):
+    def __init__(self, machine):
+        self.machine = machine
+        self.instance = self
+        self.start()
+
+    def start(self):
         """A fresh instance: no cache, no dedup ledger."""
-        self.store = CachedStore(self.client)
+        self.store = CachedStore(self.machine.client)
         self.ledger: set[str] = set()
-
-    # -- the task ----------------------------------------------------------
+        self.handed_over = False
 
     @staticmethod
     def reads(tup: Tuple) -> "Reads | None":
@@ -112,6 +110,14 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             fresh=(f"peer:{tup.key}",),
         )
 
+    def to_gather(self, tuples):
+        return self.store.to_gather(map(self.reads, tuples))
+
+    def to_commit(self):
+        entry = self.store.to_commit()
+        self.handed_over = True
+        return entry
+
     def execute(self, tup: Tuple):
         """A bolt's shape: ledger, probe, compute on copies, idempotent
         side writes, journaled count, cleanup, commit last."""
@@ -124,7 +130,7 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             return
         members = list(store.get(members_key, None) or [])
         # a key another task owns is never served stale
-        assert store.get_fresh(f"peer:{tup.key}", 0) == self.peers[tup.key]
+        assert store.get_fresh(f"peer:{tup.key}", 0) == self.machine.peers[tup.key]
         store.put(f"scratch:{tup.key}", tup.op)
         store.put(f"side:{tup.key}:{tup.op}", tup.delta)
         store.apply(f"count:{tup.key}", tup.op + "#inc", tup.delta)
@@ -132,28 +138,78 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         store.delete(f"scratch:{tup.key}")
         assert store.get(f"scratch:{tup.key}", None) is None
         store.put_once(members_key, tup.op, sorted(members + [tup.op]))
+        store.after_commit(self.machine.published.append, tup)
         self.ledger.add(tup.op)
 
-    def run_slice(self):
-        """prefetch -> execute each -> flush, as a worker does: a tuple
-        that fails does not stop the slice, a flush that fails fails
-        every tuple of it and restarts the task."""
+
+class UnitOfWorkMachine(RuleBasedStateMachine):
+    @initialize()
+    def build(self):
+        self.substrate = SimSubstrate()
+        self.cluster = self.substrate.build_tdstore(3, 6)
+        self.cut = {"envelopes_left": None}
+        for server in self.cluster.data_servers:
+            server.colocate({})  # a process of its own
+            self.cluster.config._servers[server.server_id] = CuttingServer(
+                server, self.cut
+            )
+        self.client = CuttingClient(self.cluster.client())
+        self.peers = {key: 0 for key in KEYS}  # another component's keys
+        self.delivered: dict[str, Tuple] = {}
+        self.inbox: list[Tuple] = []
+        self.failed: list[Tuple] = []
+        self.published: list[Tuple] = []
+        self.tasks = [Task(self) for __ in range(TASKS)]
+
+    # -- the executor ------------------------------------------------------
+
+    @staticmethod
+    def execute_one(task: Task, tup: Tuple):
+        try:
+            task.execute(tup)
+        except Cut as exc:
+            return exc
+        return None
+
+    @staticmethod
+    def restart(task: Task):
+        # the failed commit — whichever task's writes it broke in — left
+        # every store that had handed it writes unusable
+        if task.handed_over:
+            with pytest.raises(Cut):
+                task.store.get("members:a")
+        task.start()
+
+    def run_wave(self):
+        """One component wave as the executors run it: the tuples go to
+        the tasks owning their keys, and ``execute_wave`` brackets the
+        slices with one gather and one commit. A tuple that fails does
+        not stop the wave; a refused gather or a failed commit fails
+        every tuple of it, the commit restarting every task in it."""
         tuples = self.failed + self.inbox
         self.failed, self.inbox = [], []
+        slices = [
+            (task, [t for t in tuples if KEYS.index(t.key) % TASKS == index])
+            for index, task in enumerate(self.tasks)
+        ]
+        slices = [(task, own) for task, own in slices if own]
         try:
-            self.store.prefetch(map(self.reads, tuples))
-            for tup in tuples:
-                try:
-                    self.execute(tup)
-                except Cut:
-                    self.failed.append(tup)
-            self.store.flush()
-        except Cut:
-            self.failed = tuples
-            self.start_task()
+            outcomes = execute_wave(slices, self.restart, self.execute_one)
         finally:
             self.client.ops_left = None
             self.cut["envelopes_left"] = None
+        for (task, own), errors in zip(slices, outcomes):
+            task.handed_over = False
+            for tup, error in zip(own, errors):
+                if error is not None:
+                    if not isinstance(error, Cut):
+                        raise error  # a failed check, not an injected loss
+                    self.failed.append(tup)
+        # a callback runs only once the writes it waited on have landed
+        probe = self.cluster.client()
+        for tup in self.published:
+            assert probe.op_seen(f"members:{tup.key}", tup.op)
+        self.published.clear()
 
     # -- the schedule ------------------------------------------------------
 
@@ -161,7 +217,7 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         peer=st.one_of(
             st.none(), st.tuples(st.sampled_from(KEYS), st.integers(1, 9))
         ),
-        kill=st.booleans(),
+        kill=st.one_of(st.none(), st.integers(0, TASKS - 1)),
         batch=st.lists(
             st.tuples(
                 st.sampled_from(KEYS),
@@ -170,24 +226,24 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
                 st.booleans(),  # is a re-delivery of an earlier tuple
             ),
             min_size=1,
-            max_size=4,
+            max_size=6,
         ),
         cut=st.one_of(
             st.none(),
-            st.tuples(st.just("ops"), st.integers(0, 12)),
+            st.tuples(st.just("ops"), st.integers(0, 24)),
             st.tuples(st.just("envelopes"), st.integers(0, 6)),
         ),
     )
-    def deliver_slice(self, peer, kill, batch, cut):
-        """Between slices another task may write its keys and this one
-        may be killed; then new tuples and duplicates arrive and their
-        slice runs, its flush possibly cut at an op prefix or between
-        two envelopes."""
+    def deliver_wave(self, peer, kill, batch, cut):
+        """Between waves another component may write its keys and a task
+        of this one may be killed; then new tuples and duplicates arrive
+        and their wave runs, its commit possibly cut at an op prefix or
+        between two envelopes."""
         if peer is not None:
             self.peers[peer[0]] = peer[1]
             self.cluster.client().put(f"peer:{peer[0]}", peer[1])
-        if kill:
-            self.start_task()
+        if kill is not None:
+            self.tasks[kill].start()
         for key, delta, declared, duplicate in batch:
             earlier = [t for t in self.delivered.values() if t.key == key]
             if duplicate and earlier:
@@ -200,12 +256,12 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             self.client.ops_left = cut[1]
         elif cut is not None:
             self.cut["envelopes_left"] = cut[1]
-        self.run_slice()
+        self.run_wave()
 
     @rule()
     def settle_and_compare(self):
         while self.failed or self.inbox:
-            self.run_slice()
+            self.run_wave()
         merged: dict = {}
         for data in self.cluster.snapshot_contents().values():
             merged.update(data)

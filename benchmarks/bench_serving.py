@@ -14,6 +14,11 @@ churn, the serving layer sustains **>= 5x the queries/sec of the
 per-key path at no worse p99**. Results per cache tier and batch size
 land in ``BENCH_serving.json`` at the repo root.
 
+The ``fill_cost`` row is the layer line under that: microseconds per
+refill of one cached answer at 200 / 2,000 / 20,000 cached users. A
+fill may cost its own tags, never the audience — the row is flat, and
+CI fails the job when it is not.
+
 Scale knobs (CI smoke uses small values):
 ``REPRO_BENCH_SERVING_QUERIES`` (default 2000),
 ``REPRO_BENCH_SERVING_USERS`` (default 300).
@@ -21,11 +26,18 @@ Scale knobs (CI smoke uses small values):
 
 import os
 import random
+import time
+from itertools import cycle, islice
 
 import pytest
 
 from repro.engine.engine import EngineConfig, RecommenderEngine
-from repro.serving import ClosedLoopLoadGenerator, InvalidationBus, ServingLayer
+from repro.serving import (
+    ClosedLoopLoadGenerator,
+    InvalidationBus,
+    ResultCache,
+    ServingLayer,
+)
 from repro.tdstore import TDStoreCluster
 from repro.topology.state import StateKeys
 from repro.utils.clock import SimClock
@@ -42,6 +54,8 @@ BATCH_SIZES = (1, 8, 32)
 # free lunch that never recomputes
 CHURN = 0.03
 NOW = 10_000.0
+FILL_COST_USERS = (200, 2_000, 20_000)
+FILL_COST_REFILLS = 2_000
 
 
 def seeded_cluster():
@@ -126,6 +140,43 @@ def run_serving(cluster, batch_size):
     return report_, layer
 
 
+def warm_cache(cached_users):
+    """A full ``ResultCache`` of ``cached_users`` answers — own user tag
+    plus three item tags each, the shape ``ServingLayer`` caches — and
+    ``FILL_COST_REFILLS`` refills spread evenly over its users."""
+    cache = ResultCache(SimClock().now, capacity=cached_users)
+    fills = [
+        (
+            ("cf", f"u{n}", TOP_N),
+            (("user", f"u{n}"), *(("item", f"i{(n + k) % 290}") for k in range(3))),
+        )
+        for n in range(cached_users)
+    ]
+    for key, tags in fills:
+        cache.put(key, [], tags)
+    spread = fills[:: max(1, cached_users // FILL_COST_REFILLS)]
+    return cache, list(islice(cycle(spread), FILL_COST_REFILLS))
+
+
+def fill_cost_us():
+    """Microseconds per refill of one entry at each audience size: best
+    of seven passes, the sizes interleaved so a noisy host taxes them
+    alike."""
+    caches = {users: warm_cache(users) for users in FILL_COST_USERS}
+    best = dict.fromkeys(FILL_COST_USERS, float("inf"))
+    for __ in range(7):
+        for users, (cache, refills) in caches.items():
+            started = time.perf_counter()
+            for key, tags in refills:
+                cache.put(key, [], tags)
+            best[users] = min(best[users], time.perf_counter() - started)
+    assert all(len(cache) == users for users, (cache, __) in caches.items())
+    return {
+        users: round(seconds / FILL_COST_REFILLS * 1e6, 3)
+        for users, seconds in best.items()
+    }
+
+
 def test_serving_layer_vs_per_key(world):
     baselines, rows, layers = {}, {}, {}
     for batch_size in BATCH_SIZES:
@@ -136,6 +187,7 @@ def test_serving_layer_vs_per_key(world):
     best, best_base = rows[top], baselines[top]
     speedup = best.qps / best_base.qps if best_base.qps else float("inf")
     stats = layers[top].stats()
+    fill_us = fill_cost_us()
 
     lines = [
         "Serving layer vs per-key path "
@@ -154,6 +206,13 @@ def test_serving_layer_vs_per_key(world):
         f"  speedup at batch={top}: {speedup:.1f}x, "
         f"cache hit rate {stats['result_cache']['hit_rate']:.1%}, "
         f"mean coalesced batch {stats['coalescer']['mean_batch_size']:.1f}"
+    )
+    lines.append(
+        "  fill_cost (us per refill, own user tag + 3 item tags): "
+        + ", ".join(
+            f"{fill_us[users]:.2f} at {users} cached users"
+            for users in FILL_COST_USERS
+        )
     )
     report("serving_throughput", "\n".join(lines))
     report_json(
@@ -176,6 +235,10 @@ def test_serving_layer_vs_per_key(world):
                 for batch_size in BATCH_SIZES
             },
             "speedup_at_max_batch": round(speedup, 2),
+            "fill_cost": {
+                "refills": FILL_COST_REFILLS,
+                "fill_us": {str(users): fill_us[users] for users in FILL_COST_USERS},
+            },
             "stats_at_max_batch": stats,
         },
     )

@@ -5,13 +5,18 @@
 key)`` pairs naming the state it was computed from (the user's own
 history, the sim lists of their recent items, the hot groups that fed
 the complement) — and an inverted index maps tags to entries, so one
-stream notification evicts exactly the answers it staled.
+stream notification stales exactly the answers it changed.
 
 Invalidation does not delete: it marks the entry stale. A stale entry
 never serves as fresh, but the degradation ladder's ``cache`` rung may
 still serve it when the live rung is down — stale-but-present beats
 falling to demographics, and it is the same "last known good" contract
 as :class:`~repro.engine.degraded.ServeThroughRecovery`.
+
+The index holds only what an invalidation can still change: ``(tag,
+key)`` is indexed iff the entry is present, not stale and carries the
+tag. Every operation therefore costs the tags of the entries it touches,
+never the size of the index.
 
 :class:`HotListCache` is the hot-item tier: per-group hot lists reused
 across the whole batch (they are the most shared read in the CF
@@ -105,13 +110,12 @@ class ResultCache:
             tags=tuple(tags),
         )
         self._entries[key] = entry
-        self._entries.move_to_end(key)
         for tag in entry.tags:
             self._by_tag.setdefault(tag, set()).add(key)
         self.fills += 1
         while len(self._entries) > self._capacity:
-            evicted_key, __ = self._entries.popitem(last=False)
-            self._unindex(evicted_key)
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self._unindex(evicted_key, evicted.tags)
             self.evictions += 1
 
     def on_invalidation(self, kind: str, state_key: str):
@@ -119,13 +123,14 @@ class ResultCache:
 
         Entries stay present for the stale tier; they stop serving as
         fresh immediately, which is what bounds staleness to one
-        invalidation cycle instead of a full TTL.
+        invalidation cycle instead of a full TTL. A staled entry leaves
+        the index whole, so no later notification walks it again.
         """
-        for key in self._by_tag.get((kind, state_key), ()):
-            entry = self._entries.get(key)
-            if entry is not None and not entry.stale:
-                entry.stale = True
-                self.invalidations += 1
+        for key in self._by_tag.pop((kind, state_key), ()):
+            entry = self._entries[key]
+            entry.stale = True
+            self.invalidations += 1
+            self._unindex(key, entry.tags)
 
     def hit_rate(self) -> float:
         looked = self.hits + self.stale_hits + self.misses
@@ -139,22 +144,22 @@ class ResultCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "entries": len(self._entries),
+            "index_tags": len(self._by_tag),
             "hit_rate": round(self.hit_rate(), 4),
         }
 
     def _drop(self, key: Hashable):
-        if key in self._entries:
-            self._entries.pop(key)
-            self._unindex(key)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._unindex(key, entry.tags)
 
-    def _unindex(self, key: Hashable):
-        empty = []
-        for tag, keys in self._by_tag.items():
-            keys.discard(key)
-            if not keys:
-                empty.append(tag)
-        for tag in empty:
-            self._by_tag.pop(tag)
+    def _unindex(self, key: Hashable, tags: tuple):
+        for tag in tags:
+            keys = self._by_tag.get(tag)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._by_tag[tag]
 
 
 class HotListCache:

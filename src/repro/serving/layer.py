@@ -181,12 +181,12 @@ class ServingLayer:
         return known
 
     def _fill_caches(self, user_id: str, n: int, answer: CFAnswer):
-        tags = [("user", user_id)]
-        tags += [("item", item) for item in answer.dep_items]
-        tags += [("group", group) for group in answer.dep_groups]
-        self.result_cache.put(
-            (self._algorithm, user_id, n), answer.results, tuple(tags)
+        tags = (
+            ("user", user_id),
+            *(("item", item) for item in answer.dep_items),
+            *(("group", group) for group in answer.dep_groups),
         )
+        self.result_cache.put((self._algorithm, user_id, n), answer.results, tags)
 
     # -- observability -----------------------------------------------------
 

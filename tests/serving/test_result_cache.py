@@ -1,5 +1,8 @@
 """Tests for the tiered result caches and stream invalidation."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -111,6 +114,119 @@ class TestEviction:
             ResultCache(clock.now, ttl=0)
         with pytest.raises(ConfigurationError):
             ResultCache(clock.now, capacity=0)
+
+
+class UnscannableIndex(dict):
+    """A ``_by_tag`` that refuses every whole-index walk."""
+
+    def _refuse(self, *args):
+        raise AssertionError("ResultCache walked the whole tag index")
+
+    items = values = keys = __iter__ = _refuse
+
+
+class CountingEntries(OrderedDict):
+    """An ``_entries`` that counts the entries looked up by key."""
+
+    looked_up = 0
+
+    def __getitem__(self, key):
+        self.looked_up += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.looked_up += 1
+        return super().get(key, default)
+
+
+class TestBookkeepingCost:
+    """Counts, not clocks: an operation may touch the tags of the
+    entries it changes and nothing else of the index."""
+
+    USERS = 5_000
+
+    def filled(self):
+        cache, __ = cache_with_clock(capacity=self.USERS)
+        for n in range(self.USERS):
+            cache.put(f"q{n}", [n], tags=self.tags_of(n))
+        cache._by_tag = UnscannableIndex(cache._by_tag)
+        cache._entries = CountingEntries(cache._entries)
+        return cache
+
+    @staticmethod
+    def tags_of(n):
+        items = [("item", f"i{(n + k) % 290}") for k in range(3)]
+        return (("user", f"u{n}"), *items, ("group", "global"))
+
+    def test_refill_eviction_and_invalidation_never_scan_the_index(self):
+        cache = self.filled()
+        cache.put("q7", ["again"], tags=self.tags_of(7))  # refill
+        cache.put("new", ["x"], tags=self.tags_of(self.USERS))  # evicts q0
+        assert cache.stats()["evictions"] == 1
+        assert cache.get("q0", allow_stale=True) is None
+        cache.on_invalidation("user", "u7")
+        assert cache.get("q7") is None
+        assert cache.stats()["invalidations"] == 1
+        assert ("user", "u0") not in cache._by_tag
+        assert ("user", "u7") not in cache._by_tag
+
+    def test_republishing_a_hot_tag_visits_no_entry(self):
+        cache = self.filled()
+        cache.on_invalidation("group", "global")
+        assert cache.stats()["invalidations"] == self.USERS
+        assert cache._entries.looked_up == self.USERS
+        assert cache.stats()["index_tags"] == 0  # nothing left to change
+        cache.on_invalidation("group", "global")
+        cache.on_invalidation("item", "i3")
+        assert cache._entries.looked_up == self.USERS
+        assert cache.stats()["invalidations"] == self.USERS
+
+
+class TestIndexIsBounded:
+    def test_soak_keeps_entries_and_index_within_capacity(self):
+        """ROADMAP 5(d): the serving benchmark's shape (Zipf-ish users,
+        3 % stream churn) run long against a cache far smaller than the
+        audience — neither the entries nor the index may outgrow what
+        the present, still-fresh answers account for."""
+        rng = random.Random(2015)
+        capacity = 200
+        cache, clock = cache_with_clock(ttl=30.0, capacity=capacity)
+        users = [f"u{n}" for n in range(300)]
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(users))]
+        items = [f"i{n}" for n in range(50)]
+
+        def indexed():
+            return sum(len(keys) for keys in cache._by_tag.values())
+
+        def accounted():
+            return sum(
+                len(entry.tags)
+                for entry in cache._entries.values()
+                if not entry.stale
+            )
+
+        for op, user in enumerate(rng.choices(users, weights, k=20_000)):
+            if rng.random() < 0.03:
+                cache.on_invalidation("user", user)
+            if rng.random() < 0.01:
+                cache.on_invalidation("item", rng.choice(items))
+            key = ("cf", user, 10)
+            if cache.get(key) is None:
+                deps = [("item", item) for item in rng.sample(items, 3)]
+                cache.put(key, [op], (("user", user), *deps, ("group", "g")))
+            clock.advance(0.01)
+            if op % 50 == 0:
+                assert len(cache) <= capacity
+                assert indexed() <= accounted() <= 5 * capacity
+                assert cache.stats()["index_tags"] <= 1 + len(items) + capacity
+        assert cache.stats()["evictions"] > 0 and cache.stats()["invalidations"] > 0
+
+        for user in users[:150]:
+            cache.on_invalidation("user", user)  # stale one half ...
+        for n in range(capacity):
+            cache.put(("filler", n), [n])  # ... evict everything tagged
+        assert len(cache) == capacity
+        assert cache.stats()["index_tags"] == 0 and indexed() == 0
 
 
 class TestHotListCache:

@@ -9,10 +9,13 @@ the streaming index under tuple-derived op ids — then measures:
 * candidate throughput of the read path at each width;
 * build throughput of the index's single-writer update;
 * structural honesty: nonzero splits (the stream actually restructured
-  the index) and zero lost keys (``index_integrity`` is clean).
+  the index) and zero lost keys (``index_integrity`` is clean);
+* key digests per warm query: ``stable_hash`` digests computed while
+  routing a repeated pass of the queries.
 
 Writes ``BENCH_retrieval.json`` at the repo root; the CI smoke gates on
-recall@10 >= 0.8, splits > 0 and zero lost keys.
+recall@10 >= 0.8, splits > 0, zero lost keys and zero digests per warm
+query.
 
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_retrieval.py -q -s
 """
@@ -34,6 +37,7 @@ from repro.retrieval.retriever import (
 from repro.retrieval.vq import StreamingVQIndex, VQConfig, index_integrity
 from repro.tdstore import TDStoreCluster
 from repro.topology.state import CachedStore
+from repro.utils import hashing
 
 from benchmarks.conftest import SEED, report, report_json
 
@@ -72,7 +76,7 @@ def learned_catalog(rng):
     return rows
 
 
-def test_retrieval_quality_and_throughput():
+def test_retrieval_quality_and_throughput(monkeypatch):
     rng = np.random.default_rng(SEED)
     catalog = learned_catalog(rng)
     items = [item for item, __ in catalog]
@@ -128,6 +132,20 @@ def test_retrieval_quality_and_throughput():
             }
         )
 
+    # the widest probe's pass above was the warm-up: key placement is
+    # memoized per process, so repeating it computes no digest
+    digests = []
+    digest = hashing._digest
+
+    def counting(key):
+        digests.append(key)
+        return digest(key)
+
+    monkeypatch.setattr(hashing, "_digest", counting)
+    for qi, q, __ in queries:
+        retriever.retrieve(q, TOP_K, exclude={qi})
+    monkeypatch.undo()
+
     headline = sweep[-1]["recall_at_10"]  # widest probe in the sweep
     payload = {
         "seed": SEED,
@@ -141,6 +159,7 @@ def test_retrieval_quality_and_throughput():
         "posting_p99": probe_stats["posting_p99"],
         "lost_keys": len(integrity["problems"]),
         "recall_at_10": headline,
+        "digests_per_warm_query": len(digests) / N_QUERIES,
         "probe_sweep": sweep,
     }
     report_json("retrieval", payload)
@@ -158,6 +177,9 @@ def test_retrieval_quality_and_throughput():
             f"  {row['probe_width']:>5} {row['recall_at_10']:>10.3f} "
             f"{row['queries_per_s']:>10.0f} {row['candidates_per_s']:>13.0f}"
         )
+    lines.append(
+        f"  key digests per warm query: {payload['digests_per_warm_query']:g}"
+    )
     report("retrieval", "\n".join(lines))
 
     assert headline >= 0.8, f"recall@10 {headline:.3f} below the 0.8 floor"

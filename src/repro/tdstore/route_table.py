@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import RouteError
-from repro.utils.hashing import partition_for_key
+from repro.utils.hashing import stable_hash
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class RouteTable:
         return cls(routes, num_instances)
 
     def instance_for_key(self, key: str) -> int:
-        return partition_for_key(key, self.num_instances)
+        return stable_hash(key) % self.num_instances
 
     def route(self, instance: int) -> InstanceRoute:
         try:
@@ -77,7 +77,8 @@ class RouteTable:
             raise RouteError(f"unknown data instance {instance}") from None
 
     def route_for_key(self, key: str) -> InstanceRoute:
-        return self.route(self.instance_for_key(key))
+        # the constructor checked that every instance has a route
+        return self._routes[stable_hash(key) % self.num_instances]
 
     def instances_hosted_by(self, server_id: int) -> list[int]:
         return sorted(

@@ -22,6 +22,7 @@ from repro.retrieval.retriever import RetrieverConfig, VQRetriever
 from repro.retrieval.types import RetrievalAnswer
 from repro.runtime import ProcessSubstrate, SimSubstrate
 from repro.topology.state import StateKeys
+from repro.utils import hashing
 
 from tests.retrieval.helpers import seeded_index, seeded_store, sent_requests
 
@@ -158,6 +159,34 @@ class TestRoundTrips:
             with pytest.raises(ColdIndexError):
                 retriever.recommend(cold, TOP_N, 0.0)
         assert sent == ["gather"]
+
+
+class TestKeyPlacementCost:
+    """Placing a key costs one digest per process: a warm query routes
+    every key it reads from the memo under ``stable_hash``."""
+
+    def test_warm_queries_compute_no_digest(self, sim_store, monkeypatch):
+        __, users, __ = seeded_index()
+        client = sim_store.client()
+        retriever = VQRetriever(client, RetrieverConfig(probe_width=8))
+        engine = RecommenderEngine(client, EngineConfig())
+        window = users[:24]
+        digests: list = []
+        digest = hashing._digest
+
+        def counting(key):
+            digests.append(key)
+            return digest(key)
+
+        monkeypatch.setattr(hashing, "_digest", counting)
+        hashing._memo.clear()  # no wholesale clear can fall inside the passes
+        for attempt in ("cold", "warm"):
+            digests.clear()
+            served = retriever.recommend(users[0], TOP_N, 0.0)
+            engine.recommend_cf_batch(window, TOP_N, 0.0)
+            if attempt == "cold":
+                assert served and len(digests) > len(window)
+        assert digests == []
 
 
 class TestDegradedUserKeys:

@@ -11,7 +11,9 @@ overview.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable
+from itertools import groupby
+from operator import attrgetter, eq, ge, gt, itemgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.storm.cluster import LocalCluster
 from repro.tdaccess.cluster import TDAccessCluster
@@ -195,6 +197,175 @@ class SystemSnapshot:
         return max(values) / mean
 
 
+# AlertRule comparators: GREW tests how much a counter grew since the
+# delta base, the other three test the snapshot's own value
+GREW, ABOVE, AT_LEAST, EQUALS = "grew", "above", "at_least", "equals"
+_COMPARE = {GREW: gt, ABOVE: gt, AT_LEAST: ge, EQUALS: eq}
+
+
+@dataclass(frozen=True)
+class AlertRule:
+    """One row of :data:`ALERT_RULES`: ``metric`` is a snapshot field
+    name or a function of the snapshot. A dict is tested key by key (a
+    list as its members, each ``True``) unless ``summed`` adds it up.
+    ``threshold`` is a literal or, except for EQUALS, the name of a
+    ``max_*`` monitor attribute read at evaluation time (``None`` there
+    turns the row off). ``message`` is formatted with ``key``, ``value``
+    (for GREW, the growth), ``limit`` and ``snap``. Adjacent rows over
+    one metric report key by key; ``when`` gates a row on monitor state
+    that the snapshot does not carry."""
+
+    metric: str | Callable[[SystemSnapshot], Any]
+    test: str
+    threshold: Any
+    severity: str  # "warning" | "critical"
+    component: str
+    message: str
+    summed: bool = False
+    when: Callable[["SystemMonitor"], bool] | None = None
+
+    def read(self, snap: SystemSnapshot) -> Any:
+        if isinstance(self.metric, str):
+            return getattr(snap, self.metric)
+        return self.metric(snap)
+
+
+def _checkpointing(monitor: "SystemMonitor") -> bool:
+    return monitor._coordinator is not None
+
+
+ALERT_RULES: tuple[AlertRule, ...] = (
+    AlertRule(lambda s: s.tdaccess_servers_total - s.tdaccess_servers_up,
+              ABOVE, 0, "critical", "tdaccess", "{value} data server(s) down"),
+    AlertRule("consumer_lag", ABOVE, "max_consumer_lag", "warning", "tdaccess",
+              "consumer {key!r} lag {value} exceeds {limit}"),
+    AlertRule(lambda s: s.tdstore_servers_total - s.tdstore_servers_up,
+              ABOVE, 0, "critical", "tdstore", "{value} data server(s) down"),
+    AlertRule("replication_backlog", ABOVE, "max_replication_backlog",
+              "warning", "tdstore",
+              "replication backlog {value} exceeds {limit}"),
+    AlertRule(SystemSnapshot.read_imbalance, ABOVE, "max_read_imbalance",
+              "warning", "tdstore",
+              "read imbalance {value:.1f}x exceeds {limit:.1f}x"),
+    AlertRule(lambda s: s.timestamp if s.checkpoint_age is None else None,
+              ABOVE, "max_checkpoint_age", "warning", "recovery",
+              "no checkpoint has ever been taken", when=_checkpointing),
+    AlertRule("checkpoint_age", ABOVE, "max_checkpoint_age", "warning",
+              "recovery", "checkpoint age {value:.0f}s exceeds {limit:.0f}s",
+              when=_checkpointing),
+    AlertRule("recovery_in_progress", EQUALS, True, "warning", "recovery",
+              "recovery replay in progress: serving degraded"),
+    AlertRule("topology_restarts", GREW, 0, "warning", "storm",
+              "topology {key!r} had {value} task restart(s)"),
+    AlertRule("ledgers_over_bound", EQUALS, True, "critical", "storm",
+              "dedup ledger of {key} exceeds its watermark bound: memory no "
+              "longer O(in-flight)"),
+    AlertRule("dedup_hits", GREW, 0, "warning", "storm",
+              "{value} replayed tuple(s) suppressed since last snapshot "
+              "(counter corruption averted; check source replays)",
+              summed=True),
+    AlertRule("watermark_rejections", GREW, 0, "warning", "storm",
+              "{value} delivery(ies) dropped below the ledger watermark since "
+              "last snapshot (a late first delivery would be lost the same "
+              "way; check retain_depth against stream skew)", summed=True),
+    AlertRule("acker_anomalies", GREW, 0, "warning", "storm",
+              "topology {key!r} absorbed {value} over-acked tuple tree(s) "
+              "(possible double-ack bug in a bolt)"),
+    AlertRule("journal_evictions", GREW, 0, "warning", "tdstore",
+              "{value} op-journal id(s) trimmed since last snapshot; a rewind "
+              "re-delivering them would double-apply (check JOURNAL_LIMIT "
+              "against per-key op rates)"),
+    AlertRule("scrub_divergent_buckets", GREW, 0, "warning", "tdstore",
+              "scrub found and repaired {value} divergent replica bucket(s) "
+              "since last snapshot (replication drift; read-repair converged "
+              "the pair)"),
+    AlertRule("scrub_corruptions_detected", GREW, 0, "critical", "tdstore",
+              "scrub detected {value} silently corrupted key(s) since last "
+              "snapshot (value differed between replicas; repaired from the "
+              "host copy — check for memory faults or repair-path bugs)"),
+    AlertRule("breaker_states", EQUALS, "open", "critical", "resilience",
+              "circuit breaker {key!r} is open: dependency unhealthy, callers "
+              "failing fast"),
+    AlertRule("breaker_states", EQUALS, "half_open", "warning", "resilience",
+              "circuit breaker {key!r} is half-open: probing recovery"),
+    AlertRule("queries_shed", GREW, 0, "warning", "resilience",
+              "{value} query(ies) shed since last snapshot (total shed rate "
+              "{snap.shed_rate:.1%})"),
+    AlertRule(lambda s: {rung: count for rung, count in s.serving_rungs.items()
+                         if rung != "live"},
+              GREW, 0, "warning", "serving", "{value} query(ies) served below "
+              "the live rung since last snapshot", summed=True),
+    AlertRule("store_hedged_reads", GREW, 0, "warning", "serving",
+              "{value} hedged replica read(s) since last snapshot (primary "
+              "shard slow or down; replica data may trail replication)"),
+    AlertRule("store_degraded_keys", GREW, 0, "critical", "serving",
+              "{value} key(s) served defaults after shard failure since last "
+              "snapshot (partial-batch degradation active)"),
+    AlertRule("serving_stale_serves", GREW, 0, "warning", "serving",
+              "{value} stale cached answer(s) served since last snapshot (live "
+              "rung failing; staleness bounded by the invalidation stream)"),
+    AlertRule("migrations_in_flight", ABOVE, 0, "warning", "elastic",
+              "{value} live migration(s) in flight: dual-write window open, "
+              "cutover pending"),
+    AlertRule("migrations_aborted", GREW, 0, "warning", "elastic",
+              "{value} live migration(s) aborted since last snapshot (target "
+              "died or failover raced the cutover)"),
+    AlertRule("autoscaler_applied", GREW, 0, "warning", "elastic",
+              "autoscaler applied {value} scaling action(s) since last "
+              "snapshot (last: {snap.autoscaler_last_action})"),
+    AlertRule("supervisor_kills", GREW, 0, "critical", "runtime",
+              "supervisor force-killed {value} hung child process(es) since "
+              "last snapshot"),
+    AlertRule("supervisor_respawns", GREW, 0, "warning", "runtime",
+              "supervisor respawned {value} child process(es) since last "
+              "snapshot (crash recovery re-driven: WAL replay / topology "
+              "reload)"),
+    AlertRule(lambda s: dict(sorted(s.heartbeat_miss_streaks.items())),
+              AT_LEAST, "max_heartbeat_misses", "warning", "runtime",
+              "child {key!r} missed {value} consecutive heartbeat(s); "
+              "hang-kill fires past the supervisor's deadline"),
+    AlertRule("vq_reassignments", GREW, "max_reassignment_burst", "warning",
+              "retrieval", "{value} VQ reassignment(s) since last snapshot "
+              "exceeds {limit} (assignment churn: embeddings drifting faster "
+              "than the index settles)"),
+    AlertRule("vq_posting_p99", ABOVE, "max_posting_p99", "warning",
+              "retrieval", "posting-list p99 {value} exceeds {limit} (split "
+              "threshold too high for the catalog; probe fan-out is degrading "
+              "to a scan)"),
+    AlertRule("retrieval_cold_fallbacks", GREW, 0, "warning", "retrieval",
+              "{value} vq query(ies) fell back to CF since last snapshot "
+              "(index cold or store browned out on the VQ read path)"),
+    AlertRule(lambda s: len(s.degraded_tdstore_servers), ABOVE, 0, "warning",
+              "tdstore", "server(s) {snap.degraded_tdstore_servers} degraded "
+              "(latency spike or brownout)"),
+    AlertRule(lambda s: len(s.degraded_tdaccess_servers), ABOVE, 0, "warning",
+              "tdaccess", "server(s) {snap.degraded_tdaccess_servers} degraded "
+              "(latency spike or brownout)"),
+)
+
+
+def _keyed(value: Any) -> list[tuple[Any, Any]]:
+    """A metric as (key, value) pairs: a dict's items, a list's members
+    each ``True``, or a scalar under the key ``None``."""
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, list):
+        return [(key, True) for key in value]
+    return [(None, value)]
+
+
+def _growth(current: Any, previous: Any) -> Any:
+    """How much a counter (or each counter of a dict) grew since
+    ``previous``. A counter below its previous value was reset (a killed
+    task's bolt restarts from zero), so all of its value is new."""
+    if isinstance(current, dict):
+        return {
+            key: _growth(count, previous.get(key, 0))
+            for key, count in current.items()
+        }
+    return current - previous if current >= previous else current
+
+
 class SystemMonitor:
     """Collects snapshots and evaluates alert rules."""
 
@@ -310,22 +481,18 @@ class SystemMonitor:
                 s.pending_syncs() for s in servers if s.alive
             )
             snap.journal_evictions = self._tdstore.journal_evictions()
-            if hasattr(self._tdstore, "migration_stats"):
-                stats = self._tdstore.migration_stats()
-                snap.route_epoch = stats["route_epoch"]
-                snap.migrations_completed = stats["completed"]
-                snap.migrations_aborted = stats["aborted"]
-                snap.migrations_in_flight = len(stats["in_flight"])
-            if hasattr(self._tdstore, "scrub_stats"):
-                stats = self._tdstore.scrub_stats()
-                snap.scrub_passes = stats["scrub_passes"]
-                snap.scrub_instances_scanned = stats["instances_scanned"]
-                snap.scrub_divergent_buckets = stats["divergent_buckets"]
-                snap.scrub_keys_repaired = stats["keys_repaired"]
-                snap.scrub_keys_deleted = stats["keys_deleted"]
-                snap.scrub_corruptions_detected = stats[
-                    "corruptions_detected"
-                ]
+            stats = self._tdstore.migration_stats()
+            snap.route_epoch = stats["route_epoch"]
+            snap.migrations_completed = stats["completed"]
+            snap.migrations_aborted = stats["aborted"]
+            snap.migrations_in_flight = len(stats["in_flight"])
+            stats = self._tdstore.scrub_stats()
+            snap.scrub_passes = stats["scrub_passes"]
+            snap.scrub_instances_scanned = stats["instances_scanned"]
+            snap.scrub_divergent_buckets = stats["divergent_buckets"]
+            snap.scrub_keys_repaired = stats["keys_repaired"]
+            snap.scrub_keys_deleted = stats["keys_deleted"]
+            snap.scrub_corruptions_detected = stats["corruptions_detected"]
         if self._storm is not None:
             for name, run in self._storm._running.items():
                 snap.topology_pending[name] = run.pending_tuples()
@@ -391,13 +558,9 @@ class SystemMonitor:
             snap.heartbeat_miss_streaks = dict(
                 stats["heartbeat_miss_streaks"]
             )
-        if self._tdstore is not None and hasattr(
-            self._tdstore, "degraded_servers"
-        ):
+        if self._tdstore is not None:
             snap.degraded_tdstore_servers = self._tdstore.degraded_servers()
-        if self._tdaccess is not None and hasattr(
-            self._tdaccess, "degraded_servers"
-        ):
+        if self._tdaccess is not None:
             snap.degraded_tdaccess_servers = self._tdaccess.degraded_servers()
         self.history.append(snap)
         return snap
@@ -405,386 +568,47 @@ class SystemMonitor:
     # -- alerting -------------------------------------------------------------
 
     def evaluate(self, snap: SystemSnapshot | None = None) -> list[Alert]:
+        """Run :data:`ALERT_RULES` against ``snap`` (a fresh snapshot by
+        default); GREW rows measure growth since :meth:`_base`."""
         if snap is None:
             snap = self.snapshot()
+        base = self._base(snap)
         alerts: list[Alert] = []
-        if snap.tdaccess_servers_up < snap.tdaccess_servers_total:
-            down = snap.tdaccess_servers_total - snap.tdaccess_servers_up
-            alerts.append(
-                Alert("critical", "tdaccess", f"{down} data server(s) down")
-            )
-        for name, lag in snap.consumer_lag.items():
-            if lag > self.max_consumer_lag:
-                alerts.append(
-                    Alert(
-                        "warning", "tdaccess",
-                        f"consumer {name!r} lag {lag} exceeds "
-                        f"{self.max_consumer_lag}",
+        for _, rules in groupby(ALERT_RULES, attrgetter("metric")):
+            fired = []
+            for rule in rules:
+                limit = rule.threshold
+                if rule.test != EQUALS and isinstance(limit, str):
+                    limit = getattr(self, limit)
+                if limit is None or (rule.when and not rule.when(self)):
+                    continue
+                value = rule.read(snap)
+                if rule.test == GREW:
+                    value = _growth(value, rule.read(base))
+                if rule.summed:
+                    value = sum(value.values())
+                for position, (key, level) in enumerate(_keyed(value)):
+                    if level is None or not _COMPARE[rule.test](level, limit):
+                        continue
+                    text = rule.message.format(
+                        key=key, value=level, limit=limit, snap=snap
                     )
-                )
-        if snap.tdstore_servers_up < snap.tdstore_servers_total:
-            down = snap.tdstore_servers_total - snap.tdstore_servers_up
-            alerts.append(
-                Alert("critical", "tdstore", f"{down} data server(s) down")
-            )
-        if snap.replication_backlog > self.max_replication_backlog:
-            alerts.append(
-                Alert(
-                    "warning", "tdstore",
-                    f"replication backlog {snap.replication_backlog} "
-                    f"exceeds {self.max_replication_backlog}",
-                )
-            )
-        imbalance = snap.read_imbalance()
-        if imbalance > self.max_read_imbalance:
-            alerts.append(
-                Alert(
-                    "warning", "tdstore",
-                    f"read imbalance {imbalance:.1f}x exceeds "
-                    f"{self.max_read_imbalance:.1f}x",
-                )
-            )
-        if self.max_checkpoint_age is not None and self._coordinator is not None:
-            if snap.checkpoint_age is None:
-                if snap.timestamp > self.max_checkpoint_age:
-                    alerts.append(
-                        Alert(
-                            "warning", "recovery",
-                            "no checkpoint has ever been taken",
-                        )
-                    )
-            elif snap.checkpoint_age > self.max_checkpoint_age:
-                alerts.append(
-                    Alert(
-                        "warning", "recovery",
-                        f"checkpoint age {snap.checkpoint_age:.0f}s exceeds "
-                        f"{self.max_checkpoint_age:.0f}s",
-                    )
-                )
-        if snap.recovery_in_progress:
-            alerts.append(
-                Alert(
-                    "warning", "recovery",
-                    "recovery replay in progress: serving degraded",
-                )
-            )
-        for name, restarts in snap.topology_restarts.items():
-            previous = self._previous_restarts(name)
-            if restarts > previous:
-                alerts.append(
-                    Alert(
-                        "warning", "storm",
-                        f"topology {name!r} had "
-                        f"{restarts - previous} task restart(s)",
-                    )
-                )
-        for task in snap.ledgers_over_bound:
-            alerts.append(
-                Alert(
-                    "critical", "storm",
-                    f"dedup ledger of {task} exceeds its watermark bound: "
-                    "memory no longer O(in-flight)",
-                )
-            )
-        dedup_delta = snap.total_dedup_hits() - self._previous_dedup_hits()
-        if dedup_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "storm",
-                    f"{dedup_delta} replayed tuple(s) suppressed since last "
-                    "snapshot (counter corruption averted; check source "
-                    "replays)",
-                )
-            )
-        watermark_delta = (
-            snap.total_watermark_rejections()
-            - self._previous_watermark_rejections()
-        )
-        if watermark_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "storm",
-                    f"{watermark_delta} delivery(ies) dropped below the "
-                    "ledger watermark since last snapshot (a late first "
-                    "delivery would be lost the same way; check "
-                    "retain_depth against stream skew)",
-                )
-            )
-        for name, anomalies in snap.acker_anomalies.items():
-            previous = self._previous_acker_anomalies(name)
-            if anomalies > previous:
-                alerts.append(
-                    Alert(
-                        "warning", "storm",
-                        f"topology {name!r} absorbed "
-                        f"{anomalies - previous} over-acked tuple tree(s) "
-                        "(possible double-ack bug in a bolt)",
-                    )
-                )
-        eviction_delta = snap.journal_evictions - self._previous_field(
-            "journal_evictions"
-        )
-        if eviction_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "tdstore",
-                    f"{eviction_delta} op-journal id(s) trimmed since last "
-                    "snapshot; a rewind re-delivering them would "
-                    "double-apply (check JOURNAL_LIMIT against per-key op "
-                    "rates)",
-                )
-            )
-        divergence_delta = snap.scrub_divergent_buckets - self._previous_field(
-            "scrub_divergent_buckets"
-        )
-        if divergence_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "tdstore",
-                    f"scrub found and repaired {divergence_delta} divergent "
-                    "replica bucket(s) since last snapshot (replication "
-                    "drift; read-repair converged the pair)",
-                )
-            )
-        scrub_corruption_delta = (
-            snap.scrub_corruptions_detected
-            - self._previous_field("scrub_corruptions_detected")
-        )
-        if scrub_corruption_delta > 0:
-            alerts.append(
-                Alert(
-                    "critical", "tdstore",
-                    f"scrub detected {scrub_corruption_delta} silently "
-                    "corrupted key(s) since last snapshot (value differed "
-                    "between replicas; repaired from the host copy — check "
-                    "for memory faults or repair-path bugs)",
-                )
-            )
-        for name, state in snap.breaker_states.items():
-            if state == "open":
-                alerts.append(
-                    Alert(
-                        "critical", "resilience",
-                        f"circuit breaker {name!r} is open: dependency "
-                        "unhealthy, callers failing fast",
-                    )
-                )
-            elif state == "half_open":
-                alerts.append(
-                    Alert(
-                        "warning", "resilience",
-                        f"circuit breaker {name!r} is half-open: probing "
-                        "recovery",
-                    )
-                )
-        shed_delta = snap.queries_shed - self._previous_field("queries_shed")
-        if shed_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "resilience",
-                    f"{shed_delta} query(ies) shed since last snapshot "
-                    f"(total shed rate {snap.shed_rate:.1%})",
-                )
-            )
-        degraded_delta = self._degraded_serves(snap) - self._degraded_serves(
-            self._previous_snapshot()
-        )
-        if degraded_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "serving",
-                    f"{degraded_delta} query(ies) served below the live "
-                    "rung since last snapshot",
-                )
-            )
-        hedged_delta = snap.store_hedged_reads - self._previous_field(
-            "store_hedged_reads"
-        )
-        if hedged_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "serving",
-                    f"{hedged_delta} hedged replica read(s) since last "
-                    "snapshot (primary shard slow or down; replica data "
-                    "may trail replication)",
-                )
-            )
-        shard_degraded_delta = snap.store_degraded_keys - self._previous_field(
-            "store_degraded_keys"
-        )
-        if shard_degraded_delta > 0:
-            alerts.append(
-                Alert(
-                    "critical", "serving",
-                    f"{shard_degraded_delta} key(s) served defaults after "
-                    "shard failure since last snapshot (partial-batch "
-                    "degradation active)",
-                )
-            )
-        stale_delta = snap.serving_stale_serves - self._previous_field(
-            "serving_stale_serves"
-        )
-        if stale_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "serving",
-                    f"{stale_delta} stale cached answer(s) served since "
-                    "last snapshot (live rung failing; staleness bounded "
-                    "by the invalidation stream)",
-                )
-            )
-        if snap.migrations_in_flight > 0:
-            alerts.append(
-                Alert(
-                    "warning", "elastic",
-                    f"{snap.migrations_in_flight} live migration(s) in "
-                    "flight: dual-write window open, cutover pending",
-                )
-            )
-        aborted_delta = snap.migrations_aborted - self._previous_field(
-            "migrations_aborted"
-        )
-        if aborted_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "elastic",
-                    f"{aborted_delta} live migration(s) aborted since last "
-                    "snapshot (target died or failover raced the cutover)",
-                )
-            )
-        applied_delta = snap.autoscaler_applied - self._previous_field(
-            "autoscaler_applied"
-        )
-        if applied_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "elastic",
-                    f"autoscaler applied {applied_delta} scaling action(s) "
-                    f"since last snapshot (last: "
-                    f"{snap.autoscaler_last_action})",
-                )
-            )
-        kills_delta = snap.supervisor_kills - self._previous_field(
-            "supervisor_kills"
-        )
-        if kills_delta > 0:
-            alerts.append(
-                Alert(
-                    "critical", "runtime",
-                    f"supervisor force-killed {kills_delta} hung "
-                    "child process(es) since last snapshot",
-                )
-            )
-        respawn_delta = snap.supervisor_respawns - self._previous_field(
-            "supervisor_respawns"
-        )
-        if respawn_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "runtime",
-                    f"supervisor respawned {respawn_delta} child "
-                    "process(es) since last snapshot (crash recovery "
-                    "re-driven: WAL replay / topology reload)",
-                )
-            )
-        for name, streak in sorted(snap.heartbeat_miss_streaks.items()):
-            if streak >= self.max_heartbeat_misses:
-                alerts.append(
-                    Alert(
-                        "warning", "runtime",
-                        f"child {name!r} missed {streak} consecutive "
-                        f"heartbeat(s); hang-kill fires past the "
-                        "supervisor's deadline",
-                    )
-                )
-        churn_delta = snap.vq_reassignments - self._previous_field(
-            "vq_reassignments"
-        )
-        if churn_delta > self.max_reassignment_burst:
-            alerts.append(
-                Alert(
-                    "warning", "retrieval",
-                    f"{churn_delta} VQ reassignment(s) since last snapshot "
-                    f"exceeds {self.max_reassignment_burst} (assignment "
-                    "churn: embeddings drifting faster than the index "
-                    "settles)",
-                )
-            )
-        if snap.vq_posting_p99 > self.max_posting_p99:
-            alerts.append(
-                Alert(
-                    "warning", "retrieval",
-                    f"posting-list p99 {snap.vq_posting_p99} exceeds "
-                    f"{self.max_posting_p99} (split threshold too high for "
-                    "the catalog; probe fan-out is degrading to a scan)",
-                )
-            )
-        cold_delta = snap.retrieval_cold_fallbacks - self._previous_field(
-            "retrieval_cold_fallbacks"
-        )
-        if cold_delta > 0:
-            alerts.append(
-                Alert(
-                    "warning", "retrieval",
-                    f"{cold_delta} vq query(ies) fell back to CF since last "
-                    "snapshot (index cold or store browned out on the VQ "
-                    "read path)",
-                )
-            )
-        for layer, degraded in (
-            ("tdstore", snap.degraded_tdstore_servers),
-            ("tdaccess", snap.degraded_tdaccess_servers),
-        ):
-            if degraded:
-                alerts.append(
-                    Alert(
-                        "warning", layer,
-                        f"server(s) {degraded} degraded (latency spike or "
-                        "brownout)",
-                    )
-                )
+                    alert = Alert(rule.severity, rule.component, text)
+                    fired.append((position, alert))
+            alerts += [alert for _, alert in sorted(fired, key=itemgetter(0))]
         return alerts
 
-    def _previous_snapshot(self) -> SystemSnapshot | None:
-        return self.history[-2] if len(self.history) >= 2 else None
-
-    def _previous_restarts(self, name: str) -> int:
-        for snap in reversed(self.history[:-1]):
-            if name in snap.topology_restarts:
-                return snap.topology_restarts[name]
-        return 0
-
-    def _previous_dedup_hits(self) -> int:
-        previous = self._previous_snapshot()
-        return previous.total_dedup_hits() if previous is not None else 0
-
-    def _previous_watermark_rejections(self) -> int:
-        previous = self._previous_snapshot()
-        return (
-            previous.total_watermark_rejections()
-            if previous is not None
-            else 0
+    def _base(self, snap: SystemSnapshot) -> SystemSnapshot:
+        """The snapshot taken just before ``snap`` (the latest one if
+        ``snap`` is not in the history; an empty one if none is). Found
+        by identity: a snapshot the :class:`Autoscaler` takes in between
+        never becomes the base."""
+        history = self.history
+        index = next(
+            (i for i in range(len(history) - 1, -1, -1) if history[i] is snap),
+            len(history),
         )
-
-    def _previous_acker_anomalies(self, name: str) -> int:
-        for snap in reversed(self.history[:-1]):
-            if name in snap.acker_anomalies:
-                return snap.acker_anomalies[name]
-        return 0
-
-    def _previous_field(self, name: str) -> int:
-        previous = self._previous_snapshot()
-        return getattr(previous, name) if previous is not None else 0
-
-    @staticmethod
-    def _degraded_serves(snap: SystemSnapshot | None) -> int:
-        if snap is None:
-            return 0
-        return sum(
-            count
-            for rung, count in snap.serving_rungs.items()
-            if rung != "live"
-        )
+        return history[index - 1] if index else SystemSnapshot(timestamp=0.0)
 
     def summary(self) -> str:
         """Human-readable one-page overview of the latest snapshot."""

@@ -92,33 +92,36 @@ class RecommenderEngine:
         n: int,
     ) -> list[Recommendation]:
         """Equation 2 scoring, shared by the per-key and batched paths so
-        the two can never diverge."""
+        the two can never diverge. One native sort of negated tuples ranks
+        (score desc, support desc, item asc); negation is exact, so every
+        score is its quotient bit for bit."""
+        min_similarity = self._config.min_similarity
         numerator: dict[str, float] = {}
         denominator: dict[str, float] = {}
+        numerator_get, denominator_get = numerator.get, denominator.get
         for item, rating, __ in recent:
-            sim_list = sim_lookup(item) or {}
+            sim_list = sim_lookup(item)
+            if not sim_list:
+                continue
             for candidate, similarity in sim_list.items():
-                if candidate in consumed:
-                    continue
-                if similarity <= self._config.min_similarity:
+                # `<=` lets NaN through; its NaN support fails `> 0.0` below
+                if candidate in consumed or similarity <= min_similarity:
                     continue
                 numerator[candidate] = (
-                    numerator.get(candidate, 0.0) + similarity * rating
+                    numerator_get(candidate, 0.0) + similarity * rating
                 )
                 denominator[candidate] = (
-                    denominator.get(candidate, 0.0) + similarity
+                    denominator_get(candidate, 0.0) + similarity
                 )
-        scored = sorted(
-            (
-                (numerator[c] / denominator[c], denominator[c], c)
-                for c in numerator
-                if denominator[c] > 0.0
-            ),
-            key=lambda row: (-row[0], -row[1], row[2]),
-        )
+        scored = [
+            (-(total / support), -support, candidate)
+            for candidate, total in numerator.items()
+            if (support := denominator[candidate]) > 0.0
+        ]
+        scored.sort()
+        del scored[n:]
         return [
-            Recommendation(item, score, source="cf")
-            for score, __, item in scored[:n]
+            Recommendation(item, -negated, "cf") for negated, __, item in scored
         ]
 
     def _complement(

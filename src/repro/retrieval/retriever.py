@@ -170,7 +170,6 @@ class VQRetriever:
             self.stats.cold_misses += 1
             raise ColdIndexError("no centroid vectors readable")
         self.stats.probes += len(probed)
-        self.stats.probe_history.append(len(probed))
         postings = self._store.multi_get([K.posting(c) for c in probed])
         candidates = sorted(
             {

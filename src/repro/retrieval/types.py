@@ -7,7 +7,7 @@ builtin containers — no ndarrays, no store handles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -59,4 +59,3 @@ class RetrievalStats:
     candidates_scored: int = 0
     probes: int = 0
     empty_answers: int = 0
-    probe_history: list[int] = field(default_factory=list)

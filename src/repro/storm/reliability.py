@@ -77,9 +77,15 @@ class _SourceWindow:
             self.max_seen = offset
             floor = self.max_seen - retain_depth
             if floor > self.watermark:
+                # tracked offsets all lie above the old watermark: pop
+                # (watermark, floor] unless that is longer than the window
+                if floor - self.watermark < len(self.detail):
+                    for old in range(self.watermark + 1, floor + 1):
+                        self.detail.pop(old, None)
+                else:
+                    for old in [o for o in self.detail if o <= floor]:
+                        del self.detail[old]
                 self.watermark = floor
-                for old in [o for o in self.detail if o <= floor]:
-                    del self.detail[old]
 
 
 class DedupLedger:

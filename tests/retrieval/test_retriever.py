@@ -1,5 +1,7 @@
 """Unit tests for the VQ read path: probe, re-rank, degradation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ class TestRetrieve:
         assert retriever.stats.queries == 1
         assert retriever.stats.probes == len(answer.probed_centroids) <= 2
         assert retriever.stats.candidates_scored >= len(answer.items)
+
+    def test_stats_stay_counters_over_many_queries(self):
+        # a retriever lives as long as its engine: nothing in its stats
+        # may grow per query
+        cluster, client = built_store()
+        retriever = VQRetriever(client, RetrieverConfig(probe_width=2))
+        q = np.asarray(client.get(K.embedding("a0"))["vec"], dtype=np.float64)
+        for __ in range(2_000):
+            retriever.retrieve(q, 5)
+        assert retriever.stats.queries == 2_000
+        assert all(
+            type(getattr(retriever.stats, f.name)) is int
+            for f in dataclasses.fields(retriever.stats)
+        )
 
 
 class TestRecommend:

@@ -34,6 +34,7 @@ import pytest
 from repro.runtime.rpc import RpcClient, RpcServer, dispatch_to_methods
 from repro.runtime.wal import GroupCommitWal, WalError, replay
 from repro.runtime.wire import (
+    CALL,
     HEADER_SIZE,
     Request,
     Response,
@@ -123,7 +124,9 @@ class EchoReceiver:
 
 
 def bench_rpc_overhead() -> dict:
-    server = RpcServer(dispatch_to_methods(lambda target: EchoReceiver()))
+    server = RpcServer(
+        dispatch_to_methods(lambda target: EchoReceiver(), {"echo": CALL})
+    )
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}
     )

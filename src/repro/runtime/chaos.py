@@ -313,7 +313,7 @@ class ChaosRuntime:
             rpc.call("_ping")
             server_id = self._local_server(host_index)
             if server_id is not None:
-                rpc.call(".alive", target=("data", server_id))
+                rpc.call("alive", target=("data", server_id))
 
     def progress(self) -> dict:
         """Cluster-wide RPC / WAL progress, summed across the hosts:

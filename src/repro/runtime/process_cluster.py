@@ -16,9 +16,7 @@ parent-side replay is deterministic. Fields groupings pin each key's
 tuples to one task, and tasks are pinned to workers, so cross-worker
 TDStore effects within a wave are on disjoint keys (or commutative
 increments) — the invariant that keeps final state reproducible, and
-the same one that lets a worker merge its tasks' store traffic. With
-``serialize_waves=True`` even server-side arrival order is sequential,
-trading the parallel speedup for simulator-grade determinism.
+the same one that lets a worker merge its tasks' store traffic.
 
 A worker that dies mid-wave is respawned by the supervisor, its
 topologies reloaded, and its share of the wave re-dispatched: the bolts
@@ -59,8 +57,6 @@ class ProcessCluster(LocalCluster):
     tdstore_spec:
         ``(addresses, placement)`` of the TDStore server hosts, shipped
         to workers so their bolts build remote clients.
-    serialize_waves:
-        Dispatch one worker at a time instead of overlapping them.
     """
 
     def __init__(
@@ -71,7 +67,6 @@ class ProcessCluster(LocalCluster):
         supervisor: ProcessSupervisor,
         tdstore_spec: "tuple[list, dict]",
         tick_interval: "float | None" = None,
-        serialize_waves: bool = False,
     ):
         super().__init__(clock=clock, tick_interval=tick_interval)
         if not workers:
@@ -79,7 +74,6 @@ class ProcessCluster(LocalCluster):
         self._workers = list(workers)
         self._supervisor = supervisor
         self._tdstore_spec = tdstore_spec
-        self._serialize_waves = serialize_waves
         self._rpcs: dict[int, RpcClient] = {}
         self._recipes: dict[str, Any] = {}
         self.waves_dispatched = 0
@@ -216,39 +210,29 @@ class ProcessCluster(LocalCluster):
             for index, batches in sorted(per_worker.items())
         ]
         results: dict = {}
-        if self._serialize_waves:
-            for index, request in requests:
-                self._collect_worker(index, request, results, retry=True)
-            return results
         in_flight = []
         for index, request in requests:
             try:
                 self._worker_rpc(index).send_request(request)
                 in_flight.append((index, request))
             except RemoteOpError:
-                self._recover_worker(index)
-                self._collect_worker(index, request, results, retry=False)
+                self._redispatch(index, request, results)
         for index, request in in_flight:
             try:
                 results.update(self._worker_rpc(index).recv_response().unwrap())
             except RemoteOpError:
-                self._recover_worker(index)
-                self._collect_worker(index, request, results, retry=False)
+                self._redispatch(index, request, results)
         return results
 
-    def _collect_worker(self, index, request, results, *, retry: bool):
+    def _redispatch(self, index, request, results):
+        self._recover_worker(index)
         try:
-            response = self._worker_rpc(index).call_raw(request).unwrap()
+            results.update(self._worker_rpc(index).call_raw(request).unwrap())
         except RemoteOpError:
-            if not retry:
-                raise WorkerCrashError(
-                    f"worker {self._workers[index].name!r} died twice on one "
-                    "wave; giving up"
-                )
-            self._recover_worker(index)
-            self._collect_worker(index, request, results, retry=False)
-            return
-        results.update(response)
+            raise WorkerCrashError(
+                f"worker {self._workers[index].name!r} died twice on one "
+                "wave; giving up"
+            )
 
     @staticmethod
     def _replay_events(task: _Task, tup: StormTuple, events):

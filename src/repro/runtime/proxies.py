@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from repro.errors import RemoteOpError, SubstrateMismatchError, TDStoreError
 from repro.runtime.rpc import RpcClient
-from repro.runtime.wire import MUTATING_DATA_METHODS as MUTATING_DATA_METHODS
+from repro.runtime.wire import ONCE, SURFACE
 from repro.utils.clock import WallClock
 
 # transport-level retry: a RemoteOpError means the TCP connection died
@@ -36,7 +36,8 @@ from repro.utils.clock import WallClock
 # op is either op-journaled (put_once/apply_op dedup) or last-write-wins,
 # so re-sending an op whose ack was lost after the apply is convergent;
 # this is what makes conn_reset / frame_drop / host_sigkill faults
-# absorbable below the resilience stack.
+# absorbable below the resilience stack. A ``once`` row is the
+# exception: it surfaces the error instead.
 TRANSPORT_RETRIES = 3
 TRANSPORT_BACKOFF = 0.05
 
@@ -47,17 +48,16 @@ def _retrying(
     args: tuple,
     target: Any,
     recover: "Callable[[], None] | None",
-    counter: "Callable[[], None]",
 ) -> Any:
+    retries = 0 if method in ONCE else TRANSPORT_RETRIES
     attempt = 0
     while True:
         try:
             return rpc.call(method, *args, target=target)
         except RemoteOpError:
             attempt += 1
-            if attempt > TRANSPORT_RETRIES:
+            if attempt > retries:
                 raise
-            counter()
             if recover is not None:
                 # parent-side: ask the supervisor to respawn the host
                 # (no-op when it is alive and the fault was transient)
@@ -70,23 +70,35 @@ def _retrying(
                 # stable ports; a short pause outlives a reset window
                 time.sleep(TRANSPORT_BACKOFF * attempt)
 
-# MUTATING_DATA_METHODS — the TDStoreDataServer methods that mutate
-# durable state — now lives in repro.runtime.wire so the transport can
-# consult it (no transparent re-send after a corrupt reply frame)
-# without importing this module; it is re-exported above for the server
-# host and the facade, which WAL-log and replay exactly that set.
+
+def _forwarded(proxy, plane: str, name: str) -> Any:
+    """``name`` on a proxy of one plane: an ``attr`` row is fetched on
+    every access, anything else becomes a forwarder to ``proxy._forward``
+    (cached; positional args only — a request has no keywords)."""
+    if name.startswith("_"):
+        raise AttributeError(name)
+    row = SURFACE[plane].get(name)
+    if row is not None and row.attr:
+        return proxy._call(name)
+    call = proxy._forward
+
+    def forward(*args: Any):
+        return call(name, *args)
+
+    forward.__name__ = name
+    proxy.__dict__[name] = forward
+    return forward
 
 
 class RemoteDataServer:
     """Proxy for one logical ``TDStoreDataServer`` behind an RPC endpoint.
 
-    Method calls forward over the shared per-host connection; the
-    forwarders are cached in the instance dict so repeated calls skip
-    ``__getattr__``. Liveness and counters are genuine remote reads
-    (they sit on rare paths: failover decisions, monitoring sweeps).
+    Names forward over the shared per-host connection as the ``data``
+    plane's rows say; the host refuses what the plane does not declare.
     """
 
-    _REMOTE_ATTRS = ("alive", "degraded", "reads", "writes", "latency")
+    # real servers take real time; there is nothing to charge
+    latency = 0.0
 
     def __init__(
         self,
@@ -99,49 +111,14 @@ class RemoteDataServer:
         self.server_id = server_id
         self._target = ("data", server_id)
         self._recover = recover
-        self.retries = 0
-
-    def _count_retry(self) -> None:
-        self.retries += 1
 
     def _call(self, method: str, *args: Any) -> Any:
-        return _retrying(
-            self._rpc, method, args, self._target,
-            self._recover, self._count_retry,
-        )
+        return _retrying(self._rpc, method, args, self._target, self._recover)
 
-    @property
-    def alive(self) -> bool:
-        return self._call(".alive")
-
-    @property
-    def degraded(self) -> bool:
-        return self._call(".degraded")
-
-    @property
-    def reads(self) -> int:
-        return self._call(".reads")
-
-    @property
-    def writes(self) -> int:
-        return self._call(".writes")
-
-    @property
-    def latency(self) -> float:
-        # real servers take real time; there is nothing to charge
-        return 0.0
+    _forward = _call
 
     def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        call = self._call
-
-        def forward(*args: Any):
-            return call(name, *args)
-
-        forward.__name__ = name
-        self.__dict__[name] = forward
-        return forward
+        return _forwarded(self, "data", name)
 
     def __repr__(self) -> str:
         return f"RemoteDataServer(id={self.server_id}, via={self._rpc!r})"
@@ -168,16 +145,16 @@ class RemoteConfigServer:
         self._route_epoch: int = -1
         self._migration_cache: "dict[int, int] | None" = None
         self._recover = recover
-        self.retries = 0
-
-    def _count_retry(self) -> None:
-        self.retries += 1
 
     def _call(self, method: str, *args: Any) -> Any:
-        return _retrying(
-            self._rpc, method, args, "config",
-            self._recover, self._count_retry,
-        )
+        return _retrying(self._rpc, method, args, "config", self._recover)
+
+    def _forward(self, method: str, *args: Any) -> Any:
+        # any forwarded control-plane call (install_table, ...) may
+        # start or finish a move: drop the idle-state cache so
+        # migration_target re-learns it
+        self._migration_cache = None
+        return self._call(method, *args)
 
     @property
     def route_epoch(self) -> int:
@@ -237,20 +214,7 @@ class RemoteConfigServer:
         return self._call("unregister_migration", instance, completed)
 
     def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        call = self._call
-
-        def forward(*args: Any):
-            # any forwarded control-plane call (register_migration,
-            # install_table, ...) may start or finish a move: drop the
-            # idle-state cache so migration_target re-learns it
-            self._migration_cache = None
-            return call(name, *args)
-
-        forward.__name__ = name
-        self.__dict__[name] = forward
-        return forward
+        return _forwarded(self, "config", name)
 
 
 class ProcessTDStore:
@@ -259,9 +223,9 @@ class ProcessTDStore:
     Duck-types :class:`repro.tdstore.cluster.TDStoreCluster` — the
     recovery harness, checkpoint coordinator, fault injector and system
     monitor drive it exactly as they drive the in-process cluster.
-    Facade-level operations forward to the real ``TDStoreCluster``
-    living in server host 0; per-server data operations go straight to
-    the owning host process.
+    Facade-level operations — the ``cluster`` plane's rows — forward to
+    the real ``TDStoreCluster`` living in server host 0; per-server data
+    operations go straight to the owning host process.
 
     Constructed from plain addresses so it can be pickled into worker
     processes (connections open lazily, per process).
@@ -283,7 +247,6 @@ class ProcessTDStore:
         self._recover_host: "Callable[[int], None] | None" = None
         # chaos bookkeeping: data servers carrying a real injected delay
         self._real_delays: set[int] = set()
-        self.rpc_retries = 0
 
     def __getstate__(self):
         return {"addresses": self._addresses, "placement": self._placement}
@@ -400,14 +363,18 @@ class ProcessTDStore:
 
     # -- facade operations (forwarded to the cluster on host 0) ----------
 
-    def _cluster_call(self, method: str, *args: Any) -> Any:
+    def _call(self, method: str, *args: Any) -> Any:
         return _retrying(
             self._host_rpc(0), method, args, "cluster",
-            self._recover_callback(0), self._count_retry,
+            self._recover_callback(0),
         )
 
-    def _count_retry(self) -> None:
-        self.rpc_retries += 1
+    _forward = _call
+
+    def __getattr__(self, name: str):
+        if name not in SURFACE["cluster"]:
+            raise AttributeError(name)
+        return _forwarded(self, "cluster", name)
 
     @property
     def placement(self) -> "dict[int, int]":
@@ -415,31 +382,10 @@ class ProcessTDStore:
         return dict(self._placement)
 
     def add_data_server(self) -> int:
-        server_id = self._cluster_call("add_data_server")
+        server_id = self._call("add_data_server")
         # servers created at runtime are hosted by process 0
         self._placement[server_id] = 0
         return server_id
-
-    def drain_data_server(self, server_id: int, exclude: tuple = ()) -> list:
-        return self._cluster_call("drain_data_server", server_id, exclude)
-
-    def migration_stats(self) -> dict:
-        return self._cluster_call("migration_stats")
-
-    def crash_data_server(self, server_id: int):
-        return self._cluster_call("crash_data_server", server_id)
-
-    def recover_data_server(self, server_id: int):
-        return self._cluster_call("recover_data_server", server_id)
-
-    def scrub_replicas(self, buckets: "int | None" = None) -> dict:
-        """Anti-entropy pass, run inside host 0's control plane (local
-        engines compared directly, sibling hosts reached over the
-        existing data-server proxies); returns the pass report dict."""
-        return self._cluster_call("scrub_replicas", buckets)
-
-    def scrub_stats(self) -> dict:
-        return self._cluster_call("scrub_stats")
 
     def set_degradation(
         self,
@@ -455,7 +401,7 @@ class ProcessTDStore:
                 "clock to charge. Run latency-fault scenarios on "
                 "SimSubstrate, or use error_every degradation here."
             )
-        return self._cluster_call("set_degradation", server_id, None, error_every)
+        return self._call("set_degradation", server_id, None, error_every)
 
     def set_real_delay(self, server_id: int, seconds: float) -> float:
         """Latency degradation with process-substrate semantics: the
@@ -482,30 +428,10 @@ class ProcessTDStore:
                 except Exception:
                     pass  # a respawned host starts with no delays anyway
             self._real_delays.discard(server_id)
-        return self._cluster_call("clear_degradation", server_id)
+        return self._call("clear_degradation", server_id)
 
     def degraded_servers(self) -> "list[int]":
-        return sorted(
-            set(self._cluster_call("degraded_servers")) | self._real_delays
-        )
-
-    def sync_replicas(self):
-        return self._cluster_call("sync_replicas")
-
-    def snapshot_contents(self) -> dict:
-        return self._cluster_call("snapshot_contents")
-
-    def restore_contents(self, contents: dict):
-        return self._cluster_call("restore_contents", contents)
-
-    def journal_evictions(self) -> int:
-        return self._cluster_call("journal_evictions")
-
-    def read_stats(self) -> "dict[int, int]":
-        return self._cluster_call("read_stats")
-
-    def write_stats(self) -> "dict[int, int]":
-        return self._cluster_call("write_stats")
+        return sorted(set(self._call("degraded_servers")) | self._real_delays)
 
     # -- runtime-only surface --------------------------------------------
 

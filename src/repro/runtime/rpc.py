@@ -22,15 +22,17 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import RemoteOpError
 from repro.runtime.wire import (
-    MUTATING_DATA_METHODS,
+    NOT_RESENT,
     FrameCorruptionError,
     FrameError,
     Request,
     Response,
+    Row,
     StreamDecoder,
     corrupt_frame,
     encode_error,
     encode_frame,
+    invoke,
 )
 
 RECV_CHUNK = 65536
@@ -62,11 +64,11 @@ class RpcClient:
 
     A reply frame that fails to parse — CRC mismatch or framing desync —
     poisons the whole stream, so the connection is dropped either way.
-    Idempotent ops (reads, admin calls, attribute fetches) are then
-    transparently re-issued once on a fresh connection; mutating data
-    ops are not re-sent at this layer (the first send may have applied)
-    and surface a typed :class:`FrameCorruptionError` for the journaled
-    retry machinery above to absorb.
+    The op is then transparently re-issued once on a fresh connection —
+    unless :data:`~repro.runtime.wire.NOT_RESENT` names it (the first
+    send may have applied): that surfaces a typed
+    :class:`FrameCorruptionError` for the journaled retry machinery
+    above to absorb.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float | None = 30.0):
@@ -89,58 +91,25 @@ class RpcClient:
         return self._sock is not None
 
     def call(self, method: str, *args: Any, target: Any = None) -> Any:
-        response = self.call_raw(Request(method, args, target))
-        return response.unwrap()
+        return self.call_raw(Request(method, args, target)).unwrap()
 
     def call_raw(self, request: Request) -> Response:
-        retryable = request.method not in MUTATING_DATA_METHODS
-        for attempt in (0, 1):
-            if self._sock is None:
-                self.connect()
-            assert self._sock is not None
-            self.calls += 1
+        resend = request.method not in NOT_RESENT
+        while True:
+            self.send_request(request)
             try:
-                self._sock.sendall(encode_frame(request))
-                while True:
-                    frames = self._decoder.feed(self._recv())
-                    if frames:
-                        break
-            except FrameError as exc:
-                # a damaged or desynced reply stream: nothing received on
-                # this connection can be trusted anymore, so drop it
-                # (close() also resets the decoder) and either re-issue
-                # the idempotent op on a fresh connection or surface the
-                # typed corruption error for mutations
-                self.frame_corruptions += 1
-                self.close()
-                if retryable and attempt == 0:
-                    continue
-                raise FrameCorruptionError(
-                    f"rpc to {self._address[0]}:{self._address[1]} returned "
-                    f"a corrupt frame during {request.method!r}"
-                    + ("" if retryable else " (mutating op: not re-sent)")
-                ) from exc
-            except (OSError, ConnectionError) as exc:
-                self.close()
-                raise RemoteOpError(
-                    f"rpc to {self._address[0]}:{self._address[1]} failed "
-                    f"during {request.method!r}: {exc}"
-                ) from exc
-            if len(frames) != 1:
-                self.close()
-                raise RemoteOpError(
-                    f"expected one response frame for {request.method!r}, "
-                    f"got {len(frames)}"
-                )
-            return frames[0]
-        raise AssertionError("unreachable")
+                return self.recv_response()
+            except FrameCorruptionError:
+                if not resend:
+                    raise
+                resend = False
 
     def send_request(self, request: Request) -> None:
         """Fire a request without waiting; pair with :meth:`recv_response`.
 
         The parent uses this to put one batch in flight per worker
         process before collecting any responses — the workers overlap
-        while the parent waits.
+        while the parent waits. :meth:`call_raw` is the pair, blocking.
         """
         if self._sock is None:
             self.connect()
@@ -165,14 +134,14 @@ class RpcClient:
                 if frames:
                     break
         except FrameError as exc:
-            # pipelined mode: the request this reply answers is not known
-            # here, so no transparent retry — the caller's worker-recovery
-            # path re-dispatches the batch
+            # a damaged or desynced reply stream: nothing received on this
+            # connection can be trusted anymore, so drop it (close() also
+            # resets the decoder). Re-sending is the caller's decision
             self.frame_corruptions += 1
             self.close()
             raise FrameCorruptionError(
                 f"rpc to {self._address[0]}:{self._address[1]} returned a "
-                "corrupt frame while awaiting a pipelined response"
+                "corrupt frame while awaiting a response"
             ) from exc
         except (OSError, ConnectionError) as exc:
             self.close()
@@ -457,21 +426,21 @@ class RpcServer:
 
 def dispatch_to_methods(
     receiver_for: Callable[[Any], Any],
+    rows: "dict[str, Row]",
 ) -> Callable[[Iterable[tuple[int, Request]]], list[Response]]:
-    """Build a batch handler that maps requests onto receiver methods.
+    """Build a batch handler that serves the names ``rows`` declares.
 
-    ``receiver_for(target)`` resolves the addressed object; the request
-    method is looked up on it with ``getattr`` and called with the
-    request args. Per-request exceptions become per-request error
-    responses, so one failing op never poisons its batch-mates.
+    ``receiver_for(target)`` resolves the addressed object, and
+    :func:`~repro.runtime.wire.invoke` serves the request on it.
+    Per-request exceptions become per-request error responses, so one
+    failing op never poisons its batch-mates.
     """
 
     def handler(batch: Iterable[tuple[int, Request]]) -> list[Response]:
         responses = []
         for _, request in batch:
             try:
-                receiver = receiver_for(request.target)
-                value = getattr(receiver, request.method)(*request.args)
+                __, value = invoke(rows, receiver_for(request.target), request)
                 responses.append(Response(value=value))
             except Exception as exc:
                 responses.append(encode_error(exc))

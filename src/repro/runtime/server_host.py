@@ -49,15 +49,17 @@ import time
 
 from repro.errors import TDStoreError
 from repro.faultkinds import NETWORK_WINDOW_KINDS
-from repro.runtime.proxies import MUTATING_DATA_METHODS, RemoteDataServer
+from repro.runtime.proxies import RemoteDataServer
 from repro.runtime.rpc import RpcClient, RpcServer
 from repro.runtime.wal import GroupCommitWal, WalError, replay
 from repro.runtime.wire import (
     CORRUPTION_STATS,
+    SURFACE,
     Request,
     Response,
     encode_error,
     encode_frame,
+    invoke,
 )
 
 # cap on chaos-injected real per-op server delay: 30-100x a loopback
@@ -79,13 +81,6 @@ WINDOW_ACTIONS = {
     "frame_corrupt": "corrupt_response",
 }
 
-# control-plane calls that rebuild data-plane state and must therefore
-# survive a later host crash: logged as ("__cluster__", method, args)
-# records and re-applied by _replay_wal after the data-plane records.
-# add_data_server is logged so a respawned host 0 re-creates elastic
-# expansion servers (hosted by process 0, joining its ``locals``) before
-# their data records
-CLUSTER_WAL_METHODS = frozenset({"restore_contents", "add_data_server"})
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.config_server import ConfigServerPair
 from repro.tdstore.data_server import (
@@ -326,20 +321,18 @@ class ServerHost:
     # -- dispatch ---------------------------------------------------------
 
     def _receiver(self, target):
+        """The plane of :data:`~repro.runtime.wire.SURFACE` that
+        ``target`` addresses here, and the object serving it."""
         if target is None:
-            return self
-        if target == "cluster":
+            return "host", self
+        if target in ("cluster", "config"):
             if self.cluster is None:
                 raise TDStoreError(
                     f"host {self.host_index} does not run the control plane"
                 )
-            return self.cluster
-        if target == "config":
-            if self.cluster is None:
-                raise TDStoreError(
-                    f"host {self.host_index} does not run the config pair"
-                )
-            return self.cluster.config
+            return target, (
+                self.cluster if target == "cluster" else self.cluster.config
+            )
         if isinstance(target, tuple) and target[0] == "data":
             server = self.locals.get(target[1])
             if server is None:
@@ -347,7 +340,7 @@ class ServerHost:
                     f"host {self.host_index} does not own data server "
                     f"{target[1]}"
                 )
-            return server
+            return "data", server
         raise TDStoreError(f"unroutable rpc target {target!r}")
 
     def handle_batch(self, batch) -> None:
@@ -372,10 +365,9 @@ class ServerHost:
         for conn_id, request in batch:
             target = request.target
             try:
-                receiver = self._receiver(target)
+                plane, receiver = self._receiver(target)
                 method = request.method
-                data_op = isinstance(target, tuple) and target[0] == "data"
-                if data_op and self._delays:
+                if plane == "data" and self._delays:
                     # chaos latency: a real, bounded stall before serving
                     # — the process-substrate meaning of latency_spike. A
                     # frame naming several servers waits for the slowest
@@ -385,21 +377,18 @@ class ServerHost:
                     delay = max(self._delays.get(sid, 0.0) for sid in named)
                     if delay > 0.0:
                         time.sleep(delay)
-                if data_op and (
+                if plane == "data" and (
                     method in HOST_MUTATIONS or method == ENQUEUE_SYNCS
                 ):
-                    # unlogged (and, for a host op, replica-blind) on
-                    # its own; only ``mutate`` may name it
+                    # declared nowhere: unlogged (and, for a host op,
+                    # replica-blind) on its own; only ``mutate`` may name it
                     raise TDStoreError(f"{method!r} must travel in a mutate")
-                if method.startswith("."):
-                    value = getattr(receiver, method[1:])
-                else:
-                    value = getattr(receiver, method)(*request.args)
-                if data_op and method in MUTATING_DATA_METHODS:
-                    self._wal_append((target[1], method, request.args))
-                    mutating_conns.add(conn_id)
-                elif target == "cluster" and method in CLUSTER_WAL_METHODS:
-                    self._wal_append(("__cluster__", method, request.args))
+                row, value = invoke(SURFACE[plane], receiver, request)
+                if row.logged:
+                    # data records, and cluster calls that rebuild data-
+                    # plane state, which replay re-applies via the facade
+                    owner = target[1] if plane == "data" else "__cluster__"
+                    self._wal_append((owner, method, request.args))
                     mutating_conns.add(conn_id)
                 response = Response(value=value)
             except Exception as exc:
@@ -435,8 +424,8 @@ class ServerHost:
     # -- chaos seam (armed by the parent-side ChaosRuntime) ---------------
 
     def _rpc_fault_hook(self, conn_id: int, request: Request):
-        if request.method.startswith("_"):
-            return None  # supervision and chaos control stay fault-free
+        if request.target is None:
+            return None  # the host plane stays fault-free
         for kind in NETWORK_WINDOW_KINDS:  # reset > drop > corrupt > delay
             if self._net[kind] > 0:
                 self._net[kind] -= 1
@@ -447,7 +436,8 @@ class ServerHost:
 
     def _chaos(self, kind: str, count: int = 1, seconds: float = 0.0) -> dict:
         """Arm a window of ``count`` network faults on this host's RPC
-        transport; one armed fault disturbs one non-admin request frame."""
+        transport; one armed fault disturbs one request frame outside
+        the host plane."""
         if kind == "clear":
             self._net = dict.fromkeys(NETWORK_WINDOW_KINDS, 0)
         elif kind in self._net:
@@ -484,18 +474,10 @@ class ServerHost:
             self._delays.pop(int(server_id), None)
         return sorted(self._delays)
 
-    def _delayed_servers(self) -> list:
-        return sorted(self._delays)
-
     # -- admin ops (target=None) -----------------------------------------
 
     def _ping(self) -> str:
         return "pong"
-
-    def _sleep(self, seconds: float) -> str:
-        # debugging/testing aid: simulate a hung host
-        time.sleep(seconds)
-        return "slept"
 
     def _stats(self) -> dict:
         return {
@@ -542,7 +524,7 @@ class ServerHost:
                 # writes to sibling-owned servers forward over their
                 # proxies as usual
                 if self.cluster is not None:
-                    getattr(self.cluster, method)(*args)
+                    invoke(SURFACE["cluster"], self.cluster, Request(method, args))
                 return
             server = self.locals.get(server_id)
             if server is None:
@@ -550,7 +532,7 @@ class ServerHost:
             if method != "mutate":
                 if args and isinstance(args[0], int):
                     server.ensure_instance(args[0])
-                getattr(server, method)(*args)
+                invoke(SURFACE["data"], server, Request(method, args))
                 return
             # a failover may have promoted an instance onto its server
             # after provisioning's balanced layout; the envelope was

@@ -128,9 +128,6 @@ class ProcessSubstrate(Substrate):
         (the default) measures the raw device. See ``GroupCommitWal``.
     wal_dir:
         Where WAL files live; a temp directory by default.
-    serialize_waves:
-        Dispatch execution waves one worker at a time (simulator-grade
-        determinism, no parallel speedup) — see ``ProcessCluster``.
     """
 
     name = "process"
@@ -142,7 +139,6 @@ class ProcessSubstrate(Substrate):
         *,
         durable: bool = True,
         wal_dir: "str | None" = None,
-        serialize_waves: bool = False,
         spawn_timeout: float = 60.0,
         max_group_wait: float = 0.002,
         commit_floor: float = 0.0,
@@ -157,7 +153,6 @@ class ProcessSubstrate(Substrate):
         self.durable = durable
         self.max_group_wait = max_group_wait
         self.commit_floor = commit_floor
-        self.serialize_waves = serialize_waves
         self.hang_deadline = hang_deadline
         self._spawn_timeout = spawn_timeout
         self._wal_dir = wal_dir
@@ -291,7 +286,6 @@ class ProcessSubstrate(Substrate):
             supervisor=supervisor,
             tdstore_spec=self._tdstore_spec,
             tick_interval=tick_interval,
-            serialize_waves=self.serialize_waves,
         )
         return self._cluster
 

@@ -18,6 +18,10 @@ whose payload does not match its CRC raises
 The same frame format is the WAL record format
 (:mod:`repro.runtime.wal` appends ``encode_frame`` output verbatim), so
 one integrity check covers both the wire and the log.
+
+:data:`SURFACE` is the other half of the protocol: the one table of
+what each host serves, which calls it logs, and which no caller may
+re-send; :func:`invoke` is the one lookup both hosts dispatch through.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 from zlib import crc32
 
-from repro.errors import RemoteOpError
+from repro.errors import RemoteOpError, TDStoreError
 
 HEADER = struct.Struct(">II")
 HEADER_SIZE = HEADER.size
@@ -41,21 +45,93 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 PICKLE_PROTOCOL = 5
 
-# data-plane methods that mutate TDStore state. The RPC client must not
-# transparently re-send these after a corrupt or desynced reply frame —
-# the first send may have applied — so they surface the typed corruption
-# error and let the journaled retry path upstream decide. Everything
-# else (reads, admin ops, attribute fetches) is safe to retry on a
-# fresh connection.
-MUTATING_DATA_METHODS = frozenset(
-    {
-        "mutate",
-        "apply_pending",
-        "apply_repair",
-        "adopt_snapshot",
-        "ensure_instance",
-    }
-)
+
+@dataclass(frozen=True)
+class Row:
+    """How a host serves one name of the remote surface."""
+
+    logged: bool = False  # the host WAL-appends the call
+    once: bool = False  # applying it twice is wrong: nothing re-sends it
+    attr: bool = False  # an attribute read, not a call
+
+
+CALL, ATTR, LOGGED = Row(), Row(attr=True), Row(logged=True)
+
+# Everything a remote caller may ask of a host, by plane. A server host
+# maps a request's target to its plane — None: "host", "cluster",
+# "config", ("data", server_id): "data" — and a worker host serves the
+# "worker" plane; both refuse any name their plane does not declare.
+SURFACE: "dict[str, dict[str, Row]]" = {
+    # TDStoreDataServer: what clients call directly (§3.3), and what
+    # host 0's control plane, scrubber and migrator ask of servers that
+    # live in other processes
+    "data": {
+        **dict.fromkeys(("alive", "degraded", "reads", "writes"), ATTR),
+        **dict.fromkeys(
+            ("mutate", "apply_pending", "apply_repair", "adopt_snapshot",
+             "ensure_instance"), LOGGED,
+        ),
+        **dict.fromkeys(
+            ("gather", "get", "get_versioned", "op_seen", "read_replica", "engine",
+             "hosts", "instances", "pending_syncs", "snapshot_instance",
+             "journal_evictions", "set_host_role", "set_migration_fence",
+             "set_degradation", "clear_degradation", "recover"), CALL,
+        ),
+    },
+    # ConfigServerPair on host 0
+    "config": dict.fromkeys(
+        ("route_table", "migration_target", "migration_targets", "await_migration",
+         "in_flight_migrations", "install_table", "register_remote_migration",
+         "unregister_migration", "handle_server_failure", "servers"), CALL,
+    ),
+    # the TDStoreCluster facade on host 0; a logged call rebuilds
+    # data-plane state, so replay re-applies it after a crash
+    "cluster": {
+        "add_data_server": Row(logged=True, once=True),
+        "restore_contents": LOGGED,
+        **dict.fromkeys(
+            ("snapshot_contents", "sync_replicas", "scrub_replicas", "scrub_stats",
+             "drain_data_server", "migration_stats", "crash_data_server",
+             "recover_data_server", "set_degradation", "clear_degradation",
+             "degraded_servers", "journal_evictions", "read_stats", "write_stats"),
+            CALL,
+        ),
+    },
+    # ServerHost itself: supervision, WAL recovery and chaos control
+    "host": dict.fromkeys(
+        ("_ping", "_stats", "_shutdown", "_replay_wal", "_quarantine_wal", "_chaos",
+         "_wal_fault", "_set_delay", "_clear_delay"), CALL,
+    ),
+    # WorkerHost: the parent's half of bolt execution, and supervision
+    "worker": dict.fromkeys(
+        ("load_topology", "unload_topology", "execute_batch", "tick_all", "reset_task",
+         "reset_component", "snapshot_tasks", "restore_tasks", "ledger_stats",
+         "_ping", "_sleep", "_stats", "_shutdown"), CALL,
+    ),
+}
+
+# names whose first send may have applied when its reply was lost or
+# damaged: the transport re-sends neither kind, the proxies' transport
+# retry only a logged one (it is op-journaled or last-write-wins, so a
+# second application converges)
+_ROWS = [(name, row) for rows in SURFACE.values() for name, row in rows.items()]
+ONCE = frozenset(name for name, row in _ROWS if row.once)
+NOT_RESENT = frozenset(name for name, row in _ROWS if row.once or row.logged)
+
+
+def invoke(rows: "dict[str, Row]", receiver: Any, request: "Request"):
+    """``(row, value)`` of serving ``request`` on ``receiver``.
+
+    The one place a request-supplied name reaches ``getattr``: a name
+    ``rows`` does not declare is refused, an ``attr`` row is read, any
+    other is called with the request's args.
+    """
+    row = rows.get(request.method)
+    if row is None:
+        raise TDStoreError(f"{request.method!r} is not a declared remote call")
+    value = getattr(receiver, request.method)
+    return row, (value if row.attr else value(*request.args))
+
 
 # process-wide tally of corrupt frames caught by CRC verification, keyed
 # for merging into ``_stats``-style dicts. Every process (parent, worker

@@ -33,13 +33,8 @@ import time
 from repro.errors import ClusterStateError
 from repro.runtime.proxies import ProcessTDStore
 from repro.runtime.recipes import build_factory, task_owner
-from repro.runtime.rpc import RpcServer
-from repro.runtime.wire import (
-    CORRUPTION_STATS,
-    Response,
-    encode_error,
-    sanitize_exception,
-)
+from repro.runtime.rpc import RpcServer, dispatch_to_methods
+from repro.runtime.wire import CORRUPTION_STATS, SURFACE, sanitize_exception
 from repro.storm.cluster import execute_one, execute_wave, tick_wave
 from repro.storm.component import OutputCollector, TopologyContext
 from repro.storm.tuples import StormTuple
@@ -78,20 +73,12 @@ class WorkerHost:
         self.worker_index: int = config["worker_index"]
         self.num_workers: int = config["num_workers"]
         self._topologies: dict[str, _WorkerTopology] = {}
-        self.server = RpcServer(self.handle_batch)
+        self.server = RpcServer(
+            dispatch_to_methods(lambda target: self, SURFACE["worker"])
+        )
         self.executed = 0
         self.ticks = 0
         self.started_at = time.time()
-
-    def handle_batch(self, batch) -> list:
-        responses = []
-        for _, request in batch:
-            try:
-                value = getattr(self, request.method)(*request.args)
-                responses.append(Response(value=value))
-            except Exception as exc:
-                responses.append(encode_error(exc))
-        return responses
 
     # -- topology lifecycle ----------------------------------------------
 

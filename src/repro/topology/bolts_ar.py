@@ -1,8 +1,9 @@
 """Association-rule units (the ARBolt of Figure 6).
 
 :class:`ARSessionBolt` (grouped by user) tracks per-user sessions and
-emits item and pair support increments; :class:`ARCountBolt` (grouped by
-item / pair key) owns the support counters in TDStore.
+emits item and pair support increments plus partner-index entries;
+:class:`ARCountBolt` (grouped by item / pair key) owns the support
+counters and the partner index in TDStore.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys, StoreBacked
+from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -28,6 +29,7 @@ class ARSessionBolt(ExactlyOnceBolt):
     def declare_outputs(self, declarer):
         declarer.declare(("item",), "ar_item")
         declarer.declare(("pair_a", "pair_b"), "ar_pair")
+        declarer.declare(("item", "partner"), "ar_partner")
 
     def process(self, tup: StormTuple):
         user, item, now = tup["user"], tup["item"], tup["timestamp"]
@@ -39,6 +41,10 @@ class ARSessionBolt(ExactlyOnceBolt):
             for other in session_items:
                 first, second = (item, other) if item < other else (other, item)
                 self.collector.emit((first, second), stream_id="ar_pair")
+                # one entry per direction, so each item's partner set is
+                # written by the one task its item is grouped to
+                self.collector.emit((item, other), stream_id="ar_partner")
+                self.collector.emit((other, item), stream_id="ar_partner")
             session_items = session_items | {item}
         self._sessions[user] = (session_items, now)
 
@@ -60,12 +66,13 @@ class ARSessionBolt(ExactlyOnceBolt):
 
 
 class ARCountBolt(StoreBacked, ExactlyOnceBolt):
-    """Owns AR support counters.
+    """Owns AR support counters and the partner index.
 
-    Subscribes to ``ar_item`` grouped by item and ``ar_pair`` grouped by
-    the pair; also maintains the partner index used at query time.
-    Support increments go through the op journal; the partner index is a
-    set insertion, idempotent by construction.
+    Subscribes to ``ar_item`` and ``ar_partner`` grouped by item and
+    ``ar_pair`` grouped by the pair, so every key it writes has this
+    task as its only writer. Support increments go through the op
+    journal; the partner index is a set insertion, idempotent by
+    construction.
     """
 
     def __init__(self, client_factory: ClientFactory):
@@ -76,15 +83,25 @@ class ARCountBolt(StoreBacked, ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
-    def process(self, tup: StormTuple):
+    def reads(self, tup: StormTuple) -> Reads:
+        if tup.stream_id == "ar_partner":
+            return Reads(owned=(StateKeys.ar_partners(tup["item"]),))
+        key = self._support_key(tup)
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
+
+    @staticmethod
+    def _support_key(tup: StormTuple) -> str:
         if tup.stream_id == "ar_item":
-            self._store.apply(StateKeys.ar_item(tup["item"]), tup.op_id, 1.0)
-        elif tup.stream_id == "ar_pair":
-            a, b = tup["pair_a"], tup["pair_b"]
-            self._store.apply(StateKeys.ar_pair(a, b), tup.op_id, 1.0)
-            for item, partner in ((a, b), (b, a)):
-                key = StateKeys.ar_partners(item)
-                partners = self._store.get_fresh(key, None) or set()
-                if partner not in partners:
-                    partners.add(partner)
-                    self._store.put(key, partners)
+            return StateKeys.ar_item(tup["item"])
+        return StateKeys.ar_pair(tup["pair_a"], tup["pair_b"])
+
+    def process(self, tup: StormTuple):
+        if tup.stream_id != "ar_partner":
+            self._store.apply(self._support_key(tup), tup.op_id, 1.0)
+            return
+        key = StateKeys.ar_partners(tup["item"])
+        partners = self._store.get(key, None) or set()
+        if tup["partner"] not in partners:
+            # extend a copy: the cached set is the one a failed commit
+            # must leave untouched
+            self._store.put(key, partners | {tup["partner"]})

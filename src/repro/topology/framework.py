@@ -297,7 +297,7 @@ def build_ar_topology(
         "arCount", lambda: ARCountBolt(client_factory), parallelism=parallelism
     ).grouping("arSession", FieldsGrouping(["item"]), "ar_item").grouping(
         "arSession", FieldsGrouping(["pair_a", "pair_b"]), "ar_pair"
-    )
+    ).grouping("arSession", FieldsGrouping(["item"]), "ar_partner")
     return builder.build()
 
 

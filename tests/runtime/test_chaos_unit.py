@@ -195,7 +195,7 @@ class TestHostChaosSeam:
             if request is not None:
                 probe = RpcClient(*address, timeout=0.5)
                 try:
-                    probe.call(".alive", target=("data", 0))
+                    probe.call("alive", target=("data", 0))
                 except RemoteOpError:
                     pass  # a reset or a swallowed reply is the fault
                 finally:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import DataServerDownError, TDStoreError
 from repro.runtime import ProcessSubstrate, topology_recipe
-from repro.runtime.wire import MUTATING_DATA_METHODS
+from repro.runtime.wire import SURFACE
 from repro.storm import Bolt, Spout, TopologyBuilder
 from repro.storm.grouping import FieldsGrouping
 from repro.tdstore.cluster import TDStoreCluster
@@ -26,6 +26,11 @@ from repro.utils.clock import SimClock
 from tests.chaos.helpers import SUBSTRATES  # sim, and process on one host
 
 SERVERS, INSTANCES = 4, 8
+
+# the data-plane calls a host WAL-logs
+MUTATING_DATA_METHODS = {
+    name for name, row in SURFACE["data"].items() if row.logged
+}
 
 # every mutation kind of the client API, as (name, call(client, key, n))
 MUTATIONS = [

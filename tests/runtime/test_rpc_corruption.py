@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import RemoteOpError
 from repro.runtime.rpc import RpcClient, RpcServer, dispatch_to_methods
-from repro.runtime.wire import FrameCorruptionError
+from repro.runtime.wire import CALL, LOGGED, FrameCorruptionError
 
 
 class Receiver:
@@ -38,7 +38,11 @@ class Receiver:
 @pytest.fixture
 def served():
     receiver = Receiver()
-    server = RpcServer(dispatch_to_methods(lambda target: receiver))
+    server = RpcServer(
+        dispatch_to_methods(
+            lambda target: receiver, {"echo": CALL, "mutate": LOGGED}
+        )
+    )
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}
     )

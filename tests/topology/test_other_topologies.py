@@ -1,9 +1,12 @@
 """Tests for the CTR (Figure 7), CB, and AR topologies plus Pretreatment."""
 
+import random
+
 import pytest
 
 from repro.storm import LocalCluster, topology_from_xml
 from repro.tdaccess import TDAccessCluster
+from repro.tdstore import TDStoreCluster
 from repro.topology import StateKeys
 from repro.topology.bolts_cb import ItemInfoBolt
 from repro.topology.framework import (
@@ -191,6 +194,35 @@ class TestArTopology:
         assert client.get(StateKeys.ar_item("A")) == 3.0
         assert client.get(StateKeys.ar_pair("A", "B")) == 2.0
         assert client.get(StateKeys.ar_partners("A")) == {"B"}
+
+    @pytest.mark.parametrize(
+        "parallelism, seed", [(4, 2), (4, 5), (4, 8), (2, 2), (2, 8), (2, 10)]
+    )
+    def test_partner_index_keeps_every_partner(self, parallelism, seed):
+        # pairs (A, B) and (A, C) land on different tasks; when both
+        # extended A's partner set in one wave, the last writer won
+        rng = random.Random(seed)
+        items = [f"i{n}" for n in range(12)]
+        actions, partners = [], {}
+        for user in range(20):
+            session = rng.sample(items, 4)
+            for k, item in enumerate(session):
+                actions.append(
+                    UserAction(f"u{user}", item, "click", 4.0 * user + k)
+                )
+                partners.setdefault(item, set()).update(set(session) - {item})
+        clock, tdstore = SimClock(), TDStoreCluster(3, 16)
+        cluster = LocalCluster(clock=clock)
+        cluster.submit(
+            build_ar_topology(
+                "ar-app", actions, clock, tdstore.client, parallelism=parallelism
+            )
+        )
+        cluster.run_until_idle()
+        client = tdstore.client()
+        assert {
+            item: client.get(StateKeys.ar_partners(item)) for item in partners
+        } == partners
 
 
 class TestXmlUnitRegistry:

@@ -112,5 +112,5 @@ def test_combiner_reduces_writes(combiner_results, benchmark):
     from repro.topology.state import CachedStore, Combiner
 
     store = TDStoreCluster(num_data_servers=2, num_instances=8)
-    combiner = Combiner(CachedStore(store.client()), "add")
+    combiner = Combiner(CachedStore(store.client()))
     benchmark(combiner.add, "itemCount:hot", 1.0)

@@ -29,7 +29,7 @@ from repro.storm.component import Bolt, FunctionBolt
 from repro.storm.grouping import FieldsGrouping, ShuffleGrouping
 from repro.storm.reliability import DedupLedger
 from repro.storm.topology import TopologyBuilder
-from repro.topology.state import CachedStore, StateKeys, StoreBacked
+from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 from repro.topology.bolts_cf import ItemCountBolt
 from repro.topology.spouts import TDAccessSpout
 
@@ -59,6 +59,9 @@ class NaiveCountBolt(StoreBacked, Bolt):
     def prepare(self, context, collector):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
+
+    def reads(self, tup):
+        return Reads(owned=(StateKeys.item_count(tup["item"]),))
 
     def execute(self, tup):
         self._store.incr(StateKeys.item_count(tup["item"]), tup["delta"])

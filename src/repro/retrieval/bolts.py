@@ -32,7 +32,7 @@ from repro.retrieval.vq import StreamingVQIndex, VQConfig
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StoreBacked
+from repro.topology.state import CachedStore, Reads, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -82,6 +82,10 @@ class EmbeddingPairBolt(StoreBacked, ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
+    def reads(self, tup: StormTuple) -> Reads:
+        key = K.co_window(tup["user"])
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
+
     def process(self, tup: StormTuple):
         user, item, now = tup["user"], tup["item"], tup["timestamp"]
         key = K.co_window(user)
@@ -130,6 +134,10 @@ class EmbeddingUpdateBolt(StoreBacked, ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
+    def reads(self, tup: StormTuple) -> Reads:
+        key = K.embedding(tup["item"])
+        return Reads(probes=((key, tup.op_id),), owned=(key,))
+
     def process(self, tup: StormTuple):
         item = tup["item"]
         key = K.embedding(item)
@@ -176,6 +184,9 @@ class VQAssignBolt(StoreBacked, ExactlyOnceBolt):
     @property
     def index(self) -> StreamingVQIndex:
         return self._index
+
+    def reads(self, tup: StormTuple) -> Reads:
+        return self._index.reads(tup["item"], tup.op_id)
 
     def process(self, tup: StormTuple):
         self._index.observe(tup["item"], list(tup["vec"]), tup.op_id)

@@ -53,7 +53,7 @@ from repro.errors import ConfigurationError
 from repro.retrieval.embedding import seed_vector
 from repro.retrieval.keys import RetrievalKeys as K
 from repro.retrieval.types import CentroidSnapshot, VQOp
-from repro.topology.state import CachedStore
+from repro.topology.state import CachedStore, Reads
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ class StreamingVQIndex:
         nothing can have assigned items before meta exists, so a
         re-executed bootstrap rewrites identical values.
         """
+        self._store.prefetch([Reads(owned=(K.meta(),))])
         meta = self._store.get(K.meta(), None) or {}
         if meta:
             return dict(meta)
@@ -142,6 +143,41 @@ class StreamingVQIndex:
         return meta
 
     # -- reads --------------------------------------------------------------
+
+    def reads(self, item: str, op_id: str) -> Reads:
+        """What an observe of ``item`` reads first; the assign bolt
+        declares it for the whole wave. ``observe`` then gathers in
+        dependency order: the codebook (once per task — this single
+        writer's cache keeps it current), what :meth:`_plan` names, and
+        a merge target's count and posting."""
+        akey = K.assignment(item)
+        stats = ("indexed", "reassignments", "splits", "merges")
+        return Reads(
+            probes=((akey, op_id), (K.stat("merges"), op_id + "#stmg")),
+            owned=(akey, K.meta(), *map(K.stat, stats)),
+        )
+
+    def _plan(self, op_id: str, best: str, sib: str, prev_cid, base) -> Reads:
+        """What the rest of an observe reads once ``best`` is chosen: its
+        move, count and posting, the sibling ``sib`` a split would spawn,
+        and the centroid ``prev_cid`` the item leaves."""
+        journaled, owned = [(K.centroid(best), "#move")], []
+        if prev_cid != best:
+            count = K.count(best)
+            journaled += [
+                (count, "#inc"), (count, "#unsplit"), (count, "#mmass"),
+                (K.centroid(sib), "#scent"), (K.count(sib), "#scount"),
+                (K.stat("splits"), "#stsp"),
+            ]
+            owned += [count, K.posting(best), K.posting(sib)]
+            if prev_cid is None:
+                journaled.append((K.stat("indexed"), "#stix"))
+            elif prev_cid in base:
+                leave = K.count(prev_cid)
+                journaled += [(leave, "#dec"), (K.stat("reassignments"), "#strs")]
+                owned += [leave, K.posting(prev_cid)]
+        probes = tuple((key, op_id + tag) for key, tag in journaled)
+        return Reads(probes=probes, owned=tuple(owned))
 
     def _centroid_vec(self, cid: str) -> list:
         vec = self._store.get(K.centroid(cid), None)
@@ -164,6 +200,7 @@ class StreamingVQIndex:
         vec = [float(x) for x in vec]
         akey = K.assignment(item)
         self.observes += 1
+        self._store.prefetch([self.reads(item, op_id)])
         if self._store.op_seen(akey, op_id):
             self.dedup_skips += 1
             committed = self._store.get(akey, None) or {}
@@ -172,7 +209,8 @@ class StreamingVQIndex:
         # exclude this op's own (possibly half-created) sibling ids from
         # every decision: re-execution must see the same candidate set
         # attempt 1 did
-        own = {sibling_id(cid, op_id) for cid in meta}
+        siblings = {cid: sibling_id(cid, op_id) for cid in meta}
+        own = set(siblings.values())
         base = {cid for cid in meta if cid not in own}
         previous = self._store.get(akey, None)
         prev_cid = previous["centroid"] if previous else None
@@ -189,7 +227,10 @@ class StreamingVQIndex:
                 self._store.delete(K.posting(prev_cid))
             else:
                 prev_cid = None  # dissolved by an earlier op's merge
+        self._store.prefetch([Reads(owned=tuple(map(K.centroid, sorted(base))))])
         best = self._nearest(base, vec)
+        sib = siblings[best]
+        self._store.prefetch([self._plan(op_id, best, sib, prev_cid, base)])
         # learn: the chosen centroid steps toward the vector. put_once,
         # not put — a re-executed step from the already-moved vector
         # computes a different value, and the journal must reject it.
@@ -202,7 +243,6 @@ class StreamingVQIndex:
             self._store.put_once(akey, op_id, {"centroid": best})
             return VQOp(item, op_id, best, previous=prev_cid)
         in_count, __ = self._store.apply(K.count(best), op_id + "#inc", weight)
-        sib = sibling_id(best, op_id)
         # The split verdict must be re-derivable over this op's own
         # partial writes, and ``in_count`` alone is not enough: once the
         # op's later journaled writes to the same key have landed
@@ -283,6 +323,10 @@ class StreamingVQIndex:
         fails), which is correct — everything here already happened.
         """
         target = self._nearest(base - {dying}, self._centroid_vec(dying))
+        count = K.count(target)
+        self._store.prefetch([Reads(
+            probes=((count, op_id + "#mmass"),), owned=(count, K.posting(target))
+        )])
         remainder = dict(self._store.get(K.posting(dying), None) or {})
         if mass > 0.0:
             self._store.apply(K.count(target), op_id + "#mmass", mass)

@@ -72,7 +72,7 @@ SURFACE: "dict[str, dict[str, Row]]" = {
              "ensure_instance"), LOGGED,
         ),
         **dict.fromkeys(
-            ("gather", "get", "get_versioned", "op_seen", "read_replica", "engine",
+            ("gather", "get", "get_versioned", "read_replica", "engine",
              "hosts", "instances", "pending_syncs", "snapshot_instance",
              "journal_evictions", "set_host_role", "set_migration_fence",
              "set_degradation", "clear_degradation", "recover"), CALL,

@@ -244,14 +244,12 @@ def gather_wave(entries: "Iterable[tuple | None]"):
     Their keys and probes travel together through the first entry's
     transport — one factory builds a component's tasks, so their
     transports are handles to one store — and every ``fill`` sees the
-    whole answer.
+    whole answer. A wave that lacks nothing sends no frame.
     """
     entries = [entry for entry in entries if entry is not None]
     keys = [key for entry in entries for key in entry[1]]
     probes = [probe for entry in entries for probe in entry[2]]
-    if len(keys) + len(probes) < 2:
-        # a lone item is as cheap asked for when needed — and a
-        # journaled write asks its own probe in the trip it commits in
+    if not keys and not probes:
         return
     values, seen = entries[0][0].gather(keys, probes)
     for entry in entries:

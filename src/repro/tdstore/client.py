@@ -648,15 +648,9 @@ class TDStoreClient:
 
         The replay probe paired with :meth:`put_once`: a pure read, so
         probing never creates the journal entry — only a successful
-        commit does.
+        commit does. It travels as the single probe of a :meth:`gather`.
         """
-        def op(route_of):
-            route = route_of(key)
-            return self._config.server(route.host).op_seen(
-                route.instance, key, op_id
-            )
-
-        return self._with_failover(key, op)
+        return self.gather((), [(key, op_id)])[1][key, op_id]
 
     def run_once(self, key: str, op_id: str) -> bool:
         """Journal ``op_id`` against ``key``; True the first time only.

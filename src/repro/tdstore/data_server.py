@@ -432,13 +432,6 @@ class TDStoreDataServer:
         self.reads += 1
         return engine.get(key, default), engine.version(key)
 
-    def op_seen(self, instance: int, key: str, op_id: str) -> bool:
-        engine = self.engine(instance)
-        self._check_host(instance)
-        self._check_degraded()
-        self.reads += 1
-        return engine.op_seen(key, op_id)
-
     def journal_evictions(self) -> int:
         """Op-journal ids trimmed across this server's engines (monitoring)."""
         return sum(e.journal_evictions for e in self._engines.values())

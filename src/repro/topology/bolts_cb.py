@@ -17,7 +17,7 @@ from repro.storm.component import Bolt
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys, StoreBacked
+from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 
 ClientFactory = Callable[[], TDStoreClient]
 
@@ -47,15 +47,20 @@ class ItemInfoBolt(StoreBacked, Bolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
+    def reads(self, tup: StormTuple) -> Reads:
+        # shared across item tasks: read fresh (tag fan-in is low, and
+        # last-writer-wins suits an index that only ever grows)
+        return Reads(fresh=tuple(
+            StateKeys.tag_index(tag) for tag in item_tags(tup["meta"])
+        ))
+
     def execute(self, tup: StormTuple):
         meta = tup["meta"]
         item = meta["item"]
         self._store.put(StateKeys.item_meta(item), dict(meta))
         for tag in item_tags(meta):
-            # tag index keys are shared across item tasks: read fresh,
-            # then write (tag fan-in is low; last-writer-wins is fine for
-            # an index that only ever grows)
-            index = self._store.get_fresh(StateKeys.tag_index(tag), None) or set()
+            # a new set: the one read may be the store's own
+            index = set(self._store.get_fresh(StateKeys.tag_index(tag), None) or ())
             index.add(item)
             self._store.put(StateKeys.tag_index(tag), index)
         self.registered += 1
@@ -84,6 +89,13 @@ class CBProfileBolt(StoreBacked, ExactlyOnceBolt):
     def prepare(self, context, collector):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
+
+    def reads(self, tup: StormTuple) -> Reads:
+        profile_key = StateKeys.profile(tup["user"])
+        # item records are owned by ItemInfoBolt tasks: read fresh
+        return Reads(probes=((profile_key, tup.op_id),),
+                     owned=(profile_key, StateKeys.consumed(tup["user"])),
+                     fresh=(StateKeys.item_meta(tup["item"]),))
 
     def process(self, tup: StormTuple):
         user, item = tup["user"], tup["item"]

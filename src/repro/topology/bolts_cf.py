@@ -179,7 +179,7 @@ class ItemCountBolt(StoreBacked, ExactlyOnceBolt):
     def prepare(self, context, collector):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
-        self._combiner = Combiner(self._store, "add") if self._use_combiner else None
+        self._combiner = Combiner(self._store) if self._use_combiner else None
 
     def reads(self, tup: StormTuple) -> "Reads | None":
         if self._combiner is not None:

@@ -16,7 +16,7 @@ from repro.algorithms.demographic import age_band
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
-from repro.topology.state import CachedStore, StateKeys, StoreBacked
+from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 from repro.types import UserProfile
 
 if TYPE_CHECKING:
@@ -24,6 +24,13 @@ if TYPE_CHECKING:
 
 ClientFactory = Callable[[], TDStoreClient]
 ProfileLookup = Callable[[str], "UserProfile | None"]
+
+
+# per counted action: its windowless and its session-bucketed counter key
+_COUNTER_KEYS = {
+    "impression": (StateKeys.impressions, StateKeys.impressions_session),
+    "click": (StateKeys.clicks, StateKeys.clicks_session),
+}
 
 
 def profile_attributes(profile: UserProfile | None) -> dict[str, str | None]:
@@ -75,31 +82,37 @@ class CtrStoreBolt(StoreBacked, ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
-    def process(self, tup: StormTuple):
-        action = tup["action"]
-        if action not in ("impression", "click"):
-            return
-        item = tup["item"]
+    def _counters(self, tup: StormTuple) -> "tuple[int, list]":
+        """The session of ``tup`` and the ``(situation, counter key, op
+        id)`` of every situation level it counts at."""
         session = -1
         if self._session_seconds is not None:
             session = int(tup["timestamp"] // self._session_seconds)
+        action = tup["action"]
+        if action not in ("impression", "click"):
+            return session, []
+        item = tup["item"]
+        whole, bucketed = _COUNTER_KEYS[action]
         attributes = profile_attributes(self._profiles(tup["user"]))
+        counters = []
         for level in BACKOFF_LEVELS:
             situation = situation_key(attributes, level)
             if situation is None:
                 continue
-            if session >= 0:
-                if action == "impression":
-                    key = StateKeys.impressions_session(item, situation, session)
-                else:
-                    key = StateKeys.clicks_session(item, situation, session)
-            else:
-                if action == "impression":
-                    key = StateKeys.impressions(item, situation)
-                else:
-                    key = StateKeys.clicks(item, situation)
-            self._store.apply(key, f"{tup.op_id}#{level}", 1.0)
-            self.collector.emit((item, situation, session),
+            key = (bucketed(item, situation, session) if session >= 0
+                   else whole(item, situation))
+            counters.append((situation, key, f"{tup.op_id}#{level}"))
+        return session, counters
+
+    def reads(self, tup: StormTuple) -> Reads:
+        probes = tuple((key, op_id) for __, key, op_id in self._counters(tup)[1])
+        return Reads(probes=probes, owned=tuple(key for key, __ in probes))
+
+    def process(self, tup: StormTuple):
+        session, counters = self._counters(tup)
+        for situation, key, op_id in counters:
+            self._store.apply(key, op_id, 1.0)
+            self.collector.emit((tup["item"], situation, session),
                                 stream_id="ctr_update")
 
 
@@ -141,27 +154,28 @@ class CtrBolt(StoreBacked, ExactlyOnceBolt):
         super().prepare(context, collector)
         self._store = CachedStore(self._client_factory())
 
-    def _counts(self, item: str, situation: str, session: int) -> tuple[float, float]:
+    def _count_keys(self, tup: StormTuple) -> "list[tuple[str, str]]":
+        """The ``(impressions, clicks)`` keys the CTR of ``tup`` sums."""
+        item, situation, session = tup["item"], tup["situation"], tup["session"]
         if session < 0 or self._window_sessions is None:
-            return (
-                self._store.get_fresh(StateKeys.impressions(item, situation), 0.0),
-                self._store.get_fresh(StateKeys.clicks(item, situation), 0.0),
-            )
-        impressions = 0.0
-        clicks = 0.0
-        for bucket in range(session - self._window_sessions + 1, session + 1):
-            impressions += self._store.get_fresh(
-                StateKeys.impressions_session(item, situation, bucket), 0.0
-            )
-            clicks += self._store.get_fresh(
-                StateKeys.clicks_session(item, situation, bucket), 0.0
-            )
-        return impressions, clicks
+            return [(StateKeys.impressions(item, situation),
+                     StateKeys.clicks(item, situation))]
+        return [
+            (StateKeys.impressions_session(item, situation, bucket),
+             StateKeys.clicks_session(item, situation, bucket))
+            for bucket in range(session - self._window_sessions + 1, session + 1)
+        ]
+
+    def reads(self, tup: StormTuple) -> Reads:
+        # the counters are owned by CtrStoreBolt tasks: read fresh
+        return Reads(fresh=sum(self._count_keys(tup), ()))
 
     def process(self, tup: StormTuple):
         item, situation = tup["item"], tup["situation"]
-        session = tup["session"]
-        impressions, clicks = self._counts(item, situation, session)
+        impressions = clicks = 0.0
+        for impressions_key, clicks_key in self._count_keys(tup):
+            impressions += self._store.get_fresh(impressions_key, 0.0)
+            clicks += self._store.get_fresh(clicks_key, 0.0)
         ctr = (clicks + self._prior_ctr * self._prior_strength) / (
             impressions + self._prior_strength
         )

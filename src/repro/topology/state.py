@@ -147,12 +147,11 @@ class CachedStore:
     frame and one envelope for all of them, since their keys are
     disjoint; :meth:`prefetch` and :meth:`flush` are the wave of one.
 
-    Declarations only buy speed. A read, probe or journaled write whose
-    inputs were not prefetched first ships the buffer and then asks the
-    store directly, so the store sees exactly the sequence of effects an
-    unbuffered task would have produced. Keys owned by other tasks are
-    read with :meth:`get_fresh`, which never consults the owned-key
-    cache.
+    The store never calls its client: a read, probe or journaled write
+    whose inputs were not gathered raises :class:`ConfigurationError`
+    naming them. Owned keys stay cached across slices (the cache is the
+    newer copy); keys owned by other tasks are read with
+    :meth:`get_fresh`, which answers only what this slice gathered.
 
     After a failed commit — its own or a wave neighbour's — the buffered
     writes are gone while the cache still shows them, so every later
@@ -164,7 +163,7 @@ class CachedStore:
     def __init__(self, client: TDStoreClient):
         self._client = client
         self._cache: dict[str, Any] = {}
-        # gathered for the wave in flight; dropped at its commit
+        # gathered for the slice in flight; dropped at its commit
         self._fresh: dict[str, Any] = {}
         self._probes: dict[tuple[str, str], bool] = {}
         # ordered (method, args) writes not yet shipped, the values the
@@ -174,8 +173,6 @@ class CachedStore:
         self._expected: dict[int, float] = {}
         self._after: list[tuple] = []
         self._failed: BaseException | None = None
-        self.hits = 0
-        self.misses = 0
 
     # -- gather ------------------------------------------------------------
 
@@ -221,36 +218,28 @@ class CachedStore:
 
     # -- reads -------------------------------------------------------------
 
-    def get(self, key: str, default: Any = None) -> Any:
+    def _gathered(self, table: dict, item, kind: str) -> Any:
         self._check()
-        value = self._cache.get(key, _UNCACHED)
-        if value is not _UNCACHED:
-            self.hits += 1
-            return default if value is _MISSING else value
-        self.misses += 1
-        self._ship()
-        value = self._client.get(key, default)
-        self._cache[key] = value
+        value = table.get(item, _UNCACHED)
+        if value is _UNCACHED:
+            raise ConfigurationError(
+                f"{kind} {item!r} was not gathered: declare it in the "
+                "bolt's reads(tup), or prefetch it"
+            )
         return value
 
+    def get(self, key: str, default: Any = None) -> Any:
+        value = self._gathered(self._cache, key, "owned key")
+        return default if value is _MISSING else value
+
     def get_fresh(self, key: str, default: Any = None) -> Any:
-        """Read a key another task owns: prefetched for this slice, or
-        straight from TDStore."""
-        self._check()
-        value = self._fresh.get(key, _UNCACHED)
-        if value is _UNCACHED:
-            self._ship()
-            return self._client.get(key, default)
+        """Read a key another task owns, as gathered for this slice."""
+        value = self._gathered(self._fresh, key, "fresh key")
         return default if value is _MISSING else value
 
     def op_seen(self, key: str, op_id: str) -> bool:
         """True when ``op_id`` already committed against ``key``."""
-        self._check()
-        seen = self._probes.get((key, op_id))
-        if seen is None:
-            self._ship()
-            seen = self._probes[key, op_id] = self._client.op_seen(key, op_id)
-        return seen
+        return self._gathered(self._probes, (key, op_id), "probe")
 
     # -- buffered writes ---------------------------------------------------
 
@@ -277,21 +266,12 @@ class CachedStore:
         """Idempotent increment through the store's op journal.
 
         Like :meth:`incr` but replay-safe: a duplicate ``op_id`` leaves
-        the value untouched. With the key and the probe at hand the
-        result is computed here — this task is the key's only writer —
+        the value untouched. The result is computed here from the
+        gathered key and probe — this task is the key's only writer —
         and the value the store answers with is checked at commit.
         """
-        self._check()
-        seen = self._probes.get((key, op_id))
-        current = self._cache.get(key, _UNCACHED)
-        if seen is None or current is _UNCACHED:
-            self._ship()
-            value, applied = self._client.apply(key, op_id, delta)
-            self._probes[key, op_id] = True
-            self._remember(key, value)
-            return value, applied
-        if current is _MISSING:
-            current = 0.0
+        seen = self.op_seen(key, op_id)
+        current = self.get(key, 0.0)
         if seen:
             return current, False
         value = current + delta
@@ -303,21 +283,15 @@ class CachedStore:
 
     def put_once(self, key: str, op_id: str, value: Any) -> bool:
         """Idempotent put — the atomic commit point for read-modify-write
-        updates (compute from copies, commit last)."""
-        self._check()
-        seen = self._probes.get((key, op_id))
-        if seen is None:
-            self._ship()
-            seen = not self._client.put_once(key, op_id, value)
-        elif not seen:
-            self._write("put_once", key, op_id, value)
+        updates (compute from copies, commit last). On a replay the
+        store keeps its earlier value, which the cache already holds if
+        it holds the key at all."""
+        if self.op_seen(key, op_id):
+            return False
         self._probes[key, op_id] = True
-        if seen:
-            # replay: the store kept the (authoritative) earlier value
-            self._cache.pop(key, None)
-        else:
-            self._remember(key, value)
-        return not seen
+        self._remember(key, value)
+        self._write("put_once", key, op_id, value)
+        return True
 
     def delete(self, key: str):
         """Drop the key from the cache now and TDStore at the next commit.
@@ -337,23 +311,12 @@ class CachedStore:
     # -- commit ------------------------------------------------------------
 
     def to_commit(self) -> tuple:
-        """End the slice: forget what was prefetched for it and hand
-        over the buffer, as the wave entry ``(transport, writes,
-        settle)`` of :func:`~repro.storm.component.commit_wave`."""
+        """End the slice: forget what was gathered for it and hand over
+        the buffer, as the wave entry ``(transport, writes, settle)`` of
+        :func:`~repro.storm.component.commit_wave`."""
         self._fresh.clear()
         self._probes.clear()
         self._check()
-        return self._take()
-
-    def flush(self):
-        """Commit the slice (the wave of one)."""
-        commit_wave([self.to_commit()])
-
-    def _check(self):
-        if self._failed is not None:
-            raise self._failed
-
-    def _take(self) -> tuple:
         writes, self._writes = self._writes, []
         expected, self._expected = self._expected, {}
         after, self._after = self._after, []
@@ -374,20 +337,13 @@ class CachedStore:
 
         return self._client, writes, settle
 
-    def _ship(self):
-        """Commit the buffer mid-slice, ahead of a direct store call."""
-        if self._writes or self._after:
-            commit_wave([self._take()])
+    def flush(self):
+        """Commit the slice (the wave of one)."""
+        commit_wave([self.to_commit()])
 
-    def invalidate(self, key: str | None = None):
-        if key is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(key, None)
-
-    @property
-    def client(self) -> TDStoreClient:
-        return self._client
+    def _check(self):
+        if self._failed is not None:
+            raise self._failed
 
 
 class StoreBacked:
@@ -397,14 +353,14 @@ class StoreBacked:
     (:meth:`~repro.storm.component.Bolt.to_gather` /
     :meth:`~repro.storm.component.Bolt.to_commit`) over the bolt's
     :class:`CachedStore`; list it before the bolt base class. A bolt
-    speeds its waves up by overriding :meth:`reads`.
+    that reads its store declares what with :meth:`reads`.
     """
 
     _store: CachedStore
 
     def reads(self, tup) -> "Reads | None":
         """What executing ``tup`` will read. Pure: no store access, no
-        state change. Anything left out is read directly when needed."""
+        state change. A read left out raises when it is made."""
         return None
 
     def to_gather(self, tuples):
@@ -417,26 +373,12 @@ class StoreBacked:
 class Combiner:
     """Partial aggregation buffer (Section 5.3).
 
-    Incoming deltas for the same key merge in memory; ``flush`` applies
-    the merged values to the store with one read-modify-write per key.
-    ``combine`` picks the merge operation: ``"add"`` (counts) or ``"max"``
-    (ratings).
+    Incoming deltas for the same key add up in memory; ``flush`` applies
+    the sums to the store with one read-modify-write per key.
     """
 
-    _OPS: dict[str, Callable[[float, float], float]] = {
-        "add": lambda a, b: a + b,
-        "max": max,
-    }
-
-    def __init__(self, store: CachedStore, combine: str = "add"):
-        if combine not in self._OPS:
-            raise ConfigurationError(
-                f"unknown combine op {combine!r}; expected one of "
-                f"{sorted(self._OPS)}"
-            )
+    def __init__(self, store: CachedStore):
         self._store = store
-        self._op = self._OPS[combine]
-        self._combine_name = combine
         self._buffer: dict[str, float] = {}
         self.merged = 0
         self.flushes = 0
@@ -444,17 +386,13 @@ class Combiner:
 
     def add(self, key: str, value: float):
         if key in self._buffer:
-            self._buffer[key] = self._op(self._buffer[key], value)
+            self._buffer[key] += value
             self.merged += 1
         else:
             self._buffer[key] = value
 
     def pending(self) -> int:
         return len(self._buffer)
-
-    def peek(self, key: str) -> float | None:
-        """Buffered (not yet flushed) value for ``key``, if any."""
-        return self._buffer.get(key)
 
     def snapshot_buffer(self) -> dict[str, float]:
         """Unflushed deltas, for the checkpoint protocol: a crash between
@@ -468,11 +406,7 @@ class Combiner:
         """Apply all buffered values to the store."""
         self._store.prefetch([Reads(owned=tuple(self._buffer))])
         for key, value in self._buffer.items():
-            if self._combine_name == "add":
-                self._store.incr(key, value)
-            else:
-                current = self._store.get(key, 0.0)
-                self._store.put(key, self._op(current, value))
+            self._store.incr(key, value)
             self.flushed_keys += 1
         self._buffer.clear()
         self.flushes += 1

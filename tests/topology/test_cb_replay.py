@@ -8,10 +8,14 @@ ledger) and a task kill that wipes that ledger while the source rewinds
 profiles byte-identical to a single-delivery run.
 """
 
+import pytest
+
+from repro.errors import DataServerDownError
 from repro.recovery import Fault, RecoveryHarness
 from repro.storm.grouping import FieldsGrouping, ShuffleGrouping
 from repro.storm.topology import TopologyBuilder
-from repro.topology.bolts_cb import CBProfileBolt
+from repro.storm.tuples import StormTuple
+from repro.topology.bolts_cb import CBProfileBolt, ItemInfoBolt
 from repro.topology.bolts_common import PretreatmentBolt
 from repro.topology.spouts import TDAccessSpout
 from repro.topology.state import StateKeys
@@ -23,6 +27,7 @@ from tests.recovery.helpers import (
     make_payloads,
     make_tdaccess,
 )
+from tests.topology.helpers import EnvelopeClient, Task, fresh_cluster
 
 N_MESSAGES = 32
 BATCH = 4
@@ -99,3 +104,44 @@ class TestCbReplay:
             assert harness.injector.midtree_fired == 1
             assert harness.injector.rewinds >= 1
             assert cb_state(harness) == want, f"cbBolt[{task}] kill diverged"
+
+
+class TagWriteRefused(EnvelopeClient):
+    """Refuses one flush at its first tag-index write; the writes ahead
+    of it land."""
+
+    failed = False
+
+    def mutate(self, ops):
+        for at, (__, args) in enumerate(ops):
+            if not self.failed and args[0].startswith("tagidx:"):
+                self.failed = True
+                if at:
+                    self._inner.mutate(ops[:at])
+                raise DataServerDownError("tag index write refused")
+        return self._inner.mutate(ops)
+
+
+def meta_tuple(item, tags, offset):
+    meta = {"item": item, "tags": tags}
+    return StormTuple(
+        (item, meta), ("item", "meta"), "item_meta", "metaSpout",
+        op_id=f"metas@{offset}",
+    )
+
+
+class TestItemInfo:
+    def test_a_refused_tag_write_leaves_the_index_as_it_was(self):
+        # the in-process store hands out the stored set itself, so an
+        # index extended in place would land without its commit
+        cluster = fresh_cluster()
+        cluster.client().put(StateKeys.tag_index("sports"), {"n0"})
+        refusing = TagWriteRefused(cluster.client())
+        task = Task(lambda: ItemInfoBolt(lambda: refusing))
+        with pytest.raises(DataServerDownError):
+            task.deliver(meta_tuple("n1", ("sports",), 0))
+        assert cluster.client().get(StateKeys.tag_index("sports")) == {"n0"}
+        task.deliver(meta_tuple("n1", ("sports",), 0))
+        assert cluster.client().get(StateKeys.tag_index("sports")) == {
+            "n0", "n1",
+        }

@@ -1,11 +1,19 @@
 """Tests for the cache (§5.2) and combiner (§5.3) state helpers."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.storm.component import Bolt
 from repro.storm.tuples import StormTuple
-from repro.topology.state import CachedStore, Combiner, StateKeys, StoreBacked
+from repro.topology.state import (
+    CachedStore,
+    Combiner,
+    Reads,
+    StateKeys,
+    StoreBacked,
+)
 
 from tests.topology.helpers import Task
 
@@ -30,14 +38,33 @@ class TestStateKeys:
         assert len(keys) == 9
 
 
-class TestCachedStore(object):
+class CountingClient:
+    """A client that counts the read frames it is asked for."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.gathers = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def gather(self, keys, probes=()):
+        self.gathers += 1
+        return self._inner.gather(keys, probes)
+
+
+class TestCachedStore:
     def test_read_through_caches(self, client_factory):
-        store = CachedStore(client_factory())
-        store.client.put("k", 1)
+        client_factory().put("k", 1)
+        client = CountingClient(client_factory())
+        store = CachedStore(client)
+        store.prefetch([Reads(owned=("k",))])
         assert store.get("k") == 1
         assert store.get("k") == 1
-        assert store.hits == 1
-        assert store.misses == 1
+        # an owned key stays cached across slices: nothing left to gather
+        store.flush()
+        store.prefetch([Reads(owned=("k",))])
+        assert client.gathers == 1
 
     def test_write_through_visible_to_other_clients(self, client_factory):
         store = CachedStore(client_factory())
@@ -58,23 +85,62 @@ class TestCachedStore(object):
 
     def test_get_fresh_bypasses_cache(self, client_factory):
         store = CachedStore(client_factory())
-        assert store.get("k", 0) == 0  # caches the default
+        store.prefetch([Reads(owned=("k",))])
+        assert store.get("k", 0) == 0  # caches the absence
         client_factory().put("k", 99)  # another task writes
+        store.flush()
+        store.prefetch([Reads(owned=("k",), fresh=("k",))])
         assert store.get("k", 0) == 0  # stale cache, by design
         assert store.get_fresh("k", 0) == 99
 
     def test_incr(self, client_factory):
         store = CachedStore(client_factory())
+        store.prefetch([Reads(owned=("n",))])
         assert store.incr("n", 2.0) == 2.0
         assert store.incr("n", 0.5) == 2.5
 
-    def test_invalidate(self, client_factory):
+    def test_journaled_writes_answer_from_the_gathered_probe(
+        self, client_factory
+    ):
+        client_factory().apply("c", "op-1", 1.0)
         store = CachedStore(client_factory())
-        store.put("k", 1)
+        store.prefetch([
+            Reads(probes=(("c", "op-1"), ("c", "op-2")), owned=("c",))
+        ])
+        assert store.apply("c", "op-1", 1.0) == (1.0, False)  # a replay
+        assert store.apply("c", "op-2", 1.0) == (2.0, True)
+        assert store.op_seen("c", "op-2")  # its own buffered write
         store.flush()
-        client_factory().put("k", 2)
-        store.invalidate("k")
-        assert store.get("k") == 2
+        assert client_factory().get("c") == 2.0
+
+    @pytest.mark.parametrize(
+        "read, named",
+        [
+            (lambda store: store.get("k"), "'k'"),
+            (lambda store: store.get_fresh("k"), "'k'"),
+            (lambda store: store.op_seen("k", "op"), "('k', 'op')"),
+            (lambda store: store.apply("k", "op", 1.0), "('k', 'op')"),
+            (lambda store: store.put_once("k", "op", 1), "('k', 'op')"),
+            (lambda store: store.incr("k", 1.0), "'k'"),
+        ],
+        ids=["get", "get_fresh", "op_seen", "apply", "put_once", "incr"],
+    )
+    def test_an_undeclared_read_is_refused(self, client_factory, read, named):
+        client = CountingClient(client_factory())
+        store = CachedStore(client)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            read(store)
+        # refused, not answered another way: the store asked nothing
+        assert client.gathers == 0
+        assert store.to_commit()[1] == []
+
+    def test_an_undeclared_key_is_refused_beside_a_declared_probe(
+        self, client_factory
+    ):
+        store = CachedStore(client_factory())
+        store.prefetch([Reads(probes=(("k", "op"),))])
+        with pytest.raises(ConfigurationError, match="'k'"):
+            store.apply("k", "op", 1.0)
 
 
 class CountBolt(Bolt):
@@ -88,7 +154,7 @@ class CountBolt(Bolt):
         self._store = CachedStore(self._client_factory())
 
     def execute(self, tup):
-        self._store.incr("n", tup["delta"])
+        self._store.put("n", tup["delta"])
 
 
 class FlushedCountBolt(StoreBacked, CountBolt):
@@ -114,16 +180,16 @@ class TestStoreBacked:
 class TestCombiner:
     def test_merges_same_key(self, client_factory):
         store = CachedStore(client_factory())
-        combiner = Combiner(store, "add")
+        combiner = Combiner(store)
         for __ in range(100):
             combiner.add("itemCount:hot-news", 1.0)
         assert combiner.pending() == 1
         assert combiner.merged == 99
-        assert combiner.peek("itemCount:hot-news") == 100.0
+        assert combiner.snapshot_buffer() == {"itemCount:hot-news": 100.0}
 
     def test_flush_applies_merged_value_once(self, tdstore):
         store = CachedStore(tdstore.client())
-        combiner = Combiner(store, "add")
+        combiner = Combiner(store)
         for __ in range(100):
             combiner.add("k", 1.0)
         writes_before = sum(tdstore.write_stats().values())
@@ -137,32 +203,19 @@ class TestCombiner:
     def test_flush_accumulates_over_existing_value(self, client_factory):
         store = CachedStore(client_factory())
         store.put("k", 5.0)
-        combiner = Combiner(store, "add")
+        combiner = Combiner(store)
         combiner.add("k", 3.0)
         combiner.flush()
         assert store.get("k") == 8.0
-
-    def test_max_combine(self, client_factory):
-        store = CachedStore(client_factory())
-        combiner = Combiner(store, "max")
-        combiner.add("r", 2.0)
-        combiner.add("r", 5.0)
-        combiner.add("r", 1.0)
-        combiner.flush()
-        assert store.get("r") == 5.0
-
-    def test_unknown_op_rejected(self, client_factory):
-        with pytest.raises(ConfigurationError):
-            Combiner(CachedStore(client_factory()), "xor")
 
     def test_combiner_saves_more_under_skew(self, client_factory):
         """§5.3: 'in a temporal burst situation, the combiner's efficacy
         will be even improved' — skewed keys merge more."""
         store = CachedStore(client_factory())
-        skewed = Combiner(store, "add")
+        skewed = Combiner(store)
         for i in range(100):
             skewed.add("hot", 1.0)  # all one key
-        uniform = Combiner(store, "add")
+        uniform = Combiner(store)
         for i in range(100):
             uniform.add(f"cold-{i}", 1.0)
         assert skewed.merged > uniform.merged

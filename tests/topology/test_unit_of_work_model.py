@@ -5,11 +5,13 @@ program over a ``CachedStore`` of its own, owning its own keys — through
 the executors' ``execute_wave``: one gather and one commit for the
 tasks that have tuples. The TDStore is a small simulated one whose three
 data servers each stand for a server process of their own, so every
-commit splits into several envelopes. The schedule mixes declared and
-undeclared tuples, duplicate deliveries, task kills, and commits cut at
+commit splits into several envelopes. The schedule mixes duplicate
+deliveries, task kills, and commits cut at
 any op prefix — inside one task's writes or between two tasks' — or
 between two envelopes; a failed commit costs every task of the wave its
 memory (each store refuses further use) and the wave is replayed.
+Every tuple declares what it reads: an undeclared read is refused
+(``tests/topology/test_state.py``), so there is no second path to model.
 Whenever the stream is settled, the store and its journals must equal a
 sequential model that applied every op id exactly once, store by store;
 and no ``after_commit`` callback may have run for writes that did not
@@ -76,11 +78,10 @@ class CuttingServer:
 
 
 class Tuple:
-    def __init__(self, seq, key, delta, declared):
+    def __init__(self, seq, key, delta):
         self.op = f"src@{seq}"
         self.key = key
         self.delta = delta
-        self.declared = declared
 
 
 class Task:
@@ -99,14 +100,12 @@ class Task:
         self.handed_over = False
 
     @staticmethod
-    def reads(tup: Tuple) -> "Reads | None":
-        if not tup.declared:
-            return None
+    def reads(tup: Tuple) -> Reads:
         members = f"members:{tup.key}"
         count = f"count:{tup.key}"
         return Reads(
             probes=((members, tup.op), (count, tup.op + "#inc")),
-            owned=(members, count),
+            owned=(members, count, f"touched:{tup.key}"),
             fresh=(f"peer:{tup.key}",),
         )
 
@@ -222,7 +221,6 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             st.tuples(
                 st.sampled_from(KEYS),
                 st.sampled_from((1.0, 2.0, 0.5)),
-                st.booleans(),  # declares its reads
                 st.booleans(),  # is a re-delivery of an earlier tuple
             ),
             min_size=1,
@@ -244,12 +242,12 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             self.cluster.client().put(f"peer:{peer[0]}", peer[1])
         if kill is not None:
             self.tasks[kill].start()
-        for key, delta, declared, duplicate in batch:
+        for key, delta, duplicate in batch:
             earlier = [t for t in self.delivered.values() if t.key == key]
             if duplicate and earlier:
                 self.inbox.append(earlier[-1])
                 continue
-            tup = Tuple(len(self.delivered), key, delta, declared)
+            tup = Tuple(len(self.delivered), key, delta)
             self.delivered[tup.op] = tup
             self.inbox.append(tup)
         if cut is not None and cut[0] == "ops":

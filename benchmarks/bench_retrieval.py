@@ -11,11 +11,13 @@ the streaming index under tuple-derived op ids — then measures:
 * structural honesty: nonzero splits (the stream actually restructured
   the index) and zero lost keys (``index_integrity`` is clean);
 * key digests per warm query: ``stable_hash`` digests computed while
-  routing a repeated pass of the queries.
+  routing a repeated pass of the queries;
+* centroid reads per warm query: ``vqcent:`` keys that repeated pass
+  reads (the retriever keeps the codebook per index version).
 
 Writes ``BENCH_retrieval.json`` at the repo root; the CI smoke gates on
-recall@10 >= 0.8, splits > 0, zero lost keys and zero digests per warm
-query.
+recall@10 >= 0.8, splits > 0, zero lost keys, and zero digests and zero
+centroid reads per warm query.
 
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_retrieval.py -q -s
 """
@@ -133,15 +135,24 @@ def test_retrieval_quality_and_throughput(monkeypatch):
         )
 
     # the widest probe's pass above was the warm-up: key placement is
-    # memoized per process, so repeating it computes no digest
+    # memoized per process and the codebook kept at the index's version,
+    # so repeating it computes no digest and reads no centroid
     digests = []
     digest = hashing._digest
+    centroid_reads = []
+    multi_get = client.multi_get
 
     def counting(key):
         digests.append(key)
         return digest(key)
 
+    def reading(keys, *args, **kwargs):
+        keys = list(keys)
+        centroid_reads.extend(k for k in keys if k.startswith("vqcent:"))
+        return multi_get(keys, *args, **kwargs)
+
     monkeypatch.setattr(hashing, "_digest", counting)
+    monkeypatch.setattr(client, "multi_get", reading)
     for qi, q, __ in queries:
         retriever.retrieve(q, TOP_K, exclude={qi})
     monkeypatch.undo()
@@ -160,6 +171,7 @@ def test_retrieval_quality_and_throughput(monkeypatch):
         "lost_keys": len(integrity["problems"]),
         "recall_at_10": headline,
         "digests_per_warm_query": len(digests) / N_QUERIES,
+        "centroid_reads_per_warm_query": len(centroid_reads) / N_QUERIES,
         "probe_sweep": sweep,
     }
     report_json("retrieval", payload)
@@ -179,6 +191,10 @@ def test_retrieval_quality_and_throughput(monkeypatch):
         )
     lines.append(
         f"  key digests per warm query: {payload['digests_per_warm_query']:g}"
+    )
+    lines.append(
+        "  centroid reads per warm query: "
+        f"{payload['centroid_reads_per_warm_query']:g}"
     )
     report("retrieval", "\n".join(lines))
 

@@ -71,6 +71,9 @@ class QueryLog:
     # vq queries answered by CF inside the live rung (cold index or
     # browned-out store) — the retrieval cold-start health signal
     vq_fallbacks: int = 0
+    # the same, by cause: a ColdIndexError's reason ("no_recent",
+    # "unembedded_user", "empty_index", ...) or a store failure's class
+    vq_fallback_reasons: dict[str, int] = field(default_factory=dict)
     rungs: dict[str, int] = field(default_factory=dict)
     displayed: deque[tuple[str, tuple[str, ...]]] = field(
         default_factory=lambda: deque(maxlen=QUERY_LOG_RECENT)
@@ -334,7 +337,13 @@ class RecommenderFrontEnd:
             # ladder below only engages if CF fails too
             try:
                 return target.recommend_vq(user_id, n, now)
-            except (ColdIndexError, *_RUNG_FAILURES):
+            except (ColdIndexError, *_RUNG_FAILURES) as exc:
+                reason = (
+                    exc.reason if isinstance(exc, ColdIndexError)
+                    else type(exc).__name__
+                )
+                reasons = self.log.vq_fallback_reasons
+                reasons[reason] = reasons.get(reason, 0) + 1
                 self.log.vq_fallbacks += 1
                 return target.recommend_cf(user_id, n, now)
         return target.recommend_cb(user_id, n, now)

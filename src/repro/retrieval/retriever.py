@@ -5,9 +5,11 @@ client (so hedged reads, per-shard degradation, and deadlines apply);
 each hop is one ``multi_get``, i.e. one read frame per server process:
 
 1. the user — recent items, consumed history and the index's centroid
-   set (``vq:meta``) together: none of the three depends on another;
+   set (``vq:meta``) with its write version together: none of the
+   three depends on another;
 2. vectors — the recent items' embedding rows (normalized mean = the
-   query vector) and every live centroid's vector;
+   query vector), plus every live centroid's vector unless the
+   retriever's :class:`Codebook` is at the version hop 1 read;
 3. probe — rank centroids by dot product against the query, take the
    top ``probe_width`` and fetch their posting lists;
 4. re-rank — fetch the candidate rows hop 2 did not already bring and
@@ -15,11 +17,15 @@ each hop is one ``multi_get``, i.e. one read frame per server process:
 
 Four is the dependency floor of this key layout: which rows to fetch
 depends on the postings, which postings on the probe, the probe on the
-query vector and the centroid ids, and those on the user's keys and the
-meta object. Going lower means storing vectors inside the posting lists
-(denormalised, so every embedding step rewrites a posting) or caching
-the codebook client-side, which needs a writer-side version it does not
-have — centroid vectors move on every ``observe``.
+query vector and the centroids, and those on the user's keys and the
+meta object. What a warm query no longer reads is the codebook. The
+index's single writer advances the write version of ``vq:meta`` after
+every op's codebook writes (:mod:`repro.retrieval.vq`), so the
+centroid vectors are read once per version and kept client-side. The
+version is read before the vectors and bumped after them. So a
+codebook may hold vectors newer than its version says, never older,
+and the next version read replaces it. It is filled only from a clean
+read (nothing degraded or hedged), because a replica may lag.
 
 A cold index (no centroids yet, or no embedded recent items for this
 user) raises :class:`~repro.errors.ColdIndexError`; the front end
@@ -39,6 +45,7 @@ from repro.errors import ColdIndexError, ConfigurationError, DataServerDownError
 from repro.retrieval.keys import RetrievalKeys as K
 from repro.retrieval.types import RetrievalAnswer, RetrievalStats
 from repro.tdstore.client import TDStoreClient
+from repro.tdstore.engines import VERSION_PREFIX
 from repro.topology.state import StateKeys
 from repro.types import Recommendation
 
@@ -70,6 +77,45 @@ def _ranked(query: np.ndarray, vecs: dict) -> list:
     return sorted(zip((-np.vecdot(rows, query)).tolist(), vecs))
 
 
+_META_VERSION = VERSION_PREFIX + K.meta()
+
+
+@dataclass(frozen=True)
+class Codebook:
+    """The index's centroids at one write version of ``vq:meta``.
+
+    ``cids`` is the sorted live centroid set, ``ids`` those of them
+    whose vector was readable, ``matrix`` their vectors as float64
+    rows in ``ids`` order. Version 0 is an index that never published
+    one; such a codebook is used once and never kept.
+    """
+
+    version: int
+    cids: tuple
+    ids: tuple
+    matrix: np.ndarray
+
+    @classmethod
+    def read(cls, version: int, cids: list, fetched: dict) -> "Codebook":
+        """Assemble from a hop that read ``vqcent:`` keys into ``fetched``."""
+        ids, vecs = [], []
+        for cid in cids:
+            vec = fetched.get(K.centroid(cid))
+            if vec is not None:
+                ids.append(cid)
+                vecs.append(vec)
+        return cls(version, tuple(cids), tuple(ids),
+                   np.asarray(vecs, dtype=np.float64))
+
+    def probe(self, query: np.ndarray, width: int) -> list:
+        """The ``width`` centroids nearest ``query``, as :func:`_ranked`
+        orders them (the same ``vecdot`` kernel, so the same scores)."""
+        if not self.ids:
+            return []
+        scores = (-np.vecdot(self.matrix, query)).tolist()
+        return [cid for __, cid in sorted(zip(scores, self.ids))[:width]]
+
+
 class VQRetriever:
     """Nearest-centroid probe → posting lists → dot-product re-rank."""
 
@@ -81,11 +127,13 @@ class VQRetriever:
         self._store = client
         self.cfg = config if config is not None else RetrieverConfig()
         self.stats = RetrievalStats()
+        # the last codebook read cleanly at a published version
+        self.codebook: Codebook | None = None
 
-    def _read_all(self, keys: list) -> dict:
+    def _read_all(self, keys: list, versions=()) -> dict:
         """``multi_get`` for keys whose absence changes the answer's
         meaning: a degraded one raises instead of reading as empty."""
-        got = self._store.multi_get(keys)
+        got = self._store.multi_get(keys, versions=versions)
         lost = self._store.last_failed_keys
         if lost:
             raise DataServerDownError(
@@ -131,6 +179,31 @@ class VQRetriever:
         rows = self._store.multi_get([K.embedding(i) for i in items])
         return self._mean_query(user_id, rows.values())
 
+    # -- the codebook ---------------------------------------------------------
+
+    def _index(self, root: dict, hedged: int, rows=()) -> "tuple[Codebook, dict]":
+        """Hop 2: read ``rows``, and the centroid vectors unless the
+        codebook is at the version ``root`` (hop 1) carries.
+
+        ``hedged`` is the client's hedged-read count before hop 1: a
+        codebook read through a hedge, or with a key degraded, serves
+        this query but is not kept.
+        """
+        version = root[_META_VERSION]
+        book = self.codebook
+        if version and book is not None and book.version == version:
+            return book, self._store.multi_get(rows)
+        cids = sorted(root[K.meta()] or {})
+        fetched = self._store.multi_get([*rows, *map(K.centroid, cids)])
+        book = Codebook.read(version, cids, fetched)
+        if (
+            version
+            and not self._store.last_failed_keys
+            and self._store.hedged_reads == hedged
+        ):
+            self.codebook = book
+        return book, fetched
+
     # -- the probe ----------------------------------------------------------
 
     def retrieve(
@@ -139,33 +212,27 @@ class VQRetriever:
         n: int,
         exclude: set[str] | None = None,
         *,
-        index: "tuple[list, dict] | None" = None,
+        index: "tuple[Codebook, dict] | None" = None,
     ) -> RetrievalAnswer:
         """Serve candidates for an explicit query vector.
 
-        ``index`` is :meth:`recommend` handing over what its hop 2
-        already read — the sorted centroid ids and a dict holding their
-        vectors (plus some embedding rows) — so only hops 3 and 4 remain
-        here; without it the centroid set and vectors are read first.
+        ``index`` is :meth:`recommend` handing over the codebook and
+        what its hop 2 read (the recent items' rows), so only hops 3
+        and 4 remain here; without it ``vq:meta`` and its version are
+        read first, and the centroid vectors too on a codebook miss.
         The rows hop 4 brings are added to that dict.
         """
         self.stats.queries += 1
         if index is None:
-            cids = sorted(self._read_all([K.meta()])[K.meta()] or {})
-            index = cids, self._store.multi_get([K.centroid(c) for c in cids])
-        cids, fetched = index
+            hedged = self._store.hedged_reads
+            root = self._read_all([K.meta()], versions=(K.meta(),))
+            index = self._index(root, hedged)
+        book, fetched = index
         exclude = exclude or set()
-        if not cids:
+        if not book.cids:
             self.stats.cold_misses += 1
             raise ColdIndexError("VQ index has no centroids yet")
-        ranked = _ranked(
-            query,
-            {
-                cid: vec for cid in cids
-                if (vec := fetched.get(K.centroid(cid))) is not None
-            },
-        )
-        probed = [cid for __, cid in ranked[: self.cfg.probe_width]]
+        probed = book.probe(query, self.cfg.probe_width)
         if not probed:
             self.stats.cold_misses += 1
             raise ColdIndexError("no centroid vectors readable")
@@ -213,16 +280,14 @@ class VQRetriever:
         keys = [recent_key, K.meta()]
         if self.cfg.exclude_consumed:
             keys.append(history_key)
-        user = self._read_all(keys)
+        hedged = self._store.hedged_reads
+        user = self._read_all(keys, versions=(K.meta(),))
         items = self._recent_items(user_id, user[recent_key])
-        cids = sorted(user[K.meta()] or {})
         row_keys = [K.embedding(i) for i in items]
-        fetched = self._store.multi_get(
-            row_keys + [K.centroid(c) for c in cids]
-        )
+        book, fetched = self._index(user, hedged, row_keys)
         query = self._mean_query(user_id, [fetched[k] for k in row_keys])
         answer = self.retrieve(
-            query, n, set(user.get(history_key) or {}), index=(cids, fetched)
+            query, n, set(user.get(history_key) or {}), index=(book, fetched)
         )
         return [
             Recommendation(item, score, source="vq")
@@ -265,17 +330,20 @@ class VQIndexProbe:
         self._store = client
 
     def stats(self) -> dict:
-        meta = self._store.get(K.meta(), None) or {}
-        sizes = sorted(
-            len(self._store.get(K.posting(cid), None) or {})
-            for cid in sorted(meta)
-        )
+        """Two strict read frames: the centroid set, then every posting
+        list with the journaled counters."""
+        meta = self._store.gather([K.meta()])[0].get(K.meta()) or {}
+        counters = ("indexed", "reassignments", "splits", "merges")
+        got = self._store.gather(
+            [*map(K.posting, sorted(meta)), *map(K.stat, counters)]
+        )[0]
+        sizes = sorted(len(got.get(K.posting(cid)) or {}) for cid in meta)
         p99 = sizes[min(len(sizes) - 1, int(len(sizes) * 0.99))] if sizes else 0
         return {
             "centroids": len(meta),
-            "indexed_items": int(self._store.get(K.stat("indexed"), 0.0)),
-            "reassignments": int(self._store.get(K.stat("reassignments"), 0.0)),
-            "splits": int(self._store.get(K.stat("splits"), 0.0)),
-            "merges": int(self._store.get(K.stat("merges"), 0.0)),
+            "indexed_items": int(got.get(K.stat("indexed"), 0.0)),
+            "reassignments": int(got.get(K.stat("reassignments"), 0.0)),
+            "splits": int(got.get(K.stat("splits"), 0.0)),
+            "merges": int(got.get(K.stat("merges"), 0.0)),
             "posting_p99": p99,
         }

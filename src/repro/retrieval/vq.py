@@ -27,6 +27,13 @@ alone. The contract, relied on by the chaos suite:
   re-executed increment dedups; centroid vectors commit with
   ``put_once`` on suffixed ids, so the second attempt's recompute from
   the *moved* vector is rejected and the first attempt's value stands.
+* The codebook (meta and the centroid vectors) is versioned by the
+  store's write version of ``vq:meta``: after its codebook writes
+  (move, split, merge) and before the primary commit, every
+  non-deduped op rewrites meta unchanged with ``put_once`` on
+  ``{op}#epoch``. The value stays the same; only the version advances,
+  once per op (a re-execution's bump dedups). Readers key a
+  client-side copy of the codebook by it (:mod:`repro.retrieval.retriever`).
 * Decisions (nearest centroid, split, merge) are recomputed from
   journal-authoritative values — ``apply`` returns the committed
   result whether or not this attempt applied it — so attempt 2 reaches
@@ -153,7 +160,11 @@ class StreamingVQIndex:
         akey = K.assignment(item)
         stats = ("indexed", "reassignments", "splits", "merges")
         return Reads(
-            probes=((akey, op_id), (K.stat("merges"), op_id + "#stmg")),
+            probes=(
+                (akey, op_id),
+                (K.stat("merges"), op_id + "#stmg"),
+                (K.meta(), op_id + "#epoch"),
+            ),
             owned=(akey, K.meta(), *map(K.stat, stats)),
         )
 
@@ -240,6 +251,7 @@ class StreamingVQIndex:
         self._store.put_once(K.centroid(best), op_id + "#move", moved)
         if prev_cid == best:
             # no membership change; just the learning step above
+            self._publish(op_id)
             self._store.put_once(akey, op_id, {"centroid": best})
             return VQOp(item, op_id, best, previous=prev_cid)
         in_count, __ = self._store.apply(K.count(best), op_id + "#inc", weight)
@@ -300,6 +312,7 @@ class StreamingVQIndex:
                 )
         if prev_cid is None:
             self._store.apply(K.stat("indexed"), op_id + "#stix", 1.0)
+        self._publish(op_id)
         self._store.put_once(akey, op_id, {"centroid": assigned})
         return VQOp(
             item,
@@ -311,6 +324,14 @@ class StreamingVQIndex:
             merged_into=merged_into,
             moved_items=moved_items,
         )
+
+    def _publish(self, op_id: str):
+        """Advance the codebook version: rewrite meta as it stands under
+        ``put_once``, so only the store's write version of ``vq:meta``
+        moves. It follows every codebook write of the op in the same
+        commit, so a reader that sees the new version sees them too."""
+        meta = self._store.get(K.meta(), None)
+        self._store.put_once(K.meta(), op_id + "#epoch", meta)
 
     def _merge(self, dying: str, base: set, op_id: str, mass: float):
         """Dissolve ``dying`` into its nearest surviving neighbour.

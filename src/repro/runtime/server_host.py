@@ -139,9 +139,11 @@ class GroupCommitter(threading.Thread):
     writers straggle slower than any useful window stops waiting for
     them at all.
 
-    All responses (reads and admin ops included) flow through the
-    queue so per-connection FIFO ordering is preserved; a cycle with
-    no mutations skips both the wait and the flush.
+    Only the replies of connections that sent a mutation in the batch
+    flow through the queue — all of that connection's replies, so its
+    FIFO order holds. :meth:`ServerHost.handle_batch` sends every other
+    reply (reads, control-plane ops) inline, without waiting for a
+    flush. A cycle with no mutations skips both the wait and the flush.
     """
 
     def __init__(

@@ -35,6 +35,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryBudget, RetryPolicy
 from repro.tdstore.config_server import ConfigServerPair
+from repro.tdstore.engines import VERSION_PREFIX
 from repro.utils.clock import SimClock
 
 # failures the breaker counts against the dependency's health
@@ -339,7 +340,9 @@ class TDStoreClient:
             refused.extend(bad)
         return values, seen, refused
 
-    def multi_get(self, keys, default: Any = None) -> dict[str, Any]:
+    def multi_get(
+        self, keys, default: Any = None, *, versions=()
+    ) -> dict[str, Any]:
         """Batched read: every key answered in one pass over the shards.
 
         Keys are grouped by instance from **one** route-table snapshot
@@ -360,10 +363,16 @@ class TDStoreClient:
         batch when any key degraded to ``default``. A blown
         :class:`~repro.resilience.Deadline` still aborts the whole
         batch — time is a query-level budget, not a shard-level one.
+
+        ``versions`` names keys whose write version to read in the same
+        frame: each comes back under ``VERSION_PREFIX + key`` (0 when
+        the key was never version-written or its read degraded). A
+        version lives in its key's instance, so it is routed by the key
+        and costs no extra request.
         """
         keys = list(keys)
         self.last_failed_keys = frozenset()
-        if not keys:
+        if not keys and not versions:
             return {}
         if self._breaker is not None and not self._breaker.allow():
             self.breaker_rejections += 1
@@ -380,6 +389,10 @@ class TDStoreClient:
             batches: dict[int, list[str]] = {}
             for key in keys:
                 batches.setdefault(instance_for_key(key), []).append(key)
+            for key in versions:
+                batches.setdefault(instance_for_key(key), []).append(
+                    VERSION_PREFIX + key
+                )
             found, refused = self._batch_read(batches.items(), deadline)
             by_host: dict[int, list] = {}
             for entry in refused:
@@ -394,7 +407,7 @@ class TDStoreClient:
             if self._breaker is not None:
                 self._breaker.record_failure()
             raise
-        self.batched_keys += len(keys)
+        self.batched_keys += len(keys) + len(versions)
         if failed:
             self.degraded_keys += len(failed)
             self.last_failed_keys = frozenset(failed)
@@ -403,7 +416,10 @@ class TDStoreClient:
         elif self._breaker is not None:
             self._breaker.record_success()
         # a key no server held (or that degraded) reads as the default
-        return {key: found.get(key, default) for key in keys}
+        got = {key: found.get(key, default) for key in keys}
+        for key in versions:
+            got[VERSION_PREFIX + key] = found.get(VERSION_PREFIX + key, 0)
+        return got
 
     def _batch_read(
         self, batches, deadline: Deadline | None

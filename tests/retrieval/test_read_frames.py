@@ -18,9 +18,10 @@ from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.engine.front_end import RecommenderFrontEnd
 from repro.errors import ColdIndexError, DataServerDownError
 from repro.retrieval.keys import RetrievalKeys as K
-from repro.retrieval.retriever import RetrieverConfig, VQRetriever
+from repro.retrieval.retriever import RetrieverConfig, VQIndexProbe, VQRetriever
 from repro.retrieval.types import RetrievalAnswer
 from repro.runtime import ProcessSubstrate, SimSubstrate
+from repro.tdstore.engines import VERSION_PREFIX
 from repro.topology.state import StateKeys
 from repro.utils import hashing
 
@@ -71,9 +72,8 @@ def reference_answer(get, cfg: RetrieverConfig, user: str, n: int):
     return answer, query, exclude
 
 
-def assert_serves(client, cfg: RetrieverConfig, user: str, n: int, want):
-    """``VQRetriever`` agrees with the oracle through both entry points."""
-    retriever = VQRetriever(client, cfg)
+def assert_serves(retriever: VQRetriever, user: str, n: int, want):
+    """``retriever`` agrees with the oracle through both entry points."""
     if isinstance(want, str):
         with pytest.raises(ColdIndexError) as cold:
             retriever.recommend(user, n, 0.0)
@@ -89,6 +89,26 @@ def assert_serves(client, cfg: RetrieverConfig, user: str, n: int, want):
 
 def served_items(want) -> tuple:
     return () if isinstance(want, str) else want[0].items
+
+
+def read_log(client, monkeypatch) -> list:
+    """Record every key ``client.multi_get`` reads from here on, a
+    version read as ``__ver__:<key>``."""
+    keys: list = []
+    multi_get = client.multi_get
+
+    def logged(batch, default=None, *, versions=()):
+        batch = list(batch)
+        keys.extend(batch)
+        keys.extend(VERSION_PREFIX + key for key in versions)
+        return multi_get(batch, default, versions=versions)
+
+    monkeypatch.setattr(client, "multi_get", logged)
+    return keys
+
+
+def centroid_reads(keys) -> list:
+    return [key for key in keys if key.startswith("vqcent:")]
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +144,32 @@ def reference(sim_store):
 class TestAnswerParity:
     def assert_parity(self, client, reference):
         for (user, width), want in reference.items():
-            assert_serves(
-                client, RetrieverConfig(probe_width=width), user, TOP_N, want
-            )
+            retriever = VQRetriever(client, RetrieverConfig(probe_width=width))
+            assert_serves(retriever, user, TOP_N, want)
 
     def test_sim_serves_the_per_key_answers(self, sim_store, reference):
         self.assert_parity(sim_store.client(), reference)
 
     def test_process_serves_the_per_key_answers(self, process_store, reference):
         self.assert_parity(process_store.client(), reference)
+
+    def test_a_warm_codebook_serves_the_per_key_answers(
+        self, sim_store, reference, monkeypatch
+    ):
+        # one retriever per width for every user: after its first query
+        # the codebook is warm, and no later query reads a centroid
+        client = sim_store.client()
+        retrievers = {
+            width: VQRetriever(client, RetrieverConfig(probe_width=width))
+            for width in WIDTHS
+        }
+        for retriever in retrievers.values():
+            retriever.retrieve(np.ones(16) / 4.0, TOP_N)
+            assert retriever.codebook is not None
+        keys = read_log(client, monkeypatch)
+        for (user, width), want in reference.items():
+            assert_serves(retrievers[width], user, TOP_N, want)
+        assert centroid_reads(keys) == []
 
 
 class TestRoundTrips:
@@ -145,20 +182,68 @@ class TestRoundTrips:
         __, users, cold = seeded_index()
         warm = next(user for user in users if served_items(reference[user, 8]))
         client = process_store.client()
-        retriever = VQRetriever(client, RetrieverConfig(probe_width=8))
+        cfg = RetrieverConfig(probe_width=8)
+        retriever = VQRetriever(client, cfg)
         client.get("warm-up")  # connection and route table are in place
-        with sent_requests(monkeypatch) as sent:
-            served = retriever.recommend(warm, TOP_N, 0.0)
-        assert sent == ["gather"] * 4
-        assert tuple(r.item_id for r in served) == served_items(reference[warm, 8])
+        for codebook in ("cold", "warm"):
+            with sent_requests(monkeypatch) as sent:
+                served = retriever.recommend(warm, TOP_N, 0.0)
+            assert sent == ["gather"] * 4, codebook
+            assert tuple(r.item_id for r in served) == served_items(
+                reference[warm, 8]
+            )
         query = retriever.query_vector(warm)
         with sent_requests(monkeypatch) as sent:
+            VQRetriever(client, cfg).retrieve(query, TOP_N)
+        assert sent == ["gather"] * 4  # meta, centroids, postings, rows
+        with sent_requests(monkeypatch) as sent:
             retriever.retrieve(query, TOP_N)
-        assert sent == ["gather"] * 4
+        assert sent == ["gather"] * 3  # the codebook stands in for hop 2
         with sent_requests(monkeypatch) as sent:
             with pytest.raises(ColdIndexError):
                 retriever.recommend(cold, TOP_N, 0.0)
         assert sent == ["gather"]
+
+    def test_a_warm_query_reads_no_centroid(
+        self, sim_store, reference, monkeypatch
+    ):
+        __, users, __ = seeded_index()
+        warm = next(user for user in users if served_items(reference[user, 8]))
+        client = sim_store.client()
+        retriever = VQRetriever(client, RetrieverConfig(probe_width=8))
+        keys = read_log(client, monkeypatch)
+        retriever.recommend(warm, TOP_N, 0.0)
+        assert len(centroid_reads(keys)) == 41  # every live centroid
+        cold_keys = len(keys)
+        keys.clear()
+        retriever.recommend(warm, TOP_N, 0.0)
+        assert centroid_reads(keys) == []
+        assert (cold_keys, len(keys)) == (79, 38)
+
+
+class TestIndexProbe:
+    def test_index_stats_are_two_read_frames(self, process_store, monkeypatch):
+        client = process_store.client()
+        client.get("warm-up")
+        with sent_requests(monkeypatch) as sent:
+            stats = VQIndexProbe(client).stats()
+        assert sent == ["gather"] * 2  # meta, then postings and counters
+        meta = sorted(client.get(K.meta()))
+        sizes = sorted(len(client.get(K.posting(cid))) for cid in meta)
+        assert stats == {
+            "centroids": len(meta),
+            "posting_p99": sizes[int(len(sizes) * 0.99)],
+            **{
+                key: int(client.get(K.stat(name), 0.0))
+                for key, name in (
+                    ("indexed_items", "indexed"),
+                    ("reassignments", "reassignments"),
+                    ("splits", "splits"),
+                    ("merges", "merges"),
+                )
+            },
+        }
+        assert (stats["centroids"], stats["posting_p99"]) == (41, 7)
 
 
 class TestKeyPlacementCost:
@@ -226,4 +311,23 @@ class TestDegradedUserKeys:
             )
             results = front.query(user, TOP_N, 0.0)
         assert front.log.vq_fallbacks == 1
+        assert front.log.vq_fallback_reasons == {"DataServerDownError": 1}
         assert not [r for r in results if r.source == "vq"]
+
+    def test_fallbacks_are_counted_by_reason(self, sim_store, reference):
+        __, users, cold = seeded_index()
+        unembedded = next(
+            user for user in users if reference[user, 8] == "unembedded_user"
+        )
+        served = next(user for user in users if served_items(reference[user, 8]))
+        client = sim_store.client()
+        front = RecommenderFrontEnd(
+            RecommenderEngine(client, EngineConfig(vq=RetrieverConfig())),
+            algorithm="vq",
+        )
+        for user in (cold, unembedded, cold, served):
+            front.query(user, TOP_N, 0.0)
+        assert front.log.vq_fallback_reasons == {
+            "no_recent": 2, "unembedded_user": 1,
+        }
+        assert front.log.vq_fallbacks == 3

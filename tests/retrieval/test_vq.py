@@ -222,6 +222,13 @@ class TestCrashReplay:
         assert crashes > 100  # every op died at every prefix length
         assert digest(chaos_cluster.client()) == digest(clean_cluster.client())
         assert index_integrity(chaos_cluster.client(), ITEMS)["problems"] == []
+        # the codebook version: one bump per op, cut before or after it
+        versions = [
+            cluster.client().get_versioned(K.meta())
+            for cluster in (chaos_cluster, clean_cluster)
+        ]
+        assert versions[0] == versions[1]
+        assert versions[0][1] == len(op_stream())
 
 
 class TestValidation:

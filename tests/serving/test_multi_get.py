@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CircuitOpenError, DeadlineExceededError
 from repro.resilience import CircuitBreaker, Deadline
 from repro.tdstore import TDStoreCluster
+from repro.tdstore.engines import VERSION_PREFIX
 from repro.utils.clock import SimClock
 
 
@@ -42,6 +43,27 @@ class TestBatchParity:
         assert client.batch_ops == 1
         assert client.batched_keys == len(keys)
         assert [s.batch_ops for s in cluster.data_servers] == [1, 1, 1]
+
+    def test_versions_ride_the_same_frame(self):
+        cluster = seeded(num_servers=3, keys=4)
+        client = cluster.client()
+        client.put_once("key:1", "op-a", "a")
+        client.put_once("key:1", "op-b", "b")
+        keys = [f"key:{i}" for i in range(4)]
+        plain = client.multi_get(keys)
+        assert client.batch_ops == 1
+        got = client.multi_get(keys, versions=("key:1", "key:2", "missing"))
+        assert client.batch_ops == 2  # the versions added no frame
+        assert got == {
+            **plain,
+            VERSION_PREFIX + "key:1": 2,
+            VERSION_PREFIX + "key:2": 0,
+            VERSION_PREFIX + "missing": 0,
+        }
+        assert got[VERSION_PREFIX + "key:1"] == client.get_versioned("key:1")[1]
+        assert client.multi_get([], versions=("key:1",)) == {
+            VERSION_PREFIX + "key:1": 2,
+        }
 
     def test_duplicate_keys_served_once(self):
         cluster = seeded(keys=4)

@@ -24,7 +24,6 @@ from repro.elastic.migration import (
     InstanceMigrator,
     Migration,
     MigrationRecord,
-    invalidation_for_key,
 )
 from repro.elastic.autoscaler import (
     Autoscaler,
@@ -36,7 +35,6 @@ __all__ = [
     "InstanceMigrator",
     "Migration",
     "MigrationRecord",
-    "invalidation_for_key",
     "Autoscaler",
     "ScalingDecision",
     "ThresholdHysteresisPolicy",

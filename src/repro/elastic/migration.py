@@ -24,7 +24,8 @@ expressed over the simulation's primitives:
    cutover and retries only the moving shard.
 
 After cutover the migrator publishes serving-layer invalidations for
-the migrated keys (mapped by :func:`invalidation_for_key`), so cached
+the migrated keys (mapped by
+:func:`~repro.serving.invalidation.invalidation_for_key`), so cached
 answers computed against the old placement are staled rather than
 trusted blindly across the move.
 """
@@ -37,7 +38,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import MigrationError
 from repro.tdstore.config_server import ConfigServerPair
-from repro.tdstore.engines import JOURNAL_PREFIX, VERSION_PREFIX
 
 if TYPE_CHECKING:
     from repro.serving.invalidation import InvalidationBus
@@ -48,37 +48,6 @@ CUTOVER_FIXED_SECONDS = 0.002
 CUTOVER_PER_RECORD_SECONDS = 0.0002
 
 STATES = ("pending", "catching_up", "cutover", "done", "aborted")
-
-_META_PREFIXES = (JOURNAL_PREFIX, VERSION_PREFIX)
-
-# TDStore key prefix -> invalidation kind published after cutover; the
-# key part mirrors what the committing bolts publish (see StateKeys and
-# the bolt publish sites), so one subscriber wiring serves both streams
-_USER_PREFIXES = ("hist", "recent", "consumed")
-
-
-def invalidation_for_key(key: str) -> "tuple[str, str] | None":
-    """Serving invalidation ``(kind, key)`` implied by a migrated key.
-
-    Meta keys (op journals, versions) and state families the serving
-    caches never tag by map to None.
-    """
-    if key.startswith(_META_PREFIXES):
-        return None
-    prefix, sep, rest = key.partition(":")
-    if not sep or not rest:
-        return None
-    if prefix in _USER_PREFIXES:
-        return ("user", rest)
-    if prefix == "simlist":
-        return ("item", rest)
-    if prefix == "hot":
-        return ("group", rest)
-    if prefix == "ctr":
-        # CtrBolt publishes the bare item (see bolts_ctr), key format is
-        # "ctr:item|situation"
-        return ("ctr", rest.split("|", 1)[0])
-    return None
 
 
 @dataclass
@@ -275,15 +244,10 @@ class Migration:
     # -- post-cutover serving invalidation --------------------------------
 
     def _publish_invalidations(self, target):
-        if self._bus is None:
-            return
-        published: set = set()
-        for key in target.engine(self.instance).snapshot():
-            event = invalidation_for_key(key)
-            if event is not None and event not in published:
-                published.add(event)
-                self._bus.publish(*event)
-        self.record.invalidations_published = len(published)
+        if self._bus is not None:
+            self.record.invalidations_published = self._bus.publish_keys(
+                target.engine(self.instance).snapshot()
+            )
 
     def _settle(self):
         if self._on_settled is not None:

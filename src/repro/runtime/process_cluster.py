@@ -57,6 +57,9 @@ class ProcessCluster(LocalCluster):
     tdstore_spec:
         ``(addresses, placement)`` of the TDStore server hosts, shipped
         to workers so their bolts build remote clients.
+    bus:
+        As ``LocalCluster``'s; each worker returns the keys its share
+        committed with the records, and this process publishes them.
     """
 
     def __init__(
@@ -67,8 +70,9 @@ class ProcessCluster(LocalCluster):
         supervisor: ProcessSupervisor,
         tdstore_spec: "tuple[list, dict]",
         tick_interval: "float | None" = None,
+        bus=None,
     ):
-        super().__init__(clock=clock, tick_interval=tick_interval)
+        super().__init__(clock=clock, tick_interval=tick_interval, bus=bus)
         if not workers:
             raise ConfigurationError("ProcessCluster needs >= 1 worker process")
         self._workers = list(workers)
@@ -76,6 +80,9 @@ class ProcessCluster(LocalCluster):
         self._tdstore_spec = tdstore_spec
         self._rpcs: dict[int, RpcClient] = {}
         self._recipes: dict[str, Any] = {}
+        # the trailing ``publish`` argument of wave and tick requests:
+        # none without a bus, so their frames stay as they were
+        self._publishing = () if bus is None else (True,)
         self.waves_dispatched = 0
         self.worker_recoveries = 0
 
@@ -204,9 +211,9 @@ class ProcessCluster(LocalCluster):
             key = (task.component_name, task.task_index)
             index = task_owner(*key, self.num_workers)
             per_worker.setdefault(index, []).append((*key, tuples))
-        now = self.clock.now()
+        head, publishing = (topology_name, self.clock.now()), self._publishing
         requests = [
-            (index, Request("execute_batch", (topology_name, now, batches)))
+            (index, Request("execute_batch", (*head, batches, *publishing)))
             for index, batches in sorted(per_worker.items())
         ]
         results: dict = {}
@@ -219,20 +226,35 @@ class ProcessCluster(LocalCluster):
                 self._redispatch(index, request, results)
         for index, request in in_flight:
             try:
-                results.update(self._worker_rpc(index).recv_response().unwrap())
+                reply = self._worker_rpc(index).recv_response().unwrap()
             except RemoteOpError:
                 self._redispatch(index, request, results)
+            else:
+                results.update(self._share(reply))
         return results
 
     def _redispatch(self, index, request, results):
         self._recover_worker(index)
         try:
-            results.update(self._worker_rpc(index).call_raw(request).unwrap())
+            reply = self._worker_rpc(index).call_raw(request).unwrap()
         except RemoteOpError:
             raise WorkerCrashError(
                 f"worker {self._workers[index].name!r} died twice on one "
                 "wave; giving up"
             )
+        results.update(self._share(reply))
+
+    def _share(self, reply):
+        """One worker's reply, once the keys its share committed are
+        published (per share: a sibling's failed commit does not hold
+        them back) — and a tick's failure raised after them."""
+        if self._publish is None:
+            return reply
+        records, keys, *failed = reply
+        self._publish(keys)
+        if failed:
+            raise failed[0]
+        return records
 
     @staticmethod
     def _replay_events(task: _Task, tup: StormTuple, events):
@@ -256,8 +278,11 @@ class ProcessCluster(LocalCluster):
         for run in self._running.values():
             merged: dict = {}
             for index in range(self.num_workers):
-                for component, task_index, events in self._worker_call(
-                    index, "tick_all", run.topology.name, now
+                for component, task_index, events in self._share(
+                    self._worker_call(
+                        index, "tick_all", run.topology.name, now,
+                        *self._publishing,
+                    )
                 ):
                     merged[(component, task_index)] = events
             for key in list(run.tasks):

@@ -71,7 +71,7 @@ class Substrate:
     def build_tdstore(self, num_servers: int, num_instances: int):
         raise NotImplementedError
 
-    def build_storm(self, clock, tick_interval: "float | None" = None):
+    def build_storm(self, clock, tick_interval: "float | None" = None, bus=None):
         raise NotImplementedError
 
     def teardown(self):
@@ -103,10 +103,10 @@ class SimSubstrate(Substrate):
 
         return TDStoreCluster(num_servers, num_instances)
 
-    def build_storm(self, clock, tick_interval: "float | None" = None):
+    def build_storm(self, clock, tick_interval: "float | None" = None, bus=None):
         from repro.storm.cluster import LocalCluster
 
-        return LocalCluster(clock=clock, tick_interval=tick_interval)
+        return LocalCluster(clock=clock, tick_interval=tick_interval, bus=bus)
 
 
 class ProcessSubstrate(Substrate):
@@ -260,7 +260,7 @@ class ProcessSubstrate(Substrate):
         }
 
     def build_storm(
-        self, clock, tick_interval: "float | None" = None
+        self, clock, tick_interval: "float | None" = None, bus=None
     ) -> ProcessCluster:
         if self._tdstore_spec is None:
             raise ConfigurationError(
@@ -286,6 +286,7 @@ class ProcessSubstrate(Substrate):
             supervisor=supervisor,
             tdstore_spec=self._tdstore_spec,
             tick_interval=tick_interval,
+            bus=bus,
         )
         return self._cluster
 

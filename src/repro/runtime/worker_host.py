@@ -171,7 +171,9 @@ class WorkerHost:
 
     # -- execution --------------------------------------------------------
 
-    def execute_batch(self, name: str, now: float, batches) -> dict:
+    def execute_batch(
+        self, name: str, now: float, batches, publish: bool = False
+    ):
         """Run this worker's share of a component wave — one gather, one
         commit for all of it (:func:`~repro.storm.cluster.execute_wave`)
         — and return per-tuple records.
@@ -181,6 +183,9 @@ class WorkerHost:
         error)`` record per tuple — the parent replays the events
         through its own collectors and settles the tuple by the error,
         so parent-side control flow is byte-for-byte the simulator's.
+        With ``publish`` (the parent has an invalidation bus) the result
+        is ``(records, keys)``: the keys the share's commit wrote or
+        probed, none if it failed.
         """
         entry = self._entry(name)
         entry.clock.advance_to(now)
@@ -202,8 +207,12 @@ class WorkerHost:
                 task.events = None
                 self.executed += 1
 
-        outcomes = execute_wave(slices, self._rebuilder(entry), execute)
-        return {
+        committed: list = []
+        outcomes = execute_wave(
+            slices, self._rebuilder(entry), execute,
+            committed.extend if publish else None,
+        )
+        records = {
             (task.component, task.task_index): [
                 (
                     # nothing, for a tuple a refused gather failed
@@ -214,6 +223,7 @@ class WorkerHost:
             ]
             for (task, tuples), errors in zip(slices, outcomes)
         }
+        return (records, committed) if publish else records
 
     def _rebuilder(self, entry: _WorkerTopology):
         """A failed commit costs a task its memory (cache and dedup
@@ -223,11 +233,15 @@ class WorkerHost:
             entry, task.component, task.task_index
         )
 
-    def tick_all(self, name: str, now: float) -> list:
+    def tick_all(self, name: str, now: float, publish: bool = False):
         """Tick every owned bolt, a component's tasks as one wave;
-        returns ``[(comp, idx, events), ...]``."""
+        returns ``[(comp, idx, events), ...]`` — with ``publish``, and
+        the keys the ticks' commits wrote (see :meth:`execute_batch`),
+        and the error of a tick that failed after others committed."""
         entry = self._entry(name)
         entry.clock.advance_to(now)
+        committed: list = []
+        sink = committed.extend if publish else None
         out = []
         owned = sorted(entry.tasks)
         for component in entry.topology.specs:
@@ -236,12 +250,16 @@ class WorkerHost:
                 task.events = []
                 out.append((task.component, task.task_index, task.events))
             try:
-                tick_wave(tasks, now, self._rebuilder(entry))
+                tick_wave(tasks, now, self._rebuilder(entry), sink)
+            except Exception as exc:
+                if not publish:
+                    raise
+                return out, committed, sanitize_exception(exc)
             finally:
                 for task in tasks:
                     task.events = None
             self.ticks += len(tasks)
-        return out
+        return (out, committed) if publish else out
 
     # -- task control (parent mirrors of kill/rebalance/checkpoint) ------
 

@@ -8,8 +8,11 @@ arXiv:1709.05278 (tiered read path with stream-driven freshness):
 * :class:`QueryCoalescer` — dedupes identical in-flight queries and
   micro-batches concurrent ones into shared multi-get fan-outs;
 * :class:`ResultCache` / :class:`HotListCache` — the tiered result
-  caches, TTL-bounded and *invalidated by the stream* through the
-  :class:`InvalidationBus` the stateful bolts publish to;
+  caches, TTL-bounded and *invalidated by the stream* through an
+  :class:`InvalidationBus`: hand it to the Storm cluster
+  (``substrate.build_storm(clock, bus=bus)``) and every committed
+  component wave publishes the tags :func:`invalidation_for_key` gives
+  the keys it wrote or probed, on either substrate;
 * :class:`ServingLayer` — wires coalescer, caches and the engine's
   batched CF reads behind one ``serve``/``serve_many`` API the front
   end's ``live``/``cache`` rungs route through;
@@ -19,7 +22,7 @@ arXiv:1709.05278 (tiered read path with stream-driven freshness):
 
 from repro.serving.cache import HotListCache, ResultCache
 from repro.serving.coalescer import QueryCoalescer
-from repro.serving.invalidation import InvalidationBus
+from repro.serving.invalidation import InvalidationBus, invalidation_for_key
 from repro.serving.layer import ServingLayer
 from repro.serving.loadgen import ClosedLoopLoadGenerator, LoadReport
 
@@ -31,4 +34,5 @@ __all__ = [
     "QueryCoalescer",
     "ResultCache",
     "ServingLayer",
+    "invalidation_for_key",
 ]

@@ -129,23 +129,31 @@ def execute_one(task, tup: StormTuple) -> "Exception | None":
     return None
 
 
-def commit_tasks(tasks, restart):
+def commit_tasks(tasks, restart, sink=None, probes=()):
     """One commit for what ``tasks`` buffered. Writes a failed commit
     dropped are still in the tasks' caches and dedup ledgers, so every
     one of them restarts fresh (``restart(task)``) and the replay meets
-    the store's journals."""
+    the store's journals. Once the commit returns, ``sink`` hears every
+    key it wrote and every key ``probes`` named — a replay whose first
+    commit lost its ack writes nothing, but probes. A failed commit
+    hands the sink nothing."""
     try:
-        commit_wave(task.instance.to_commit() for task in tasks)
+        writes = commit_wave(task.instance.to_commit() for task in tasks)
     except Exception:
         for task in tasks:
             restart(task)
         raise
+    if sink is not None:
+        sink([args[0] for __, args in writes] + [key for key, __ in probes])
 
 
-def execute_wave(slices, restart, execute=execute_one) -> "list[list]":
+def execute_wave(
+    slices, restart, execute=execute_one, sink=None
+) -> "list[list]":
     """gather -> execute -> commit for the ``(task, tuples)`` slices of
     one component wave — on either executor, the unit of store traffic
-    and therefore of failure.
+    and therefore of failure — then hand the committed wave's keys to
+    ``sink`` (:func:`commit_tasks`).
 
     Returns one list per slice, aligned with its tuples: each tuple's
     error or ``None``. A gather that is refused fails every tuple
@@ -155,14 +163,16 @@ def execute_wave(slices, restart, execute=execute_one) -> "list[list]":
     broke part-way leaves an op prefix, which the journals absorb.
     """
     try:
-        gather_wave(task.instance.to_gather(tuples) for task, tuples in slices)
+        probes = gather_wave(
+            task.instance.to_gather(tuples) for task, tuples in slices
+        )
     except Exception as exc:
         return [[exc] * len(tuples) for __, tuples in slices]
     outcomes = [
         [execute(task, tup) for tup in tuples] for task, tuples in slices
     ]
     try:
-        commit_tasks([task for task, __ in slices], restart)
+        commit_tasks([task for task, __ in slices], restart, sink, probes)
     except Exception as exc:
         return [
             [exc if error is None else error for error in errors]
@@ -171,11 +181,11 @@ def execute_wave(slices, restart, execute=execute_one) -> "list[list]":
     return outcomes
 
 
-def tick_wave(tasks, now: float, restart):
+def tick_wave(tasks, now: float, restart, sink=None):
     """Tick one component's tasks and commit the tick as one wave."""
     for task in tasks:
         task.instance.tick(now)
-    commit_tasks(tasks, restart)
+    commit_tasks(tasks, restart, sink)
 
 
 class LocalCluster:
@@ -191,6 +201,9 @@ class LocalCluster:
         If set, every bolt's :meth:`~repro.storm.component.Bolt.tick` is
         invoked whenever the simulated clock crosses a multiple of this
         interval — Storm's tick-tuple mechanism, used by the combiner.
+    bus:
+        If set, each component wave whose commit returns hands the keys
+        it wrote or probed to ``bus.publish_keys`` (see commit_tasks).
     """
 
     def __init__(
@@ -199,8 +212,10 @@ class LocalCluster:
         num_supervisors: int = 4,
         slots_per_supervisor: int = 4,
         tick_interval: float | None = None,
+        bus=None,
     ):
         self.clock = clock if clock is not None else SimClock()
+        self._publish = None if bus is None else bus.publish_keys
         self.nimbus = Nimbus(num_supervisors, slots_per_supervisor)
         self.tick_interval = tick_interval
         self._running: dict[str, _RunningTopology] = {}
@@ -407,7 +422,7 @@ class LocalCluster:
     def _execute_wave(self, run: _RunningTopology, wave) -> "list[list]":
         """The step a substrate replaces: run the wave's tuples and
         return, per slice, each tuple's error (or ``None``)."""
-        return execute_wave(wave, self._restarter(run))
+        return execute_wave(wave, self._restarter(run), sink=self._publish)
 
     def _restarter(self, run: _RunningTopology):
         return lambda task: self.kill_task(
@@ -428,9 +443,10 @@ class LocalCluster:
 
     def _tick_all(self, now: float):
         for run in self._running.values():
+            restart = self._restarter(run)
             for name, spec in list(run.topology.specs.items()):
                 if not spec.is_spout:
-                    tick_wave(run.tasks_of(name), now, self._restarter(run))
+                    tick_wave(run.tasks_of(name), now, restart, self._publish)
 
     # ------------------------------------------------------------------
     # checkpoint support (repro.recovery)

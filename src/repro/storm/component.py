@@ -238,8 +238,9 @@ class Bolt(Component):
         commit_wave([self.to_commit()])
 
 
-def gather_wave(entries: "Iterable[tuple | None]"):
-    """One strict read for the :meth:`Bolt.to_gather` entries of a wave.
+def gather_wave(entries: "Iterable[tuple | None]") -> list:
+    """One strict read for the :meth:`Bolt.to_gather` entries of a wave;
+    returns the ``(key, op_id)`` probes it asked.
 
     Their keys and probes travel together through the first entry's
     transport — one factory builds a component's tasks, so their
@@ -249,15 +250,16 @@ def gather_wave(entries: "Iterable[tuple | None]"):
     entries = [entry for entry in entries if entry is not None]
     keys = [key for entry in entries for key in entry[1]]
     probes = [probe for entry in entries for probe in entry[2]]
-    if not keys and not probes:
-        return
-    values, seen = entries[0][0].gather(keys, probes)
-    for entry in entries:
-        entry[3](values, seen)
+    if keys or probes:
+        values, seen = entries[0][0].gather(keys, probes)
+        for entry in entries:
+            entry[3](values, seen)
+    return probes
 
 
-def commit_wave(entries: "Iterable[tuple | None]"):
-    """One envelope for the :meth:`Bolt.to_commit` entries of a wave.
+def commit_wave(entries: "Iterable[tuple | None]") -> list:
+    """One envelope for the :meth:`Bolt.to_commit` entries of a wave;
+    returns the ``(method, args)`` writes it landed.
 
     The writes ship in task order through the first entry's transport
     and each ``settle`` gets its own slice of the results. The wave
@@ -280,6 +282,7 @@ def commit_wave(entries: "Iterable[tuple | None]"):
         for entry in taken:
             entry[2](None, exc)
         raise
+    return writes
 
 
 class FunctionBolt(Bolt):

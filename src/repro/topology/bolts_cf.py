@@ -15,7 +15,7 @@ every piece of state has exactly one writing task.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.algorithms.demographic import GLOBAL_GROUP
 from repro.algorithms.itemcf.history import apply_action
@@ -34,9 +34,6 @@ from repro.topology.state import (
 )
 from repro.types import UserProfile
 from repro.utils.clock import SECONDS_PER_HOUR
-
-if TYPE_CHECKING:
-    from repro.serving.invalidation import InvalidationBus
 
 ClientFactory = Callable[[], TDStoreClient]
 ProfileLookup = Callable[[str], "UserProfile | None"]
@@ -63,12 +60,6 @@ class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
     journal entry, re-executes from the unchanged history and re-emits —
     the derived op ids dedup downstream any emission whose first
     delivery already got through.
-
-    With ``bus`` set, a ``("user", user)`` invalidation is published
-    once the commit has been flushed — never before, so a cache acting
-    on it re-reads post-commit state — telling the serving caches this
-    user's history/recent state changed. The dedup early-return does not
-    publish: the first delivery already did.
     """
 
     def __init__(
@@ -78,7 +69,6 @@ class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
         linked_time: float = 6 * SECONDS_PER_HOUR,
         recent_k: int = 10,
         group_of: Callable[[str], str] | None = None,
-        bus: "InvalidationBus | None" = None,
     ):
         super().__init__()
         self._client_factory = client_factory
@@ -86,7 +76,6 @@ class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
         self._linked_time = linked_time
         self._recent_k = recent_k
         self._group_of = group_of
-        self._bus = bus
 
     def declare_outputs(self, declarer):
         declarer.declare(("item", "delta"), "item_delta")
@@ -146,8 +135,6 @@ class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
         # idempotent under re-execution (same inputs, same result)
         self._update_recent(user, item, update.new_rating, now)
         self._store.put_once(hist_key, op_id, history)
-        if self._bus is not None:
-            self._store.after_commit(self._bus.publish, "user", user)
 
     def _update_recent(self, user: str, item: str, rating: float, now: float):
         recent = self._store.get(StateKeys.recent(user), None) or []
@@ -312,22 +299,12 @@ class SimListBolt(StoreBacked, ExactlyOnceBolt):
     ``sim_update`` is a no-op even after the in-memory ledger died with
     its task — and a failure mid-update leaves no journal entry, so the
     replay re-runs the whole update instead of losing it.
-
-    With ``bus`` set, an ``("item", item)`` invalidation is published
-    once the list commit has been flushed, so serving caches drop
-    answers computed from the old similar-items list.
     """
 
-    def __init__(
-        self,
-        client_factory: ClientFactory,
-        k: int = 20,
-        bus: "InvalidationBus | None" = None,
-    ):
+    def __init__(self, client_factory: ClientFactory, k: int = 20):
         super().__init__()
         self._client_factory = client_factory
         self._k = k
-        self._bus = bus
 
     def prepare(self, context, collector):
         super().prepare(context, collector)
@@ -348,8 +325,6 @@ class SimListBolt(StoreBacked, ExactlyOnceBolt):
         # replay recomputes and rewrites the same threshold
         self._store.put(StateKeys.threshold(item), lst.threshold())
         self._store.put_once(key, op_id, payload)
-        if self._bus is not None:
-            self._store.after_commit(self._bus.publish, "item", item)
 
     def reads(self, tup: StormTuple) -> Reads:
         key = StateKeys.sim_list(tup["item"])

@@ -9,7 +9,7 @@ Figure 7: spout -> pretreatment -> ctrStore -> ctrBolt -> resultStorage.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.algorithms.ctr import BACKOFF_LEVELS, situation_key
 from repro.algorithms.demographic import age_band
@@ -18,9 +18,6 @@ from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
 from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
 from repro.types import UserProfile
-
-if TYPE_CHECKING:
-    from repro.serving.invalidation import InvalidationBus
 
 ClientFactory = Callable[[], TDStoreClient]
 ProfileLookup = Callable[[str], "UserProfile | None"]
@@ -126,10 +123,6 @@ class CtrBolt(StoreBacked, ExactlyOnceBolt):
     The recompute-and-overwrite is naturally idempotent; the dedup
     ledger still suppresses replays so a stale recompute cannot clobber
     a newer CTR value.
-
-    With ``bus`` set, a ``("ctr", item)`` invalidation is published
-    once the CTR value is flushed, so serving caches holding answers
-    ranked by the old value drop them.
     """
 
     def __init__(
@@ -138,14 +131,12 @@ class CtrBolt(StoreBacked, ExactlyOnceBolt):
         prior_ctr: float = 0.02,
         prior_strength: float = 20.0,
         window_sessions: int | None = None,
-        bus: "InvalidationBus | None" = None,
     ):
         super().__init__()
         self._client_factory = client_factory
         self._prior_ctr = prior_ctr
         self._prior_strength = prior_strength
         self._window_sessions = window_sessions
-        self._bus = bus
 
     def declare_outputs(self, declarer):
         declarer.declare(("item", "situation", "ctr"), "ctr_value")
@@ -180,6 +171,4 @@ class CtrBolt(StoreBacked, ExactlyOnceBolt):
             impressions + self._prior_strength
         )
         self._store.put(StateKeys.ctr(item, situation), ctr)
-        if self._bus is not None:
-            self._store.after_commit(self._bus.publish, "ctr", item)
         self.collector.emit((item, situation, ctr), stream_id="ctr_value")

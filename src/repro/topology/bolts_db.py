@@ -9,15 +9,12 @@ have is gone without any locking.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.storm.reliability import ExactlyOnceBolt
 from repro.storm.tuples import StormTuple
 from repro.tdstore.client import TDStoreClient
 from repro.topology.state import CachedStore, Reads, StateKeys, StoreBacked
-
-if TYPE_CHECKING:
-    from repro.serving.invalidation import InvalidationBus
 
 
 class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
@@ -32,11 +29,6 @@ class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
     atomically with the journal entry (``put_once``) — a failure before
     the commit leaves no journal entry, so the replay redoes the whole
     fold instead of losing the delta.
-
-    With ``bus`` set, a ``("group", group)`` invalidation is published
-    once each counter commit (and each decay write) is flushed, so serving
-    caches drop hot lists and complemented answers built on the old
-    counters.
     """
 
     def __init__(
@@ -45,14 +37,12 @@ class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
         decay: float = 0.5,
         decay_interval: float = 1800.0,
         max_items: int = 200,
-        bus: "InvalidationBus | None" = None,
     ):
         super().__init__()
         self._client_factory = client_factory
         self._decay = decay
         self._decay_interval = decay_interval
         self._max_items = max_items
-        self._bus = bus
         self._groups_seen: set[str] = set()
         self._last_decay: float | None = None
 
@@ -79,8 +69,6 @@ class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
             hot = dict(ranked[: self._max_items])
         self._store.put_once(key, op_id, hot)
         self._groups_seen.add(group)
-        if self._bus is not None:
-            self._store.after_commit(self._bus.publish, "group", group)
 
     def tick(self, now: float):
         if self._last_decay is None:
@@ -104,5 +92,3 @@ class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
                 if value * factor > 1e-6
             }
             self._store.put(key, decayed)
-            if self._bus is not None:
-                self._store.after_commit(self._bus.publish, "group", group)

@@ -32,7 +32,6 @@ from repro.utils.clock import SECONDS_PER_HOUR, SimClock
 
 if TYPE_CHECKING:
     from repro.retrieval.bolts import RetrievalConfig
-    from repro.serving.invalidation import InvalidationBus
 
 ClientFactory = Callable[[], TDStoreClient]
 ProfileLookup = Callable[[str], "UserProfile | None"]
@@ -49,10 +48,6 @@ class CFTopologyConfig:
     throughput does — the paper's scalability claim, which the
     throughput bench exercises by sweeping this value.
 
-    ``invalidation_bus`` wires the stateful bolts to the serving
-    caches: each publishes a touched-key notification after its commit
-    point, and the serving layer drops the answers built on that state.
-
     ``retrieval`` rides the embedding/VQ pipeline alongside the CF
     layers off the same ``user_action`` stream; ``None`` (the default)
     builds the classic CF-only topology.
@@ -66,7 +61,6 @@ class CFTopologyConfig:
     use_combiner: bool = False
     parallelism: int = 2
     group_of: Callable[[str], str] | None = None
-    invalidation_bus: "InvalidationBus | None" = None
     retrieval: "RetrievalConfig | None" = None
 
 
@@ -89,7 +83,6 @@ def build_cf_topology(
             linked_time=cfg.linked_time,
             recent_k=cfg.recent_k,
             group_of=cfg.group_of,
-            bus=cfg.invalidation_bus,
         ),
         parallelism=cfg.parallelism,
     ).grouping("spout", FieldsGrouping(["user"]), "user_action")
@@ -109,7 +102,7 @@ def build_cf_topology(
     )
     builder.add_bolt(
         "simList",
-        lambda: SimListBolt(client_factory, k=cfg.k, bus=cfg.invalidation_bus),
+        lambda: SimListBolt(client_factory, k=cfg.k),
         parallelism=cfg.parallelism,
     ).grouping("pairCount", FieldsGrouping(["item"]), "sim_update").grouping(
         "pairCount", FieldsGrouping(["item"]), "prune"
@@ -117,7 +110,7 @@ def build_cf_topology(
     if cfg.group_of is not None:
         builder.add_bolt(
             "groupCount",
-            lambda: GroupCountBolt(client_factory, bus=cfg.invalidation_bus),
+            lambda: GroupCountBolt(client_factory),
             parallelism=cfg.parallelism,
         ).grouping("userHistory", FieldsGrouping(["group"]), "group_delta")
     if cfg.retrieval is not None:
@@ -182,7 +175,6 @@ def build_ctr_topology(
     parallelism: int = 2,
     session_seconds: float | None = None,
     window_sessions: int | None = None,
-    invalidation_bus: "InvalidationBus | None" = None,
 ) -> Topology:
     """The Figure 7 topology: spout -> pretreatment -> ctrStore -> ctrBolt
     -> resultStorage.
@@ -209,11 +201,7 @@ def build_ctr_topology(
     ).grouping("pretreatment", FieldsGrouping(["item"]), "user_action")
     builder.add_bolt(
         "ctrBolt",
-        lambda: CtrBolt(
-            client_factory,
-            window_sessions=window_sessions,
-            bus=invalidation_bus,
-        ),
+        lambda: CtrBolt(client_factory, window_sessions=window_sessions),
         parallelism=parallelism,
     ).grouping("ctrStore", FieldsGrouping(["item"]), "ctr_update")
     builder.add_bolt(

@@ -12,7 +12,7 @@ storm into one read-modify-write per key per interval.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError, TDStoreError
 from repro.storm.component import commit_wave, gather_wave
@@ -140,8 +140,7 @@ class CachedStore:
     - reads are answered from that, writes update the owned-key cache
       and append to an ordered buffer;
     - :meth:`to_commit` hands the buffer over to ship in order as one
-      envelope per server process (:meth:`TDStoreClient.mutate`), after
-      which the callbacks registered with :meth:`after_commit` run.
+      envelope per server process (:meth:`TDStoreClient.mutate`).
 
     The executors merge both across the tasks of a component wave — one
     frame and one envelope for all of them, since their keys are
@@ -166,12 +165,10 @@ class CachedStore:
         # gathered for the slice in flight; dropped at its commit
         self._fresh: dict[str, Any] = {}
         self._probes: dict[tuple[str, str], bool] = {}
-        # ordered (method, args) writes not yet shipped, the values the
-        # journaled increments among them must come back with, and the
-        # callbacks waiting on them
+        # ordered (method, args) writes not yet shipped, and the values
+        # the journaled increments among them must come back with
         self._writes: list[tuple[str, tuple]] = []
         self._expected: dict[int, float] = {}
-        self._after: list[tuple] = []
         self._failed: BaseException | None = None
 
     # -- gather ------------------------------------------------------------
@@ -303,11 +300,6 @@ class CachedStore:
         self._remember(key, _MISSING)
         self._write("delete", key)
 
-    def after_commit(self, callback: Callable[..., Any], *args: Any):
-        """Run ``callback(*args)`` once the writes buffered so far have
-        landed (never if their commit fails)."""
-        self._after.append((callback, args))
-
     # -- commit ------------------------------------------------------------
 
     def to_commit(self) -> tuple:
@@ -319,7 +311,6 @@ class CachedStore:
         self._check()
         writes, self._writes = self._writes, []
         expected, self._expected = self._expected, {}
-        after, self._after = self._after, []
 
         def settle(results, error=None):
             if error is not None:
@@ -332,8 +323,6 @@ class CachedStore:
                         f"{results[index][0]!r} where its single writer "
                         f"computed {value!r}"
                     )
-            for callback, args in after:
-                callback(*args)
 
         return self._client, writes, settle
 

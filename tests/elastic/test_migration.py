@@ -8,8 +8,9 @@ following the move through the existing ``route_epoch`` gate.
 
 import pytest
 
-from repro.elastic import InstanceMigrator, Migration, invalidation_for_key
+from repro.elastic import InstanceMigrator, Migration
 from repro.errors import MigrationError, MigrationInProgressError, TDStoreError
+from repro.serving import InvalidationBus, invalidation_for_key
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.data_server import TDStoreDataServer
 from repro.tdstore.engines import MDBEngine
@@ -289,8 +290,6 @@ class TestServingInvalidation:
         assert invalidation_for_key("pairCount:a|b") is None
 
     def test_cutover_publishes_invalidations_for_migrated_keys(self):
-        from repro.serving import InvalidationBus
-
         cluster = make_cluster()
         client = cluster.client()
         user_keys = keys_on_instance(cluster, 0, n=3, prefix="hist:u")

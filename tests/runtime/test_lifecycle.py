@@ -68,10 +68,10 @@ class TestSupervisorLifecycle:
             # never read the response, so heartbeats cannot be served
             wedger = RpcClient(*managed.address)
             wedger.send_request(Request("_sleep", (30.0,)))
-            time.sleep(1.2)  # let silence exceed the deadline
+            time.sleep(0.3)  # let silence exceed the deadline
             try:
                 killed = supervisor.kill_hung(
-                    deadline=1.0, ping_timeout=0.5, restart=False
+                    deadline=0.2, ping_timeout=0.2, restart=False
                 )
                 assert killed == ["storm-worker-0"]
                 assert not managed.alive
@@ -90,9 +90,9 @@ class TestSupervisorLifecycle:
             managed = supervisor.spawn("storm-worker-0", worker_host_main, WORKER_CONFIG)
             wedger = RpcClient(*managed.address)
             wedger.send_request(Request("_sleep", (30.0,)))
-            time.sleep(1.2)
+            time.sleep(0.3)
             try:
-                killed = supervisor.kill_hung(deadline=1.0, ping_timeout=0.5)
+                killed = supervisor.kill_hung(deadline=0.2, ping_timeout=0.2)
             finally:
                 wedger.close()
             assert killed == ["storm-worker-0"]

@@ -1,5 +1,5 @@
 """A refused gather or a failed commit fails its whole wave — on both
-executors.
+executors — and publishes nothing.
 
 The component wave (per worker process: the worker's share of it) is
 the unit of store traffic, so it is the unit of failure: when the one
@@ -10,7 +10,9 @@ a tuple that is neither acked nor failed) — task 1's as much as task
 other waves must stay acked or queued, and the replay must leave the
 store as after a single delivery. The process substrate settles a wave
 from the workers' records, after the fact; this pins that it settles
-*all* of them before the error propagates, as the simulator does.
+*all* of them before the error propagates, as the simulator does, and
+publishes the keys of every share (or tick) that committed, and only
+those.
 """
 
 import os
@@ -56,13 +58,14 @@ class BurstSpout(Spout):
 
 class FlakyClient:
     """A client whose ``method`` (``gather`` or ``mutate``) — in whatever
-    process it runs — raises the first time it carries ``rows:0``,
-    before anything is sent."""
+    process it runs — raises the first time it carries ``key``, before
+    anything is sent."""
 
-    def __init__(self, inner, method, marker):
+    def __init__(self, inner, method, marker, key="rows:0"):
         self._inner = inner
         self._method = method
         self._marker = marker
+        self._key = key
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -70,7 +73,7 @@ class FlakyClient:
     def _maybe_fail(self, method, keys):
         if (
             method == self._method
-            and "rows:0" in keys
+            and self._key in keys
             and not os.path.exists(self._marker)
         ):
             open(self._marker, "w").close()
@@ -144,6 +147,53 @@ def flaky_factory(method, marker):
     return factory
 
 
+class KeyLog:
+    """A bus that keeps the keys each committed wave hands it."""
+
+    def __init__(self):
+        self.keys: list[str] = []
+
+    def publish_keys(self, keys):
+        self.keys.extend(keys)
+
+
+class TickBolt(StoreBacked, Bolt):
+    """Writes ``<prefix>:tick`` at every tick."""
+
+    def __init__(self, make_client, prefix):
+        self._make_client = make_client
+        self._key = f"{prefix}:tick"
+
+    def prepare(self, context, collector):
+        super().prepare(context, collector)
+        self._store = CachedStore(self._make_client())
+
+    def execute(self, tup):
+        pass
+
+    def tick(self, now):
+        self._store.put(self._key, now)
+
+
+def ticking_factory(marker):
+    """source -> early, source -> late: a tick commits early's write,
+    then late's, whose commit breaks once."""
+
+    def factory(clock, client_factory, consumer):
+        def make_client():
+            return FlakyClient(client_factory(), "mutate", marker, "late:tick")
+
+        builder = TopologyBuilder("ticking")
+        builder.add_spout("source", BurstSpout)
+        for name in ("early", "late"):
+            builder.add_bolt(
+                name, lambda name=name: TickBolt(make_client, name)
+            ).grouping("source", FieldsGrouping(["row"]))
+        return builder.build()
+
+    return factory
+
+
 def one_worker():
     return ProcessSubstrate(worker_procs=1, server_procs=1)
 
@@ -175,7 +225,8 @@ def test_failed_wave_fails_every_tuple_of_it(
     with make_substrate() as substrate:
         clock = SimClock()
         store = substrate.build_tdstore(2, 4)
-        cluster = substrate.build_storm(clock)
+        log = KeyLog()
+        cluster = substrate.build_storm(clock, bus=log)
         cluster.submit(factory(clock, store.client, None))
         spout = cluster.task_instance("flaky-count", "source", 0)
         client = store.client()
@@ -196,6 +247,11 @@ def test_failed_wave_fails_every_tuple_of_it(
             assert client.get("rows:1") == ROWS - len(failed) > 0
         assert client.get("first:0") + client.get("first:1") == ROWS
         assert client.get("last:0") is None and client.get("last:1") is None
+        # the failed commit published nothing, a sibling share that
+        # committed did, and so did the wave before
+        assert "rows:0" not in log.keys
+        assert ("rows:1" in log.keys) is not whole_wave
+        assert {"first:0", "first:1"} <= set(log.keys)
         restarts = cluster.metrics("flaky-count").task_restarts
         if method == "mutate" and isinstance(substrate, SimSubstrate):
             # both tasks lost their buffers with the envelope (a worker
@@ -211,3 +267,29 @@ def test_failed_wave_fails_every_tuple_of_it(
             counts = [client.get(f"{prefix}:{task}") for task in range(TASKS)]
             assert sum(counts) == ROWS and min(counts) > 0
         assert cluster.metrics("flaky-count").task_restarts == restarts
+        assert {
+            f"{prefix}:{task}" for prefix in COUNTERS for task in range(TASKS)
+        } <= set(log.keys)
+
+
+@pytest.mark.parametrize(
+    "make_substrate",
+    [pytest.param(SimSubstrate, id="sim"), pytest.param(one_worker, id="process")],
+)
+def test_failed_tick_publishes_the_ticks_before_it(make_substrate, tmp_path):
+    factory = topology_recipe(
+        "tests.runtime.test_slice_failure",
+        "ticking_factory",
+        marker=str(tmp_path / "failed-once"),
+    )
+    with make_substrate() as substrate:
+        clock = SimClock()
+        store = substrate.build_tdstore(2, 4)
+        log = KeyLog()
+        cluster = substrate.build_storm(clock, bus=log)
+        cluster.submit(factory(clock, store.client, None))
+        with pytest.raises(DataServerDownError, match="mutate lost"):
+            cluster.flush_ticks()
+        assert log.keys == ["early:tick"]
+        cluster.flush_ticks()
+        assert log.keys == ["early:tick", "early:tick", "late:tick"]

@@ -1,12 +1,13 @@
 """Serving caches under the replay/commit protocol.
 
-The invalidation bus is only allowed to fire *after* a bolt's commit
-lands (the flush carrying its put_once succeeded). These tests drive the
-bolts through the same mid-flush failure + replay sequences as
+The executor publishes a wave's tags to the invalidation bus only
+*after* its commit returns. These tests drive the bolts through the same
+mid-flush failure + replay sequences as
 ``tests/topology/test_replay_commit.py`` and assert the read path never
-acts on torn state: no invalidation before the commit, exactly one per
-committed op, none for dedup'd replays, and the cache converges to the
-failure-free answer once the replay commits.
+acts on torn state: no invalidation before the commit, one per tag per
+committed wave — a replay included, since the executor cannot tell a
+replay whose first commit lost its ack from a duplicate — and the cache
+converges to the failure-free answer once the replay commits.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.topology.bolts_db import GroupCountBolt
 from repro.topology.state import StateKeys
 
 from tests.topology.helpers import (
+    EnvelopeClient,
     FlakyClient,
     Task,
     action_tuple,
@@ -34,6 +36,19 @@ def serving_over(cluster, bus):
     return ServingLayer(engine, lambda: clock[0], bus=bus)
 
 
+class LostAckClient(EnvelopeClient):
+    """Lands the first envelope whole, then loses its ack."""
+
+    lost = False
+
+    def mutate(self, ops):
+        results = self._inner.mutate(ops)
+        if not self.lost:
+            self.lost = True
+            raise DataServerDownError("ack lost after the envelope landed")
+        return results
+
+
 def seed_sim_lists(cluster):
     client = cluster.client()
     client.put(StateKeys.sim_list("i1"), {"a": 0.9, "b": 0.8})
@@ -46,7 +61,8 @@ class TestCommitOrdering:
         bus = InvalidationBus()
         seed_sim_lists(cluster)
         healthy = Task(
-            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
         healthy.deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
         assert bus.published == 1
@@ -60,7 +76,8 @@ class TestCommitOrdering:
         # (idempotent side write) but the history commit did not land
         flaky = FlakyClient(cluster.client(), "put_once")
         flaky_bolt = Task(
-            lambda: UserHistoryBolt(client_factory=lambda: flaky, bus=bus)
+            lambda: UserHistoryBolt(client_factory=lambda: flaky),
+            sink=bus.publish_keys,
         )
         tup = action_tuple("u1", "i2", 1, timestamp=3.0)
         with pytest.raises(DataServerDownError):
@@ -87,7 +104,8 @@ class TestCommitOrdering:
         bus = InvalidationBus()
         seed_sim_lists(cluster)
         bolt = Task(
-            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
         bolt.deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
         bolt.deliver(action_tuple("u1", "i2", 1, timestamp=3.0))
@@ -97,40 +115,92 @@ class TestCommitOrdering:
 
 
 class TestReplayPublishesOnce:
-    def test_dedup_ledger_replay_does_not_republish(self):
+    def test_dedup_ledger_replay_republishes_at_most_once(self):
         cluster = fresh_cluster()
         bus = InvalidationBus()
+        seed_sim_lists(cluster)
         bolt = Task(
-            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
         tup = action_tuple("u1", "i1", 0, timestamp=1.0)
         bolt.deliver(tup)
         assert bus.published == 1
+        layer = serving_over(cluster, bus)
+        first, __ = layer.serve("u1", 2, 2.0)
         bolt.deliver(tup)  # in-memory ledger catches it
-        assert bus.published == 1
+        # the duplicate wave probed u1's history: its tag goes out once
+        # more, and costs the cache one miss, not a wrong answer
+        assert bus.published == 2
+        again, tier = layer.serve("u1", 2, 2.0)
+        assert tier == "batched_live"
+        assert again == first
 
-    def test_store_journal_replay_does_not_republish(self):
+    def test_store_journal_replay_republishes_at_most_once(self):
         # the task died, the ledger with it: only op_seen stops the
-        # replay — and it must stop the publish too
+        # replay, which writes nothing and publishes its probe's tag once
         cluster = fresh_cluster()
         bus = InvalidationBus()
+        seed_sim_lists(cluster)
         bolt = Task(
-            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
         tup = action_tuple("u1", "i1", 0, timestamp=1.0)
         bolt.deliver(tup)
+        layer = serving_over(cluster, bus)
+        first, __ = layer.serve("u1", 2, 2.0)
         reborn = Task(
-            lambda: UserHistoryBolt(client_factory=cluster.client, bus=bus)
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
-        reborn.deliver(tup)
-        assert bus.published == 1
+        reborn.deliver(tup, tup)
+        assert bus.published == 2
+        assert bus.by_kind == {"user": 2}
+        again, tier = layer.serve("u1", 2, 2.0)
+        assert tier == "batched_live"
+        assert again == first
+
+    def test_lost_ack_replay_publishes(self):
+        # the commit landed but its ack did not: the executor counts the
+        # wave failed and publishes nothing, and the replay finds the op
+        # journaled and writes nothing — its probe still names the key
+        cluster = fresh_cluster()
+        bus = InvalidationBus()
+        seed_sim_lists(cluster)
+        Task(
+            lambda: UserHistoryBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
+        ).deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
+        layer = serving_over(cluster, bus)
+        first, __ = layer.serve("u1", 2, 2.0)
+        assert [r.item_id for r in first] == ["a", "b"]
+
+        lossy = LostAckClient(cluster.client())
+        bolt = Task(
+            lambda: UserHistoryBolt(client_factory=lambda: lossy),
+            sink=bus.publish_keys,
+        )
+        tup = action_tuple("u1", "i2", 1, timestamp=3.0)
+        with pytest.raises(DataServerDownError):
+            bolt.deliver(tup)
+        assert bus.published == 1  # nothing for a commit that failed
+        bolt.deliver(tup)
+        assert bus.published == 2
+
+        live = layer.engine.recommend_cf("u1", 2, 4.0)
+        assert [r.item_id for r in live] == ["c", "a"]
+        served, tier = layer.serve("u1", 2, 4.0)
+        assert tier == "batched_live"
+        assert [r.item_id for r in served] == ["c", "a"]
 
     def test_sim_list_failure_then_replay_publishes_once(self):
         cluster = fresh_cluster()
         bus = InvalidationBus()
         flaky = FlakyClient(cluster.client(), "put_once")
         bolt = Task(
-            lambda: SimListBolt(client_factory=lambda: flaky, k=4, bus=bus)
+            lambda: SimListBolt(client_factory=lambda: flaky, k=4),
+            sink=bus.publish_keys,
         )
         tup = sim_tuple("i1", "a", 0.9, 0)
         with pytest.raises(DataServerDownError):
@@ -154,7 +224,8 @@ class TestStreamStalesTheRightEntries:
         assert [r.item_id for r in results] == ["a"]
 
         bolt = Task(
-            lambda: SimListBolt(client_factory=cluster.client, k=4, bus=bus)
+            lambda: SimListBolt(client_factory=cluster.client, k=4),
+            sink=bus.publish_keys,
         )
         bolt.deliver(sim_tuple("i1", "b", 0.95, 0))
         # the answer depended on item i1's list; it staled immediately
@@ -173,7 +244,8 @@ class TestStreamStalesTheRightEntries:
         assert layer.hot_cache.get("global") == {"h1": 4.0}
 
         bolt = Task(
-            lambda: GroupCountBolt(client_factory=cluster.client, bus=bus)
+            lambda: GroupCountBolt(client_factory=cluster.client),
+            sink=bus.publish_keys,
         )
         bolt.deliver(group_tuple("global", "h2", 9.0, 0))
         assert layer.result_cache.get(("cf", "cold-user", 1)) is None

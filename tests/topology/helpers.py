@@ -4,12 +4,13 @@ Shared by the unit-level replay suites (``test_replay_commit``,
 ``tests/serving/test_coalesce_replay``, ``tests/retrieval/test_vq``):
 bolts buffer their writes and the executor commits them per component
 wave, so a test that calls ``bolt.execute`` on its own sees nothing in
-the store. Here the wave is the one task: ``prefetch`` / ``flush`` run
-the executors' ``gather_wave`` / ``commit_wave`` over its entry alone,
-so an injected fault lands inside the merged commit.
+the store. Here the wave is the one task: the executors'
+``execute_wave`` runs over it alone, so an injected fault lands inside
+the merged commit.
 """
 
 from repro.errors import DataServerDownError
+from repro.storm.cluster import execute_wave
 from repro.storm.component import OutputCollector, TopologyContext
 from repro.storm.streams import OutputDeclaration
 from repro.storm.tuples import StormTuple
@@ -19,19 +20,30 @@ from repro.tdstore.cluster import TDStoreCluster
 class Task:
     """One bolt behind the executor's wave protocol.
 
-    ``deliver(*tuples)`` runs one wave of one — prefetch, execute each tuple
-    with its input identity installed (so emissions derive replay-stable
-    op ids), flush — and, like the executors, answers a failed flush by
-    replacing the instance: ``bolt`` is then a fresh one from
-    ``make_bolt``. ``emitted`` collects emissions across instances.
+    ``deliver(*tuples)`` runs one wave of one — gather, execute each
+    tuple with its input identity installed (so emissions derive
+    replay-stable op ids), commit, hand the committed keys to ``sink``
+    — and raises the first tuple's error. Like the executors it answers
+    a failed commit by replacing the instance: ``bolt`` is then a fresh
+    one from ``make_bolt``. ``emitted`` collects emissions across
+    instances.
     """
 
-    def __init__(self, make_bolt, name="bolt"):
+    def __init__(self, make_bolt, name="bolt", sink=None):
         self._make_bolt = make_bolt
         self._name = name
+        self._sink = sink
         self.emitted: list[StormTuple] = []
         self.restarts = 0
         self._start()
+
+    @property
+    def instance(self):
+        return self.bolt
+
+    @property
+    def collector(self):
+        return self.bolt.collector
 
     def _start(self):
         self.bolt = bolt = self._make_bolt()
@@ -47,19 +59,14 @@ class Task:
         bolt.prepare(TopologyContext(self._name, 0, 1, "test"), collector)
 
     def deliver(self, *tuples):
-        bolt = self.bolt
-        bolt.prefetch(tuples)
-        try:
-            for tup in tuples:
-                bolt.collector.set_input_context(frozenset(), tup.op_id)
-                bolt.execute(tup)
-        finally:
-            try:
-                bolt.flush()
-            except Exception:
-                self.restarts += 1
-                self._start()
-                raise
+        [errors] = execute_wave([(self, tuples)], self._restart, sink=self._sink)
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def _restart(self, task):
+        self.restarts += 1
+        self._start()
 
 
 class EnvelopeClient:

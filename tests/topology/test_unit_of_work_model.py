@@ -13,9 +13,11 @@ memory (each store refuses further use) and the wave is replayed.
 Every tuple declares what it reads: an undeclared read is refused
 (``tests/topology/test_state.py``), so there is no second path to model.
 Whenever the stream is settled, the store and its journals must equal a
-sequential model that applied every op id exactly once, store by store;
-and no ``after_commit`` callback may have run for writes that did not
-land.
+sequential model that applied every op id exactly once, store by store.
+The executor's sink — what feeds the invalidation bus — hears nothing
+from a cut commit, and after a landed one it names every key the wave
+changed and every key a tuple of it probed (a replay that finds its op
+journaled changes nothing, yet its first commit's sink never heard).
 """
 
 import pytest
@@ -137,7 +139,6 @@ class Task:
         store.delete(f"scratch:{tup.key}")
         assert store.get(f"scratch:{tup.key}", None) is None
         store.put_once(members_key, tup.op, sorted(members + [tup.op]))
-        store.after_commit(self.machine.published.append, tup)
         self.ledger.add(tup.op)
 
 
@@ -157,7 +158,6 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         self.delivered: dict[str, Tuple] = {}
         self.inbox: list[Tuple] = []
         self.failed: list[Tuple] = []
-        self.published: list[Tuple] = []
         self.tasks = [Task(self) for __ in range(TASKS)]
 
     # -- the executor ------------------------------------------------------
@@ -192,8 +192,12 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
             for index, task in enumerate(self.tasks)
         ]
         slices = [(task, own) for task, own in slices if own]
+        before = self.contents()
+        sunk: list[list] = []
         try:
-            outcomes = execute_wave(slices, self.restart, self.execute_one)
+            outcomes = execute_wave(
+                slices, self.restart, self.execute_one, sink=sunk.append
+            )
         finally:
             self.client.ops_left = None
             self.cut["envelopes_left"] = None
@@ -204,11 +208,29 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
                     if not isinstance(error, Cut):
                         raise error  # a failed check, not an injected loss
                     self.failed.append(tup)
-        # a callback runs only once the writes it waited on have landed
-        probe = self.cluster.client()
-        for tup in self.published:
-            assert probe.op_seen(f"members:{tup.key}", tup.op)
-        self.published.clear()
+        if self.failed:
+            # only a cut commit fails a tuple here: the sink heard nothing
+            assert sunk == []
+            return
+        [keys] = sunk
+        after = self.contents()
+        changed = {
+            key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)
+        }
+        assert changed <= set(keys)
+        assert {f"members:{tup.key}" for tup in tuples} <= set(keys)
+
+    def contents(self) -> dict:
+        """The component's keys as the store holds them (no journals,
+        versions or another component's keys)."""
+        merged: dict = {}
+        for data in self.cluster.snapshot_contents().values():
+            merged.update(data)
+        return {
+            key: value for key, value in merged.items()
+            if not key.startswith((JOURNAL_PREFIX, "peer:", "__ver__:"))
+        }
 
     # -- the schedule ------------------------------------------------------
 

@@ -5,15 +5,16 @@ storage half of elasticity: expansion adds empty servers, and only
 migration gives them load. The protocol is the classic three-phase move,
 expressed over the simulation's primitives:
 
-1. **snapshot copy** (``begin``) — the target adopts a full snapshot of
-   the instance's engine. Engine snapshots include the ``__ops__:`` op
-   journals and ``__ver__:`` versions, so every dedup decision and CAS
-   version travels with the data and ``put_once`` replays stay no-ops
-   after the move.
-2. **dual-write catch-up** — while the migration is registered with the
-   config pair, every client mutation enqueues its sync records to the
-   target as well as the slave (the same records, so journals and
-   versions keep riding along). The source keeps serving reads.
+1. **snapshot copy** (``begin``) — the target gets an empty replica,
+   the source opens the dual-write window, and only then does the
+   target adopt a snapshot of the instance's engine. Engine snapshots
+   include the ``__ops__:`` op journals and ``__ver__:`` versions, so
+   every dedup decision and CAS version travels with the data and
+   ``put_once`` replays stay no-ops after the move.
+2. **dual-write catch-up** — in the window the source host queues the
+   full-value sync records of every write on the instance at the
+   target as well as the slave; the copy keeps them, so replaying them
+   over it leaves each key at its last value. Reads stay at the source.
 3. **epoch-bumped cutover** (``enter_cutover`` → ``finish``) — the
    source raises a migration fence (its fencing check answers
    :class:`~repro.errors.MigrationInProgressError` instead of serving),
@@ -121,7 +122,7 @@ class Migration:
     # -- phase 1: snapshot copy + dual-write registration -----------------
 
     def begin(self):
-        """Copy the instance to the target and open the dual-write window."""
+        """Open the dual-write window and copy the instance to the target."""
         if self.state != "pending":
             raise MigrationError(
                 f"instance {self.instance}: begin() in state {self.state!r}"
@@ -152,10 +153,14 @@ class Migration:
                 "slave; promote it instead of migrating onto it"
             )
         source = self._config.server(self.source_id)
-        snapshot = source.engine(self.instance).snapshot()
+        # the window opens before the snapshot, so no write can fall
+        # between the two: it is in the copy, in the queue, or both
+        target.adopt_snapshot(self.instance, {})
+        source.set_catch_up_target(self.instance, self.target_id)
+        snapshot = source.snapshot_instance(self.instance)
         # each replica owns its values: post-cutover writes at the target
         # must not reach back into the (still replica-holding) source
-        target.adopt_snapshot(self.instance, copy.deepcopy(snapshot))
+        target.adopt_snapshot(self.instance, copy.deepcopy(snapshot), True)
         self.record.keys_copied = len(snapshot)
         self.record.started_at = self._time()
         self.record.state = "catching_up"
@@ -218,6 +223,7 @@ class Migration:
         target.set_host_role(self.instance, True)
         source = self._config.server(self.source_id)
         source.set_host_role(self.instance, False)
+        source.set_catch_up_target(self.instance, None)
         source.set_migration_fence(self.instance, False)
 
         self.record.stall_seconds = (
@@ -225,7 +231,7 @@ class Migration:
         )
         self.record.finished_at = self._time()
         self.record.state = "done"
-        self._config.unregister_migration(self.instance, completed=True)
+        self._config.unregister_migration(self.instance, True)
         self._publish_invalidations(target)
         self._settle()
         return self.record
@@ -236,8 +242,9 @@ class Migration:
             return
         source = self._config.server(self.source_id)
         if source.alive:
+            source.set_catch_up_target(self.instance, None)
             source.set_migration_fence(self.instance, False)
-        self._config.unregister_migration(self.instance, completed=False)
+        self._config.unregister_migration(self.instance, False)
         self.record.state = "aborted"
         self._settle()
 

@@ -229,17 +229,6 @@ class RuntimeSubstrateError(ReproError):
     """Base error for the multi-process execution substrate."""
 
 
-class SubstrateMismatchError(RuntimeSubstrateError):
-    """A simulated-clock-only fixture was wired to a real-clock substrate.
-
-    Latency faults, for example, work by advertising extra seconds for
-    clients to charge against the *simulated* clock; on the process
-    substrate operations take real wall time and there is no simulated
-    clock to charge, so silently accepting the fault would measure
-    nothing. Raised instead, at wiring time, so the test fails loudly.
-    """
-
-
 class RemoteOpError(RuntimeSubstrateError):
     """A remote operation failed with an exception that cannot round-trip.
 

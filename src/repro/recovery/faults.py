@@ -528,18 +528,11 @@ class FaultInjector:
         return cluster
 
     def _slow_down(self, layer, server_id, seconds, error_every=None):
-        cluster = self._layer(layer)
-        if hasattr(cluster, "set_real_delay"):
-            # process substrate: the owning host really stalls (bounded
-            # server-side) instead of advertising seconds for clients
-            # to charge — same plan, native semantics
-            cluster.set_real_delay(server_id, seconds)
-            if error_every is not None:
-                cluster.set_degradation(server_id, error_every=error_every)
-        else:
-            cluster.set_degradation(
-                server_id, latency=seconds, error_every=error_every
-            )
+        # every op on the server costs ``seconds``: charged to the
+        # clock in process, a real (capped) stall at a server host
+        self._layer(layer).set_degradation(
+            server_id, latency=seconds, error_every=error_every
+        )
 
 
 # -- seeded plans -----------------------------------------------------------

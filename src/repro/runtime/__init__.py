@@ -42,7 +42,6 @@ Layering (stdlib only — ``socket`` / ``selectors`` / ``multiprocessing``):
 from repro.errors import (
     RemoteOpError,
     RuntimeSubstrateError,
-    SubstrateMismatchError,
     WorkerCrashError,
 )
 from repro.runtime.chaos import (
@@ -88,7 +87,6 @@ __all__ = [
     "SimSubstrate",
     "StreamDecoder",
     "Substrate",
-    "SubstrateMismatchError",
     "WorkerCrashError",
     "encode_frame",
     "seeded_process_plan",

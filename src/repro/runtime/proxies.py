@@ -8,6 +8,11 @@ unmodified against real server processes. The error types it dispatches
 on (``StaleRouteError``, ``MigrationInProgressError``, ...) round-trip
 through the wire layer as themselves.
 
+The proxies forward and the hosts decide: where a migrating instance's
+writes are queued, how long a degraded server stalls and which roles a
+respawned server gets are settled by the host owning that state, so
+every client copy, in any process, sees the same answer.
+
 Two reads are deliberately *not* RPCs because they sit on the client's
 per-operation hot path:
 
@@ -15,9 +20,9 @@ per-operation hot path:
   every ``route_table()`` download. A stale cache is safe: the host
   fence turns a stale route into ``StaleRouteError``, which makes the
   client refresh — the same protocol that protects in-process clients.
-- ``RemoteDataServer.latency`` is always ``0.0``. On the process
-  substrate latency is real elapsed time, not an advertised number for
-  the client to charge against a simulated clock.
+- ``RemoteDataServer.latency`` is always ``0.0``. A degraded server's
+  host stalls the frames that name it, so the latency is real elapsed
+  time, not a number for the client to charge against a clock.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from repro.errors import RemoteOpError, SubstrateMismatchError, TDStoreError
+from repro.errors import RemoteOpError
 from repro.runtime.rpc import RpcClient
 from repro.runtime.wire import ONCE, SURFACE
 from repro.utils.clock import WallClock
@@ -73,14 +78,14 @@ def _retrying(
 
 def _forwarded(proxy, plane: str, name: str) -> Any:
     """``name`` on a proxy of one plane: an ``attr`` row is fetched on
-    every access, anything else becomes a forwarder to ``proxy._forward``
+    every access, anything else becomes a forwarder to ``proxy._call``
     (cached; positional args only — a request has no keywords)."""
     if name.startswith("_"):
         raise AttributeError(name)
     row = SURFACE[plane].get(name)
     if row is not None and row.attr:
         return proxy._call(name)
-    call = proxy._forward
+    call = proxy._call
 
     def forward(*args: Any):
         return call(name, *args)
@@ -97,7 +102,7 @@ class RemoteDataServer:
     plane's rows say; the host refuses what the plane does not declare.
     """
 
-    # real servers take real time; there is nothing to charge
+    # the host stalls a degraded server's frames; nothing to charge
     latency = 0.0
 
     def __init__(
@@ -114,8 +119,6 @@ class RemoteDataServer:
 
     def _call(self, method: str, *args: Any) -> Any:
         return _retrying(self._rpc, method, args, self._target, self._recover)
-
-    _forward = _call
 
     def __getattr__(self, name: str):
         return _forwarded(self, "data", name)
@@ -143,18 +146,10 @@ class RemoteConfigServer:
         self._rpc = rpc
         self._resolve = data_server_resolver
         self._route_epoch: int = -1
-        self._migration_cache: "dict[int, int] | None" = None
         self._recover = recover
 
     def _call(self, method: str, *args: Any) -> Any:
         return _retrying(self._rpc, method, args, "config", self._recover)
-
-    def _forward(self, method: str, *args: Any) -> Any:
-        # any forwarded control-plane call (install_table, ...) may
-        # start or finish a move: drop the idle-state cache so
-        # migration_target re-learns it
-        self._migration_cache = None
-        return self._call(method, *args)
 
     @property
     def route_epoch(self) -> int:
@@ -165,53 +160,20 @@ class RemoteConfigServer:
     def route_table(self):
         table = self._call("route_table")
         self._route_epoch = table.version
-        self._migration_cache = None  # re-learn in-flight moves
         return table
-
-    def migration_target(self, instance: int) -> "int | None":
-        """Dual-write destination for ``instance`` — cached when idle.
-
-        ``migration_target`` sits on the client's per-mutation path; as
-        a plain ``__getattr__`` forward it would cost a control-plane
-        round trip per write. Instead the in-flight set is downloaded
-        once and consulted locally while it is *empty* — the steady
-        state. A non-empty set falls through to the live query, so the
-        exact per-mutation semantics of in-process clients hold for the
-        whole observed span of a migration. The cache drops on every
-        route-table download and forwarded control-plane call, so a
-        client learns of a new migration at its next route refresh (or
-        fence) rather than mid-window — quiesce writers or bump the
-        route epoch before live-migrating under process-substrate load.
-        """
-        if self._migration_cache is None:
-            self._migration_cache = self._call("migration_targets")
-        if not self._migration_cache:
-            return None
-        return self._call("migration_target", instance)
 
     def server(self, server_id: int) -> RemoteDataServer:
         return self._resolve(server_id)
 
     def register_migration(self, migration: Any) -> None:
-        """Open a dual-write window on the control-plane host.
-
-        A live ``Migration`` holds socket-backed server proxies and
-        cannot be pickled across the RPC boundary; only the
-        ``(instance, target)`` pair travels, and the hosted config pair
-        builds its own surrogate registration from it (see
-        ``ConfigServerPair.register_remote_migration``).
-        """
-        self._migration_cache = None
+        """Register a live move with the control-plane host: a
+        ``Migration`` holds socket-backed proxies, so only ``(instance,
+        target)`` travels and the hosted config pair builds its own
+        (``ConfigServerPair.register_remote_migration``)."""
         self._call(
             "register_remote_migration", migration.instance,
             migration.target_id,
         )
-
-    def unregister_migration(self, instance: int, completed: bool = True):
-        # explicit: callers pass ``completed`` by keyword, which the
-        # positional-only __getattr__ forward cannot carry
-        self._migration_cache = None
-        return self._call("unregister_migration", instance, completed)
 
     def __getattr__(self, name: str):
         return _forwarded(self, "config", name)
@@ -245,8 +207,6 @@ class ProcessTDStore:
         # before a transport retry. Not pickled into workers — their
         # copies fall back to backoff-and-retry against stable ports.
         self._recover_host: "Callable[[int], None] | None" = None
-        # chaos bookkeeping: data servers carrying a real injected delay
-        self._real_delays: set[int] = set()
 
     def __getstate__(self):
         return {"addresses": self._addresses, "placement": self._placement}
@@ -337,30 +297,6 @@ class ProcessTDStore:
         )
         return TDStoreClient(self.config, **resilience)
 
-    def resync_host_roles(self, host_index: int) -> None:
-        """Re-push current route-table roles to one host's local servers.
-
-        Roles reach non-zero hosts only when host 0's config pair
-        provisions the cluster at boot — they are control-plane state,
-        deliberately absent from the data WAL. A respawned host therefore
-        comes back with empty ``_hosted`` sets and would fence every
-        write as stale-routed; after WAL replay the parent re-asserts the
-        authoritative layout here. (Host 0 re-provisions the whole
-        cluster when *it* is reborn, so it never needs this.)
-        """
-        table = self.config.route_table()
-        for server_id, placed in sorted(self._placement.items()):
-            if placed != host_index:
-                continue
-            server = self._data_server(server_id)
-            for instance in range(table.num_instances):
-                route = table.route(instance)
-                if route.host == server_id:
-                    server.set_host_role(instance, True)
-                elif route.slave == server_id:
-                    # ensures the engine and sync inbox exist, role stays off
-                    server.set_host_role(instance, False)
-
     # -- facade operations (forwarded to the cluster on host 0) ----------
 
     def _call(self, method: str, *args: Any) -> Any:
@@ -368,8 +304,6 @@ class ProcessTDStore:
             self._host_rpc(0), method, args, "cluster",
             self._recover_callback(0),
         )
-
-    _forward = _call
 
     def __getattr__(self, name: str):
         if name not in SURFACE["cluster"]:
@@ -393,45 +327,8 @@ class ProcessTDStore:
         latency: float | None = None,
         error_every: int | None = None,
     ):
-        if latency is not None:
-            raise SubstrateMismatchError(
-                "latency faults advertise seconds for clients to charge "
-                "against a simulated clock; on the process substrate "
-                "operations take real wall time and there is no simulated "
-                "clock to charge. Run latency-fault scenarios on "
-                "SimSubstrate, or use error_every degradation here."
-            )
-        return self._call("set_degradation", server_id, None, error_every)
-
-    def set_real_delay(self, server_id: int, seconds: float) -> float:
-        """Latency degradation with process-substrate semantics: the
-        owning host really stalls (bounded) before serving ops for
-        ``server_id``. This is what ``latency_spike`` faults map to
-        here, so chaos plans run unmodified on both substrates; the
-        seconds-charging ``set_degradation(latency=...)`` path keeps
-        its :class:`SubstrateMismatchError` guard."""
-        host_index = self._placement.get(server_id)
-        if host_index is None:
-            raise TDStoreError(f"no host process for server {server_id}")
-        applied = self._host_rpc(host_index).call(
-            "_set_delay", server_id, seconds
-        )
-        self._real_delays.add(server_id)
-        return applied
-
-    def clear_degradation(self, server_id: int):
-        if server_id in self._real_delays:
-            host_index = self._placement.get(server_id)
-            if host_index is not None:
-                try:
-                    self._host_rpc(host_index).call("_clear_delay", server_id)
-                except Exception:
-                    pass  # a respawned host starts with no delays anyway
-            self._real_delays.discard(server_id)
-        return self._call("clear_degradation", server_id)
-
-    def degraded_servers(self) -> "list[int]":
-        return sorted(set(self._call("degraded_servers")) | self._real_delays)
+        # a request carries positional args only
+        return self._call("set_degradation", server_id, latency, error_every)
 
     # -- runtime-only surface --------------------------------------------
 

@@ -22,10 +22,12 @@ one flush, then sends all of their acks. ``fsync`` releases the GIL, so
 with concurrent workers the host overlaps disk waits with request
 processing and the per-ack fsync cost drops toward ``1/K`` for a
 group of ``K`` — this is where the parallel benchmark's scaling comes
-from. The parent triggers ``_replay_wal`` after (re)provisioning to
-rebuild data-plane state from the log — control-plane state (routes,
-roles, failover history) is re-provisioned fresh; checkpoint recovery,
-not the WAL, is the mechanism that restores post-failover layouts.
+from. After a respawn the parent triggers ``_replay_wal`` to rebuild
+data-plane state from the log — a live migration's dual-write window
+included, as opening and closing it are logged calls — and then has
+host 0's config pair ``provision`` the reborn host's servers: routes,
+roles and failover history are control-plane state, absent from the
+log; checkpoint recovery, not the WAL, restores post-failover layouts.
 
 An envelope of client mutations is one such operation
 (``TDStoreDataServer.mutate``): every host write of the envelope and the
@@ -33,9 +35,13 @@ sync records they queue on the replicas living in this process are one
 request, one log record and one ack, and replaying the record re-derives
 all of it. Hosts never call each other on the data plane — two
 single-threaded serve loops waiting on each other's acks would deadlock
-— so records for a replica owned by another process, and ops whose host
-lives there, go back to the client, which sends them on in its next
+— so records for a replica owned by another process (the slave, or a
+migration's catch-up target, which the host adds itself), and ops whose
+host lives there, go back to the client, which sends them on in its next
 envelope.
+
+A degraded local server's ``latency`` is real time: a data frame naming
+it waits that long (capped) before it is served.
 """
 
 from __future__ import annotations
@@ -62,10 +68,10 @@ from repro.runtime.wire import (
     invoke,
 )
 
-# cap on chaos-injected real per-op server delay: 30-100x a loopback
-# RPC, so a degraded server is unmistakably slow, yet a whole degraded
-# wave (hundreds of stalled ops) costs a test run well under a second
-# and supervisor pings and client timeouts survive it
+# cap on the real stall a degraded server's latency costs one frame:
+# 30-100x a loopback RPC, so a degraded server is unmistakably slow, yet
+# a whole degraded wave (hundreds of stalled ops) costs a test run well
+# under a second and supervisor pings and client timeouts survive it
 REAL_DELAY_CAP = 0.01
 
 # fail-stop exit code for a host whose WAL cannot promise durability;
@@ -282,10 +288,9 @@ class ServerHost:
         )
         self._max_group_wait = config.get("max_group_wait", 0.002)
         # chaos state: armed network-fault windows (counts of non-admin
-        # request frames to disturb) and real per-data-server delays
+        # request frames to disturb)
         self._net: dict[str, int] = dict.fromkeys(NETWORK_WINDOW_KINDS, 0)
         self._net_delay_seconds = 0.0
-        self._delays: dict[int, float] = {}
         # CRC failures found by this host's own WAL replay scan; the
         # parent counts those from the surfaced WalError, so _stats
         # subtracts them to report RPC-frame detections without overlap
@@ -364,21 +369,14 @@ class ServerHost:
         """
         mutating_conns = set()
         replies = []
+        slow = any(server.latency for server in self.locals.values())
         for conn_id, request in batch:
             target = request.target
             try:
                 plane, receiver = self._receiver(target)
                 method = request.method
-                if plane == "data" and self._delays:
-                    # chaos latency: a real, bounded stall before serving
-                    # — the process-substrate meaning of latency_spike. A
-                    # frame naming several servers waits for the slowest
-                    named = {target[1]}
-                    if method in ("mutate", "gather"):
-                        named.update(entry[0] for entry in request.args[0])
-                    delay = max(self._delays.get(sid, 0.0) for sid in named)
-                    if delay > 0.0:
-                        time.sleep(delay)
+                if slow and plane == "data":
+                    time.sleep(self._stall(request))
                 if plane == "data" and (
                     method in HOST_MUTATIONS or method == ENQUEUE_SYNCS
                 ):
@@ -407,6 +405,16 @@ class ServerHost:
         if deferred or mutating_conns:
             self.committer.submit(frozenset(mutating_conns), deferred)
         return None
+
+    def _stall(self, request: Request) -> float:
+        """What a data frame waits: the largest latency among the local
+        servers it names, capped at :data:`REAL_DELAY_CAP`."""
+        named = {request.target[1]}
+        if request.method in ("mutate", "gather"):
+            named.update(entry[0] for entry in request.args[0])
+        local = self.locals
+        slowest = max(local[sid].latency for sid in named if sid in local)
+        return min(REAL_DELAY_CAP, slowest)
 
     def _wal_append(self, record) -> None:
         try:
@@ -455,7 +463,6 @@ class ServerHost:
         return {
             "armed": dict(self._net),
             "injected": dict(self.server.faults_injected),
-            "delayed_servers": sorted(self._delays),
             "wal_faults_fired": dict(self.wal.io.fired),
         }
 
@@ -463,18 +470,6 @@ class ServerHost:
         """Arm a one-shot disk fault on the WAL's IO shim."""
         self.wal.io.arm(kind)
         return self.wal.io.armed()
-
-    def _set_delay(self, server_id: int, seconds: float) -> float:
-        applied = min(float(seconds), REAL_DELAY_CAP)
-        self._delays[int(server_id)] = applied
-        return applied
-
-    def _clear_delay(self, server_id: int | None = None) -> list:
-        if server_id is None:
-            self._delays.clear()
-        else:
-            self._delays.pop(int(server_id), None)
-        return sorted(self._delays)
 
     # -- admin ops (target=None) -----------------------------------------
 

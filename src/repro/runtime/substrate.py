@@ -333,17 +333,18 @@ class ProcessSubstrate(Substrate):
                 # replica to repair that from — surface the fail-stop
                 raise corruption
             if host_index != 0 and self._facade is not None:
-                # roles are control-plane state, not WAL state: re-push
-                # the authoritative layout onto the reborn host's servers
-                self._facade.resync_host_roles(host_index)
+                # roles are control-plane state, not WAL state: the config
+                # pair provisions the reborn host's servers as at boot
+                placement = sorted(self._facade.placement.items())
+                owned = [sid for sid, at in placement if at == host_index]
+                self._facade.config.provision(owned)
                 if corruption is not None:
                     # wipe the partial replay and re-seed every logical
                     # server this process owns from its live replicas;
                     # adopt_snapshot is a mutating op, so the re-seed
                     # repopulates the fresh post-quarantine log
-                    for sid, owner in sorted(self._facade.placement.items()):
-                        if owner == host_index:
-                            self._facade.recover_data_server(sid)
+                    for sid in owned:
+                        self._facade.recover_data_server(sid)
         elif managed.name.startswith(WORKER_PREFIX):
             if self._cluster is not None:
                 self._cluster.on_worker_restarted(

@@ -69,7 +69,7 @@ SURFACE: "dict[str, dict[str, Row]]" = {
         **dict.fromkeys(("alive", "degraded", "reads", "writes"), ATTR),
         **dict.fromkeys(
             ("mutate", "apply_pending", "apply_repair", "adopt_snapshot",
-             "ensure_instance"), LOGGED,
+             "ensure_instance", "set_catch_up_target"), LOGGED,
         ),
         **dict.fromkeys(
             ("gather", "get", "get_versioned", "read_replica", "engine",
@@ -80,9 +80,9 @@ SURFACE: "dict[str, dict[str, Row]]" = {
     },
     # ConfigServerPair on host 0
     "config": dict.fromkeys(
-        ("route_table", "migration_target", "migration_targets", "await_migration",
-         "in_flight_migrations", "install_table", "register_remote_migration",
-         "unregister_migration", "handle_server_failure", "servers"), CALL,
+        ("route_table", "migration_target", "await_migration", "in_flight_migrations",
+         "install_table", "register_remote_migration", "unregister_migration",
+         "handle_server_failure", "servers", "provision"), CALL,
     ),
     # the TDStoreCluster facade on host 0; a logged call rebuilds
     # data-plane state, so replay re-applies it after a crash
@@ -100,7 +100,7 @@ SURFACE: "dict[str, dict[str, Row]]" = {
     # ServerHost itself: supervision, WAL recovery and chaos control
     "host": dict.fromkeys(
         ("_ping", "_stats", "_shutdown", "_replay_wal", "_quarantine_wal", "_chaos",
-         "_wal_fault", "_set_delay", "_clear_delay"), CALL,
+         "_wal_fault"), CALL,
     ),
     # WorkerHost: the parent's half of bolt execution, and supervision
     "worker": dict.fromkeys(

@@ -544,14 +544,11 @@ class TDStoreClient:
         ``ops`` is a list of ``(method, args)`` with ``method`` one of
         :data:`~repro.tdstore.data_server.HOST_MUTATIONS` and
         ``args[0]`` the key; returns one result per op. Every op is
-        routed to its instance's host and names the replicas to queue
-        the resulting records on — the instance's slave, and during a
-        live migration the catch-up target, which receives every record
-        written after its snapshot copy so the cutover only has to drain
-        that queue (journals and versions ride along in the same
-        records). Both come from client-side state: the epoch-checked
-        cached table is identical to the authoritative one whenever the
-        epochs match.
+        routed to its instance's host and names the replica to queue
+        the resulting records on, the instance's slave, from the
+        epoch-checked cached table (identical to the authoritative one
+        whenever the epochs match). A live migration's catch-up target
+        is the host's to add: the client names none.
 
         The whole list goes to the first op's host, which applies the
         leading run of ops its process owns — one request, one log
@@ -573,18 +570,14 @@ class TDStoreClient:
 
         def op(route_of):
             nonlocal syncs
-            migration_target = self._config.migration_target
             while syncs or len(results) < len(ops):
                 wire = list(syncs)
                 for at in range(len(results), len(ops)):
                     method, args = ops[at]
                     route = route_of(args[0])
-                    slave = route.slave
-                    target = migration_target(route.instance)
                     wire.append((
                         route.host, route.instance, method, args,
-                        (slave,) if target is None or target == slave
-                        else (slave, target),
+                        (route.slave,),
                     ))
                 done, rest = self._config.server(wire[0][0]).mutate(wire)
                 results.extend(done)

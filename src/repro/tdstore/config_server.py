@@ -32,17 +32,24 @@ class ConfigServerPair:
         self.host_alive = True
         self.failovers = 0
         # elastic scaling: live migrations registered by their Migration
-        # object while in flight (dual-write routing + cutover handoff)
+        # object while in flight (fence waits, failover aborts, cutover
+        # handoff); the dual-write itself is the source server's state
         self._migrations: dict[int, "Migration"] = {}
         self.migrations_completed = 0
         self.migrations_aborted = 0
-        self._provision_instances()
+        self.provision(self._servers)
 
-    def _provision_instances(self):
+    def provision(self, server_ids):
+        """Grant ``server_ids`` their route-table roles: the host role,
+        or an empty replica for a slave. Boot passes every server; a
+        respawned host process (roles are not in its WAL) its own."""
+        wanted = set(server_ids)
         for instance in range(self._table.num_instances):
             route = self._table.route(instance)
-            self._servers[route.host].set_host_role(instance, True)
-            self._servers[route.slave].ensure_instance(instance)
+            if route.host in wanted:
+                self._servers[route.host].set_host_role(instance, True)
+            if route.slave in wanted:
+                self._servers[route.slave].ensure_instance(instance)
 
     # -- queries -------------------------------------------------------------
 
@@ -158,18 +165,6 @@ class ConfigServerPair:
         """Dual-write destination for ``instance``, if one is in flight."""
         migration = self._migrations.get(instance)
         return migration.target_id if migration is not None else None
-
-    def migration_targets(self) -> "dict[int, int]":
-        """Every in-flight dual-write destination, keyed by instance.
-
-        Remote clients download this next to the route table so the
-        common case — no migration anywhere — costs them a dictionary
-        lookup per mutation instead of a control-plane round trip.
-        """
-        return {
-            instance: migration.target_id
-            for instance, migration in self._migrations.items()
-        }
 
     def await_migration(self, instance: int) -> float:
         """Block (simulated) until ``instance``'s cutover completes.

@@ -122,6 +122,9 @@ class TDStoreDataServer:
         # migration fence bounces traffic so no write can land after the
         # catch-up queue was drained at the target
         self._migrating_out: set[int] = set()
+        # instances migrating off this server -> catch-up target, where
+        # every host write is queued too until cutover or abort
+        self._catch_up: dict[int, int] = {}
         # servers living in the same process (id -> server), this one
         # included: the replicas a host write can queue records on itself
         self._colocated: dict[int, TDStoreDataServer] = {server_id: self}
@@ -216,13 +219,23 @@ class TDStoreDataServer:
         else:
             self._migrating_out.discard(instance)
 
+    def set_catch_up_target(self, instance: int, target: "int | None"):
+        """Open (``target`` a server id) or close (``None``) the
+        dual-write window of a live migration of ``instance``."""
+        if target is None:
+            self._catch_up.pop(instance, None)
+        else:
+            self._catch_up[instance] = target
+
     # -- degradation (latency spikes, error rates, brownouts) -----------------
 
     def set_degradation(
         self, latency: float | None = None, error_every: int | None = None
     ):
         """Enter a degraded mode: per-op added latency and/or a
-        deterministic failure cadence (every ``error_every``-th op)."""
+        deterministic failure cadence (every ``error_every``-th op).
+        Every op costs ``latency``: an in-process client charges it to
+        its clock, a server host stalls the frame (capped)."""
         if latency is not None:
             if latency < 0:
                 raise TDStoreError(f"latency must be >= 0: {latency}")
@@ -346,9 +359,9 @@ class TDStoreDataServer:
         args, replicas)``: ``method`` one of :data:`HOST_MUTATIONS`
         applied at the instance's host ``server_id``, whose sync records
         are queued on every server of ``replicas`` (the instance's
-        slave, plus the dual-write target of an in-flight migration).
-        The ops may name any servers of this process; a single mutation
-        is an envelope of one.
+        slave) and on the host's catch-up target while the instance is
+        migrating. The ops may name any servers of this process; a
+        single mutation is an envelope of one.
 
         The envelope covers the leading run of ops whose server lives in
         this process. Liveness, host role, migration fence and the
@@ -403,6 +416,10 @@ class TDStoreDataServer:
                 results.append(result)
                 if not records:
                     continue
+                if server._catch_up:
+                    target = server._catch_up.get(instance)
+                    if target is not None and target not in replicas:
+                        replicas = (*replicas, target)
             for replica in replicas:
                 peer = peers.get(replica)
                 if peer is None:
@@ -478,11 +495,19 @@ class TDStoreDataServer:
         self._check_alive()
         return self.engine(instance).snapshot()
 
-    def adopt_snapshot(self, instance: int, data: dict[str, Any]):
-        """Bootstrap a fresh replica of ``instance`` from a full snapshot."""
+    def adopt_snapshot(
+        self, instance: int, data: dict[str, Any], keep_queued: bool = False
+    ):
+        """Bootstrap a replica of ``instance`` from a full snapshot.
+
+        Queued sync records predate the snapshot and are dropped —
+        except at a migration target (``keep_queued``), whose queue was
+        emptied before the window opened and the snapshot taken after.
+        """
         engine = self.ensure_instance(instance)
         engine.restore(data)
-        self._sync_inbox[instance] = deque()
+        if not keep_queued:
+            self._sync_inbox[instance] = deque()
 
     def apply_repair(
         self, instance: int, puts: dict[str, Any], deletes: "list[str]"
@@ -529,6 +554,7 @@ class TDStoreDataServer:
         self._sync_inbox = {instance: deque() for instance in self._sync_inbox}
         self._hosted = set()
         self._migrating_out = set()  # any fence died with the old process
+        self._catch_up = {}  # and any dual-write window
         self.clear_degradation()  # a restarted process is healthy again
 
     def __repr__(self) -> str:

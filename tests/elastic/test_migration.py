@@ -6,10 +6,13 @@ the data so exactly-once semantics survive the move, and clients
 following the move through the existing ``route_epoch`` gate.
 """
 
+import pickle
+
 import pytest
 
 from repro.elastic import InstanceMigrator, Migration
 from repro.errors import MigrationError, MigrationInProgressError, TDStoreError
+from repro.runtime import ProcessSubstrate, SimSubstrate
 from repro.serving import InvalidationBus, invalidation_for_key
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.data_server import TDStoreDataServer
@@ -350,3 +353,114 @@ class TestMultiGetMigrationRace:
         assert results == {key: i for i, key in enumerate(keys)}
         assert reader.last_failed_keys == frozenset()
         assert reader.route_refreshes == refreshes_before + 1
+
+
+@pytest.fixture(scope="module")
+def sim_stack():
+    substrate = SimSubstrate()
+    yield substrate, substrate.build_tdstore(3, INSTANCES)
+
+
+@pytest.fixture(scope="module")
+def process_stack():
+    # two host processes: servers 0 and 2 (and every added server) live
+    # in host 0, server 1 in host 1
+    with ProcessSubstrate(1, 2) as substrate:
+        yield substrate, substrate.build_tdstore(3, INSTANCES)
+
+
+@pytest.fixture(params=["sim", "process"])
+def stack(request):
+    return request.getfixturevalue(f"{request.param}_stack")
+
+
+def unmoved_instance(store, hosts):
+    """An instance some earlier test has not migrated yet, hosted by
+    one of the original servers in ``hosts``."""
+    table = store.config.route_table()
+    return next(
+        i for i in range(table.num_instances) if table.route(i).host in hosts
+    )
+
+
+def as_a_worker_holds(store):
+    """The store as a bolt's client reaches it: a pickled copy of the
+    process facade in a worker, the simulator's own cluster in process."""
+    if isinstance(store, TDStoreCluster):
+        return store
+    return pickle.loads(pickle.dumps(store))
+
+
+class TestNoAcknowledgedWriteLost:
+    """The source host queues a window's writes at the target, so no
+    client's view of the migration decides whether a write reaches it."""
+
+    def test_a_window_write_from_another_process_lands(self, stack):
+        __, store = stack
+        instance = unmoved_instance(store, hosts={0, 2})
+        warm, key = keys_on_instance(store, instance, n=2, prefix="other:")
+        worker_store = as_a_worker_holds(store)
+        writer = worker_store.client()
+        writer.put(warm, "warm")
+        migration = Migration(store.config, instance, store.add_data_server())
+        migration.begin()
+        writer.put(key, "in-window")
+        migration.finish()
+        assert store.client().get(key) == "in-window"
+        if worker_store is not store:
+            worker_store.close()
+
+    def test_a_write_between_snapshot_and_adoption_lands(
+        self, stack, monkeypatch
+    ):
+        __, store = stack
+        instance = unmoved_instance(store, hosts={0, 2})
+        warm, key = keys_on_instance(store, instance, n=2, prefix="race:")
+        client = store.client()
+        client.put(warm, "warm")
+        target_id = store.add_data_server()
+        target = store.config.server(target_id)
+        adopt = target.adopt_snapshot
+        written = []
+
+        def adopt_after_a_write(*args):
+            written.append(f"racing-{len(written)}")
+            client.put(key, written[-1])
+            return adopt(*args)
+
+        monkeypatch.setattr(target, "adopt_snapshot", adopt_after_a_write)
+        migration = Migration(store.config, instance, target_id)
+        migration.begin()
+        migration.finish()
+        assert store.client().get(key) == written[-1]
+
+    def test_a_write_after_abort_queues_nothing_at_the_target(self, stack):
+        __, store = stack
+        instance = unmoved_instance(store, hosts={0, 2})
+        key = keys_on_instance(store, instance, n=1, prefix="abort:")[0]
+        target_id = store.add_data_server()
+        migration = Migration(store.config, instance, target_id)
+        migration.begin()
+        migration.abort()
+        target = store.config.server(target_id)
+        queued = target.pending_syncs(instance)
+        store.client().put(key, "after-abort")
+        assert target.pending_syncs(instance) == queued
+        assert store.client().get(key) == "after-abort"
+
+    def test_the_window_survives_a_source_host_respawn(self, process_stack):
+        substrate, store = process_stack
+        instance = unmoved_instance(store, hosts={1})  # host process 1
+        warm, key = keys_on_instance(store, instance, n=2, prefix="respawn:")
+        worker_store = as_a_worker_holds(store)
+        writer = worker_store.client()
+        writer.put(warm, "warm")
+        migration = Migration(store.config, instance, store.add_data_server())
+        migration.begin()
+        # the source's host dies and replays its log: the window it had
+        # opened must come back with it
+        substrate.chaos_runtime().kill_host(1)
+        writer.put(key, "after-respawn")
+        migration.finish()
+        assert store.client().get(key) == "after-respawn"
+        worker_store.close()

@@ -87,11 +87,10 @@ class TestProxies:
         __, store = host
         for name in (
             "config", "data_servers", "placement", "client",
-            "resync_host_roles", "set_recovery_hook", "update_address",
-            "host_stats", "close", "add_data_server", "set_degradation",
-            "set_real_delay", "clear_degradation", "degraded_servers",
-            "drain_data_server", "crash_data_server", "recover_data_server",
-            "scrub_replicas", "restore_contents",
+            "set_recovery_hook", "update_address", "host_stats", "close",
+            "add_data_server", "set_degradation", "clear_degradation",
+            "degraded_servers", "drain_data_server", "crash_data_server",
+            "recover_data_server", "scrub_replicas", "restore_contents",
         ):
             assert getattr(store, name) is not None, name
         for name in (

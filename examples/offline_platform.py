@@ -24,9 +24,11 @@ def main():
     tdaccess.create_topic("user_actions", 4)
     tdstore = TDStoreCluster(num_data_servers=3, num_instances=16)
 
-    monitor = SystemMonitor(clock.now, tdaccess=tdaccess, tdstore=tdstore)
+    monitor = SystemMonitor(clock.now)
+    monitor.watch("tdaccess", tdaccess)
+    monitor.watch("tdstore", tdstore)
     etl = tdaccess.consumer("user_actions", group_id="monitor-probe")
-    monitor.watch_consumer("offline-etl", etl)
+    monitor.watch("consumers", etl, name="offline-etl")
 
     producer = tdaccess.producer()
     scheduler = JobScheduler(interval=SECONDS_PER_DAY)  # nightly rebuild

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ClusterStateError, TDStoreError
+from repro.monitoring import read_imbalance
 
 if TYPE_CHECKING:
     from repro.elastic.migration import InstanceMigrator
@@ -42,6 +43,11 @@ ACTIONS = (
     "drain_store",     # migrate a TDStore server empty (shrink prep)
     "hold",            # pressure seen but sustain/cooldown not met
 )
+
+# shed rate above which every watched component counts as pressured
+SHED_RATE_HIGH = 0.05
+# parallelism floor of a scale_down
+MIN_PARALLELISM = 1
 
 
 @dataclass
@@ -83,9 +89,11 @@ class ThresholdHysteresisPolicy:
     ``queue_high_per_task`` for ``sustain_up`` consecutive snapshots is
     doubled (capped at ``max_parallelism``); below ``queue_low_per_task``
     for ``sustain_down`` snapshots it is halved (floored at
-    ``min_parallelism``). Shed rate above ``shed_rate_high`` or an open
-    breaker count as pressure on every watched component — load shedding
-    means the whole pipeline is saturated, not one stage.
+    :data:`MIN_PARALLELISM`). Shed rate above :data:`SHED_RATE_HIGH` or
+    an open breaker count as pressure on every watched component — load
+    shedding means the whole pipeline is saturated, not one stage. An
+    absent signal (its source is not attached to the monitor) reads as
+    no pressure.
 
     Store: replication backlog above ``backlog_high`` or read imbalance
     above ``imbalance_high``, sustained, proposes ``expand_store``.
@@ -99,29 +107,25 @@ class ThresholdHysteresisPolicy:
         self,
         queue_high_per_task: float = 32.0,
         queue_low_per_task: float = 2.0,
-        shed_rate_high: float = 0.05,
         backlog_high: int = 5_000,
         imbalance_high: float = 3.0,
         sustain_up: int = 2,
         sustain_down: int = 3,
         cooldown: float = 60.0,
-        min_parallelism: int = 1,
         max_parallelism: int = 64,
         max_store_servers: int = 16,
     ):
         if sustain_up < 1 or sustain_down < 1:
             raise ValueError("sustain counts must be >= 1")
-        if min_parallelism < 1 or max_parallelism < min_parallelism:
-            raise ValueError("need 1 <= min_parallelism <= max_parallelism")
+        if max_parallelism < MIN_PARALLELISM:
+            raise ValueError(f"need max_parallelism >= {MIN_PARALLELISM}")
         self.queue_high_per_task = queue_high_per_task
         self.queue_low_per_task = queue_low_per_task
-        self.shed_rate_high = shed_rate_high
         self.backlog_high = backlog_high
         self.imbalance_high = imbalance_high
         self.sustain_up = sustain_up
         self.sustain_down = sustain_down
         self.cooldown = cooldown
-        self.min_parallelism = min_parallelism
         self.max_parallelism = max_parallelism
         self.max_store_servers = max_store_servers
         # consecutive-snapshot pressure/relief counters, per target
@@ -133,14 +137,12 @@ class ThresholdHysteresisPolicy:
 
     def _global_pressure(self, snap: "SystemSnapshot") -> str | None:
         """A saturation signal that is not attributable to one component."""
-        if snap.shed_rate > self.shed_rate_high:
-            return (
-                f"shed rate {snap.shed_rate:.1%} above "
-                f"{self.shed_rate_high:.1%}"
-            )
+        shed_rate = snap.signals.get("shed_rate", 0.0)
+        if shed_rate > SHED_RATE_HIGH:
+            return f"shed rate {shed_rate:.1%} above {SHED_RATE_HIGH:.1%}"
         open_breakers = [
             name
-            for name, state in snap.breaker_states.items()
+            for name, state in snap.signals.get("breaker_states", {}).items()
             if state == "open"
         ]
         if open_breakers:
@@ -210,9 +212,9 @@ class ThresholdHysteresisPolicy:
                 self._pressure[component] = 0
                 if (
                     self._relief[component] >= self.sustain_down
-                    and tasks > self.min_parallelism
+                    and tasks > MIN_PARALLELISM
                 ):
-                    new = max(tasks // 2, self.min_parallelism)
+                    new = max(tasks // 2, MIN_PARALLELISM)
                     proposals.append(
                         _Proposal(
                             "scale_down",
@@ -229,12 +231,12 @@ class ThresholdHysteresisPolicy:
                 self._pressure[component] = 0
                 self._relief[component] = 0
         # store expansion: backlog or imbalance sustained
-        imbalance = snap.read_imbalance()
+        imbalance = read_imbalance(snap.signals.get("tdstore_reads", {}))
+        backlog = snap.signals.get("replication_backlog", 0)
         store_reason = None
-        if snap.replication_backlog > self.backlog_high:
+        if backlog > self.backlog_high:
             store_reason = (
-                f"replication backlog {snap.replication_backlog} above "
-                f"{self.backlog_high}"
+                f"replication backlog {backlog} above {self.backlog_high}"
             )
         elif imbalance > self.imbalance_high:
             store_reason = (
@@ -331,7 +333,7 @@ class Autoscaler:
         self.dry_run = dry_run
         self.decisions: list[ScalingDecision] = []
         self._last_applied: dict[str, float] = {}  # target -> snapshot time
-        monitor.watch_autoscaler(self)
+        monitor.watch("autoscaler", self)
 
     # -- introspection (consumed by SystemMonitor.snapshot) -------------------
 

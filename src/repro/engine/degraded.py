@@ -15,10 +15,11 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro.engine.engine import RecommenderEngine
-from repro.errors import ConfigurationError
 from repro.types import Recommendation
 
 InRecovery = Callable[[], bool]
+
+CACHE_SIZE = 10_000
 
 
 class ServeThroughRecovery:
@@ -33,22 +34,18 @@ class ServeThroughRecovery:
         Predicate consulted per query — typically
         ``lambda: manager.in_progress`` for a
         :class:`~repro.recovery.RecoveryManager`.
-    cache_size:
-        Maximum number of (algorithm, user) answers retained, evicted
-        least-recently-used.
+
+    At most :data:`CACHE_SIZE` (algorithm, user) answers are retained,
+    evicted least-recently-used.
     """
 
     def __init__(
         self,
         engine: RecommenderEngine,
         in_recovery: InRecovery,
-        cache_size: int = 10_000,
     ):
-        if cache_size <= 0:
-            raise ConfigurationError(f"cache_size must be positive: {cache_size}")
         self._engine = engine
         self._in_recovery = in_recovery
-        self._cache_size = cache_size
         self._cache: OrderedDict[tuple[str, str], list[Recommendation]] = (
             OrderedDict()
         )
@@ -88,7 +85,7 @@ class ServeThroughRecovery:
         key = (algorithm, user_id)
         self._cache[key] = list(results)
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
 
     def recommend_cf(
@@ -121,6 +118,6 @@ class ServeThroughRecovery:
         self.live_serves += 1
         self._cache[key] = list(results)
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
         return results

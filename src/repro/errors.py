@@ -120,10 +120,6 @@ class EngineError(TDStoreError):
     """A storage engine failed an operation."""
 
 
-class ReplicationError(TDStoreError):
-    """Host/slave synchronization failed or was misconfigured."""
-
-
 class DataServerDownError(TDStoreError):
     """The addressed data server is not alive and no failover was possible."""
 

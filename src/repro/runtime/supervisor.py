@@ -22,8 +22,11 @@ import multiprocessing
 import time
 from typing import Callable
 
-from repro.errors import RuntimeSubstrateError, WorkerCrashError
+from repro.errors import RuntimeSubstrateError
 from repro.runtime.rpc import RpcClient
+
+# seconds each stage of ProcessSupervisor.stop waits for a child to exit
+GRACEFUL_TIMEOUT = 5.0
 
 
 class SupervisorError(RuntimeSubstrateError):
@@ -226,10 +229,6 @@ class ProcessSupervisor:
             return self.restart(name)
         return managed
 
-    def require_alive(self, name: str):
-        if not self.get(name).alive:
-            raise WorkerCrashError(f"process {name!r} is dead")
-
     def robustness_stats(self) -> dict:
         """Counters the monitoring layer snapshots: forced kills,
         respawns, and per-child consecutive heartbeat misses."""
@@ -246,30 +245,31 @@ class ProcessSupervisor:
             managed.process.kill()
         managed.process.join(timeout=10.0)
 
-    def stop(self, name: str, *, graceful_timeout: float = 5.0):
-        """Stop one child: graceful RPC, then terminate, then kill."""
+    def stop(self, name: str):
+        """Stop one child: graceful RPC, then terminate, then kill (each
+        stage waits up to :data:`GRACEFUL_TIMEOUT` seconds)."""
         managed = self.get(name)
         if managed.alive:
-            shutdown = RpcClient(managed.host, managed.port, timeout=graceful_timeout)
+            shutdown = RpcClient(managed.host, managed.port, timeout=GRACEFUL_TIMEOUT)
             try:
                 shutdown.call("_shutdown")
             except Exception:
                 pass
             finally:
                 shutdown.close()
-            managed.process.join(timeout=graceful_timeout)
+            managed.process.join(timeout=GRACEFUL_TIMEOUT)
             if managed.process.is_alive():
                 managed.process.terminate()
-                managed.process.join(timeout=graceful_timeout)
+                managed.process.join(timeout=GRACEFUL_TIMEOUT)
             if managed.process.is_alive():
                 managed.process.kill()
                 managed.process.join(timeout=10.0)
         del self._procs[name]
 
-    def shutdown(self, *, graceful_timeout: float = 5.0):
+    def shutdown(self):
         """Stop every child and reap; the tree must be empty afterwards."""
         for name in self.names():
-            self.stop(name, graceful_timeout=graceful_timeout)
+            self.stop(name)
         self.reap()
 
     def reap(self) -> "list[str]":

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.engine.engine import CFAnswer, RecommenderEngine
-from repro.errors import ConfigurationError
 from repro.serving.cache import HotListCache, ResultCache
 from repro.serving.coalescer import QueryCoalescer
 from repro.serving.invalidation import InvalidationBus
@@ -42,8 +41,6 @@ class ServingLayer:
         The query engine; its store client provides the batched reads.
     clock_now:
         Clock source for cache TTLs (share it with the store's clock).
-    algorithm:
-        Only ``"cf"`` has a batched path today.
     bus:
         When given, the layer subscribes its caches to the stream's
         invalidation notifications.
@@ -59,20 +56,14 @@ class ServingLayer:
         engine: RecommenderEngine,
         clock_now: Callable[[], float],
         *,
-        algorithm: str = "cf",
         bus: InvalidationBus | None = None,
         result_ttl: float = 30.0,
         hot_ttl: float = 60.0,
         cache_capacity: int = 10_000,
         max_batch: int = 64,
     ):
-        if algorithm != "cf":
-            raise ConfigurationError(
-                f"serving layer only batches 'cf' today: {algorithm!r}"
-            )
         self._engine = engine
         self._now = clock_now
-        self._algorithm = algorithm
         self.result_cache = ResultCache(
             clock_now, ttl=result_ttl, capacity=cache_capacity
         )
@@ -145,7 +136,7 @@ class ServingLayer:
     # -- execution ---------------------------------------------------------
 
     def _cache_key(self, request: tuple[str, int]):
-        return (self._algorithm, request[0], request[1])
+        return ("cf", request[0], request[1])
 
     def _execute_batch(
         self, misses: list[tuple[str, int]], now: float
@@ -186,7 +177,7 @@ class ServingLayer:
             *(("item", item) for item in answer.dep_items),
             *(("group", group) for group in answer.dep_groups),
         )
-        self.result_cache.put((self._algorithm, user_id, n), answer.results, tags)
+        self.result_cache.put(("cf", user_id, n), answer.results, tags)
 
     # -- observability -----------------------------------------------------
 

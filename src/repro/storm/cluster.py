@@ -109,13 +109,6 @@ class _RunningTopology:
         parallelism = self.topology.specs[component].parallelism
         return [self.tasks[(component, i)] for i in range(parallelism)]
 
-    def spouts_active(self) -> bool:
-        return any(
-            not task.spout_done
-            for task in self.tasks.values()
-            if isinstance(task.instance, Spout)
-        )
-
 
 def execute_one(task, tup: StormTuple) -> "Exception | None":
     """Run one tuple with its identity installed; returns its error."""
@@ -655,6 +648,9 @@ class LocalCluster:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+
+    def topology_names(self) -> list[str]:
+        return list(self._running)
 
     def metrics(self, topology_name: str) -> ClusterMetrics:
         return self._running[topology_name].metrics

@@ -69,10 +69,6 @@ class OutputCollector:
         self._input_op_id: str | None = None
         self._emit_seq = 0
 
-    def set_anchor_roots(self, roots: frozenset[int]):
-        """Set the tuple-tree roots for tuples emitted during this execute."""
-        self._anchor_roots = roots
-
     def set_input_context(self, roots: frozenset[int], op_id: str | None):
         """Install the input tuple's identity for the current execute.
 

@@ -264,8 +264,8 @@ class ExactlyOnceBolt(Bolt):
     :meth:`restore_app_state` rather than overriding the base protocol.
     """
 
-    def __init__(self, dedup_retain: int = DEFAULT_RETAIN_DEPTH):
-        self._ledger = DedupLedger(retain_depth=dedup_retain)
+    def __init__(self):
+        self._ledger = DedupLedger(retain_depth=DEFAULT_RETAIN_DEPTH)
         self.dedup_hits = 0
 
     @property
@@ -346,13 +346,8 @@ class ReplayingSpout(Spout):
         ``topology.max.spout.pending`` backpressure. Without a cap,
         repeated downstream failures let the pending buffer grow with
         the whole remaining input.
-    source_name:
-        Identity prefix for emitted tuples: row ``i`` carries
-        ``op_id="{source_name}@{i}"``, stable across replays.
-    dead_letter_producer / dead_letter_topic:
-        When a producer is given, each dead letter is also published to the
-        TDAccess topic so it survives the process (the topic must already
-        exist on the producer's cluster).
+
+    Row ``i`` carries ``op_id="rows@{i}"``, stable across replays.
     """
 
     def __init__(
@@ -362,9 +357,6 @@ class ReplayingSpout(Spout):
         stream_id: str = "default",
         max_retries: int = 3,
         max_in_flight: int | None = None,
-        source_name: str = "rows",
-        dead_letter_producer: Any = None,
-        dead_letter_topic: str = "dead-letters",
     ):
         if max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0: {max_retries}")
@@ -377,9 +369,6 @@ class ReplayingSpout(Spout):
         self._stream_id = stream_id
         self._max_retries = max_retries
         self._max_in_flight = max_in_flight
-        self._source_name = source_name
-        self._dead_letter_producer = dead_letter_producer
-        self._dead_letter_topic = dead_letter_topic
         self._pending: dict[int, tuple] = {}
         self._failures: dict[int, int] = {}
         self.dead_letters: list[DeadLetter] = []
@@ -410,7 +399,7 @@ class ReplayingSpout(Spout):
             row,
             stream_id=self._stream_id,
             message_id=message_id,
-            op_id=f"{self._source_name}@{message_id}",
+            op_id=f"rows@{message_id}",
         )
         self.max_in_flight_seen = max(self.max_in_flight_seen, len(self._pending))
         return True
@@ -431,20 +420,8 @@ class ReplayingSpout(Spout):
             return
         failures = self._failures.get(message_id, 0) + 1
         if failures > self._max_retries:
-            letter = DeadLetter(row, message_id, failures)
-            self.dead_letters.append(letter)
+            self.dead_letters.append(DeadLetter(row, message_id, failures))
             self._failures.pop(message_id, None)
-            if self._dead_letter_producer is not None:
-                self._dead_letter_producer.send(
-                    self._dead_letter_topic,
-                    {
-                        "row": list(row),
-                        "message_id": message_id,
-                        "failures": failures,
-                        "source": self._source_name,
-                    },
-                    key=str(message_id),
-                )
             return
         self._failures[message_id] = failures
         self.replays += 1

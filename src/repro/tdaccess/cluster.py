@@ -44,7 +44,7 @@ class TDAccessCluster:
         self.masters.sync_standby()
 
     def producer(self, **resilience) -> Producer:
-        """A new producer; ``retry`` / ``retry_budget`` forward to it."""
+        """A new producer; ``retry`` forwards to it."""
         return Producer(self.masters, self.clock, **resilience)
 
     def consumer(

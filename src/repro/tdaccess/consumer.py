@@ -51,7 +51,6 @@ class Consumer:
         masters: MasterPair,
         topic: str,
         partitions: list[int] | None = None,
-        start_offset: int = 0,
         group_id: str | None = None,
         offset_store: "OffsetStore | None" = None,
     ):
@@ -78,7 +77,7 @@ class Consumer:
             if offset_store is not None and group_id is not None:
                 committed = offset_store.committed(group_id, topic, partition)
             self._offsets[partition] = (
-                committed if committed is not None else start_offset
+                committed if committed is not None else 0
             )
         self.received = 0
         self.poll_retries = 0

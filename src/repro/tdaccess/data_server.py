@@ -37,9 +37,6 @@ class DataServer:
             )
         self._logs[key] = log
 
-    def hosted_partitions(self) -> list[tuple[str, int]]:
-        return sorted(self._logs)
-
     def partition_count(self) -> int:
         return len(self._logs)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import MasterUnavailableError, PartitionUnavailableError
-from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 from repro.tdaccess.master import MasterPair, MasterServer
 from repro.tdaccess.message import Message
 from repro.utils.clock import SimClock
@@ -42,8 +42,6 @@ class Producer:
         Optional policy for retrying failed sends beyond the built-in
         single re-route; its ``sleep`` should advance this same clock so
         backoff gives crashed servers (simulated) time to recover.
-    retry_budget:
-        Optional per-producer cap on the retry ratio.
     """
 
     def __init__(
@@ -51,12 +49,10 @@ class Producer:
         masters: MasterPair,
         clock: SimClock,
         retry: RetryPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
     ):
         self._masters = masters
         self._clock = clock
         self._retry = retry
-        self._retry_budget = retry_budget
         self._round_robin: dict[str, int] = {}
         # the master each topic's partition count was resolved against;
         # invalidated when a send fails through it (e.g. master failover)
@@ -116,7 +112,6 @@ class Producer:
                 message = self._retry.run(
                     attempt,
                     retryable=_ROUTING_FAILURES,
-                    budget=self._retry_budget,
                     on_retry=on_retry,
                 )
         self.sent += 1

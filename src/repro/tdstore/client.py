@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
-from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 from repro.tdstore.config_server import ConfigServerPair
 from repro.tdstore.engines import VERSION_PREFIX
 from repro.utils.clock import SimClock
@@ -65,8 +65,6 @@ class TDStoreClient:
         Optional policy retrying transient per-op failures (injected
         error rates, crash/failover races) beyond the single built-in
         failover attempt.
-    retry_budget:
-        Optional per-client cap on the retry ratio.
     deadline_budget:
         When set, every operation outside an explicit
         :meth:`deadline_scope` gets a fresh deadline of this many
@@ -80,7 +78,6 @@ class TDStoreClient:
         clock: SimClock | None = None,
         breaker: CircuitBreaker | None = None,
         retry: RetryPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
         deadline_budget: float | None = None,
     ):
         self._config = config
@@ -88,7 +85,6 @@ class TDStoreClient:
         self._clock = clock
         self._breaker = breaker
         self._retry = retry
-        self._retry_budget = retry_budget
         self._deadline_budget = deadline_budget
         self._deadline_stack: list[Deadline] = []
         self.route_refreshes = 0
@@ -251,7 +247,6 @@ class TDStoreClient:
                     lambda: self._attempt(operation, deadline),
                     retryable=(DataServerDownError, StaleRouteError),
                     deadline=deadline,
-                    budget=self._retry_budget,
                 )
             else:
                 result = self._attempt(operation, deadline)

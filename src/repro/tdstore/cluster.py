@@ -73,7 +73,7 @@ class TDStoreCluster:
 
     def client(self, **resilience: Any) -> TDStoreClient:
         """A new client; keyword args (clock, breaker, retry,
-        retry_budget, deadline_budget) are forwarded to it."""
+        deadline_budget) are forwarded to it."""
         return TDStoreClient(self.config, **resilience)
 
     def crash_data_server(self, server_id: int):

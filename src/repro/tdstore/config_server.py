@@ -292,6 +292,3 @@ class ConfigServerPair:
         if not self.host_alive:
             raise TDStoreError("host config server already down")
         self.host_alive = False
-
-    def revive_host_config(self):
-        self.host_alive = True

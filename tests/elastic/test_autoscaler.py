@@ -34,8 +34,8 @@ def make_monitor():
     return SystemMonitor(clock_now=lambda: 0.0)
 
 
-def snap(t, **fields):
-    return SystemSnapshot(timestamp=t, **fields)
+def snap(t, **signals):
+    return SystemSnapshot(timestamp=t, signals=signals)
 
 
 def make_autoscaler(storm, policy=None, **kwargs):
@@ -210,7 +210,7 @@ class TestStoreExpansion:
             ),
         )
         decisions = scaler.evaluate(
-            snap(0.0, tdstore_reads={0: 1000, 1: 10, 2: 10})
+            snap(0.0, tdstore_reads={"0": 1000, "1": 10, "2": 10})
         )
         assert decisions[-1].action == "expand_store"
         assert "imbalance" in decisions[-1].reason
@@ -233,7 +233,8 @@ class TestStoreExpansion:
 class TestMonitorIntegration:
     def test_decisions_surface_in_snapshot_and_alerts(self):
         tdstore = TDStoreCluster(num_data_servers=3, num_instances=12)
-        monitor = SystemMonitor(clock_now=lambda: 0.0, tdstore=tdstore)
+        monitor = SystemMonitor(clock_now=lambda: 0.0)
+        monitor.watch("tdstore", tdstore)
         scaler = Autoscaler(
             monitor,
             tdstore=tdstore,
@@ -241,29 +242,30 @@ class TestMonitorIntegration:
             policy=ThresholdHysteresisPolicy(backlog_high=100, sustain_up=1),
         )
         baseline = monitor.snapshot()
-        assert baseline.autoscaler_decisions == 0
+        assert baseline["autoscaler_decisions"] == 0
         scaler.evaluate(snap(1.0, replication_backlog=500))
         after = monitor.snapshot()
-        assert after.autoscaler_decisions == 1
-        assert after.autoscaler_applied == 1
-        assert after.autoscaler_last_action == "expand_store:tdstore"
-        assert after.migrations_completed > 0
-        assert after.route_epoch > 0
+        assert after["autoscaler_decisions"] == 1
+        assert after["autoscaler_applied"] == 1
+        assert after["autoscaler_last_action"] == "expand_store:tdstore"
+        assert after["migrations_completed"] > 0
+        assert after["route_epoch"] > 0
         alerts = monitor.evaluate(after)
         messages = [a.message for a in alerts if a.component == "elastic"]
         assert any("autoscaler applied" in m for m in messages)
-        assert "autoscaler" in monitor.summary()
+        assert "autoscaler: autoscaler_decisions=1" in monitor.summary()
 
     def test_in_flight_migration_alerts(self):
         from repro.elastic import Migration
 
         tdstore = TDStoreCluster(num_data_servers=3, num_instances=12)
-        monitor = SystemMonitor(clock_now=lambda: 0.0, tdstore=tdstore)
+        monitor = SystemMonitor(clock_now=lambda: 0.0)
+        monitor.watch("tdstore", tdstore)
         target = tdstore.add_data_server()
         migration = Migration(tdstore.config, 0, target)
         migration.begin()
         snapshot = monitor.snapshot()
-        assert snapshot.migrations_in_flight == 1
+        assert snapshot["migrations_in_flight"] == 1
         alerts = monitor.evaluate(snapshot)
         assert any(
             "migration(s) in flight" in a.message

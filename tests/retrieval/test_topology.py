@@ -183,13 +183,13 @@ class TestMonitoringSurface:
         front_end = RecommenderFrontEnd(engine, algorithm="vq")
         front_end.query("never-seen-user", 3, 10**6)
         monitor = SystemMonitor(clock.now)
-        monitor.watch_front_end(front_end)
-        monitor.watch_retrieval(VQIndexProbe(client))
+        monitor.watch("front_end", front_end)
+        monitor.watch("retrieval", VQIndexProbe(client))
         snap = monitor.snapshot()
-        assert snap.vq_centroids >= 2
-        assert snap.vq_indexed_items > 0
-        assert snap.retrieval_cold_fallbacks == 1
-        assert "retrieval:" in monitor.summary()
+        assert snap["vq_centroids"] >= 2
+        assert snap["vq_indexed_items"] > 0
+        assert snap["retrieval_cold_fallbacks"] == 1
+        assert "retrieval: vq_centroids=" in monitor.summary()
 
     def test_cold_fallback_delta_alerts(self, clock, client_factory):
         run_retrieval_topology(clock, client_factory, clustered_actions())
@@ -199,8 +199,8 @@ class TestMonitoringSurface:
         )
         front_end = RecommenderFrontEnd(engine, algorithm="vq")
         monitor = SystemMonitor(clock.now)
-        monitor.watch_front_end(front_end)
-        monitor.watch_retrieval(VQIndexProbe(client))
+        monitor.watch("front_end", front_end)
+        monitor.watch("retrieval", VQIndexProbe(client))
         monitor.evaluate(monitor.snapshot())
         front_end.query("never-seen-user", 3, 10**6)
         alerts = monitor.evaluate(monitor.snapshot())
@@ -213,7 +213,7 @@ class TestMonitoringSurface:
         run_retrieval_topology(clock, client_factory, clustered_actions())
         client = client_factory()
         monitor = SystemMonitor(clock.now, max_posting_p99=1)
-        monitor.watch_retrieval(VQIndexProbe(client))
+        monitor.watch("retrieval", VQIndexProbe(client))
         alerts = monitor.evaluate(monitor.snapshot())
         assert any(
             a.component == "retrieval" and "posting-list p99" in a.message

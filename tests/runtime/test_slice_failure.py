@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.errors import DataServerDownError
+from repro.monitoring import SystemMonitor
 from repro.runtime import ProcessSubstrate, SimSubstrate, topology_recipe
 from repro.storm import Bolt, Spout, TopologyBuilder
 from repro.storm.grouping import FieldsGrouping
@@ -239,6 +240,11 @@ def test_failed_wave_fails_every_tuple_of_it(
         failed = sorted(spout.failed)
         assert len(failed) > 1 and spout.acked == []
         assert cluster.pending_tuples("flaky-count") == ROWS
+        # the monitor reads the cluster through its public surface, so it
+        # sees the same on both executors
+        monitor = SystemMonitor(clock.now)
+        monitor.watch("storm", cluster)
+        assert monitor.snapshot()["topology_pending"] == {"flaky-count": ROWS}
         assert client.get("rows:0") is None
         if whole_wave:
             assert failed == list(range(ROWS))

@@ -2,14 +2,17 @@
 
 Snapshots cross process boundaries (worker metrics shipping) and may be
 persisted; both need a schema-versioned dict form that survives JSON
-(string keys only) without silently dropping or mangling fields.
+without silently dropping or mangling signals. Signals are JSON-native
+(string keys only), so any signal round-trips unchanged, a new one
+included, with no schema change.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.monitoring import SNAPSHOT_SCHEMA_VERSION, SystemSnapshot
+from repro.monitoring import SNAPSHOT_SCHEMA_VERSION, SystemSnapshot, read_imbalance
 from repro.storm.metrics import (
     METRICS_SCHEMA_VERSION,
     ClusterMetrics,
@@ -20,53 +23,75 @@ from repro.storm.metrics import (
 def populated_snapshot() -> SystemSnapshot:
     return SystemSnapshot(
         timestamp=1234.5,
-        tdaccess_servers_up=3,
-        tdaccess_servers_total=3,
-        consumer_lag={"source": 12},
-        tdstore_servers_up=4,
-        tdstore_servers_total=4,
-        tdstore_reads={0: 10, 1: 20},
-        tdstore_writes={0: 7, 1: 3},
-        replication_backlog=2,
-        topology_executed={"cf-stream": 215},
-        topology_restarts={"cf-stream": 1},
-        ledger_entries={"itemCount[0]": 8},
-        dedup_hits={"itemCount[0]": 2},
-        watermark_rejections={"itemCount[0]": 0},
-        acker_anomalies={"cf-stream": 0},
-        degraded_tdstore_servers=[2],
-        breaker_states={"tdstore": "closed"},
-        route_epoch=3,
-        supervisor_kills=1,
-        supervisor_respawns=2,
-        heartbeat_miss_streaks={"tdstore-host-1": 2},
-        scrub_passes=2,
-        scrub_instances_scanned=16,
-        scrub_divergent_buckets=1,
-        scrub_keys_repaired=1,
-        scrub_corruptions_detected=1,
-        vq_centroids=5,
-        vq_indexed_items=12,
-        vq_reassignments=11,
-        vq_splits=4,
-        vq_merges=2,
-        vq_posting_p99=3,
-        retrieval_cold_fallbacks=1,
+        signals={
+            "tdaccess_servers_up": 3,
+            "tdaccess_servers_total": 3,
+            "consumer_lag": {"source": 12},
+            "tdstore_servers_up": 4,
+            "tdstore_servers_total": 4,
+            "tdstore_reads": {"0": 10, "1": 20},
+            "tdstore_writes": {"0": 7, "1": 3},
+            "replication_backlog": 2,
+            "topology_executed": {"cf-stream": 215},
+            "topology_restarts": {"cf-stream": 1},
+            "ledger_entries": {"itemCount[0]": 8},
+            "dedup_hits": {"itemCount[0]": 2},
+            "watermark_rejections": {"itemCount[0]": 0},
+            "acker_anomalies": {"cf-stream": 0},
+            "degraded_tdstore_servers": [2],
+            "breaker_states": {"tdstore": "closed"},
+            "checkpoint_age": None,
+            "route_epoch": 3,
+            "supervisor_kills": 1,
+            "supervisor_respawns": 2,
+            "heartbeat_miss_streaks": {"tdstore-host-1": 2},
+            "scrub_passes": 2,
+            "scrub_instances_scanned": 16,
+            "scrub_divergent_buckets": 1,
+            "scrub_keys_repaired": 1,
+            "scrub_corruptions_detected": 1,
+            "vq_centroids": 5,
+            "vq_indexed_items": 12,
+            "vq_reassignments": 11,
+            "vq_splits": 4,
+            "vq_merges": 2,
+            "vq_posting_p99": 3,
+            "retrieval_cold_fallbacks": 1,
+        },
     )
 
 
 class TestSystemSnapshotSerde:
+    def test_snapshot_declares_only_timestamp_and_signals(self):
+        # a new signal is a collector entry, never a dataclass field
+        names = [spec.name for spec in dataclasses.fields(SystemSnapshot)]
+        assert names == ["timestamp", "signals"]
+
     def test_round_trip_is_lossless(self):
         snap = populated_snapshot()
         assert SystemSnapshot.from_dict(snap.to_dict()) == snap
 
     def test_round_trip_through_json(self):
-        # JSON stringifies int keys; serde must restore them as ints
         snap = populated_snapshot()
         back = SystemSnapshot.from_dict(json.loads(json.dumps(snap.to_dict())))
         assert back == snap
-        assert back.tdstore_reads == {0: 10, 1: 20}
-        assert all(isinstance(k, int) for k in back.tdstore_writes)
+        assert back["tdstore_reads"] == {"0": 10, "1": 20}
+
+    def test_a_signal_no_collector_knows_round_trips(self):
+        # adding a signal is no schema change: it rides in the map as is
+        snap = populated_snapshot()
+        snap.signals["future_signal"] = {"shard-7": [1, 2.5, None, "x"]}
+        data = json.loads(json.dumps(snap.to_dict()))
+        assert data["schema_version"] == SNAPSHOT_SCHEMA_VERSION
+        back = SystemSnapshot.from_dict(data)
+        assert back == snap
+        assert back["future_signal"] == {"shard-7": [1, 2.5, None, "x"]}
+
+    def test_decoded_signals_are_a_copy(self):
+        data = populated_snapshot().to_dict()
+        back = SystemSnapshot.from_dict(data)
+        back["consumer_lag"]["source"] = 0
+        assert data["signals"]["consumer_lag"] == {"source": 12}
 
     def test_schema_version_is_embedded(self):
         data = populated_snapshot().to_dict()
@@ -81,7 +106,7 @@ class TestSystemSnapshotSerde:
             SystemSnapshot.from_dict({"timestamp": 0.0})
 
     def test_unknown_field_is_refused(self):
-        # a field added without a version bump must not silently vanish
+        # a layout change without a version bump must not silently vanish
         data = populated_snapshot().to_dict()
         data["surprise_counter"] = 7
         with pytest.raises(ValueError, match="surprise_counter"):
@@ -89,8 +114,8 @@ class TestSystemSnapshotSerde:
 
     def test_derived_metrics_survive(self):
         back = SystemSnapshot.from_dict(populated_snapshot().to_dict())
-        assert back.total_dedup_hits() == 2
-        assert back.read_imbalance() == pytest.approx(20 / 15)
+        assert sum(back["dedup_hits"].values()) == 2
+        assert read_imbalance(back["tdstore_reads"]) == pytest.approx(20 / 15)
 
 
 class TestClusterMetricsSerde:

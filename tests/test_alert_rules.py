@@ -2,17 +2,22 @@
 
 The reference is the monitor's ``evaluate`` as it stood before the
 table, a hand-written if-ladder with its own "previous snapshot"
-helpers, copied verbatim into ``LadderMonitor``. Hypothesis drives
-both through the same snapshot histories under varying thresholds and
-requires equal alert lists: same messages, severities, components and
-order. The ladder's helpers and the table's delta base agree only on
-histories whose counters never go down and whose dict keys, once seen,
-stay, so those are the histories generated. Two tests pin the cases
-where the ladder was wrong: a counter reset by a task restart, and a
-delta base displaced by a snapshot someone else took.
+helpers, copied verbatim into ``LadderMonitor``. It reads the typed
+snapshot of that time (schema v4), copied verbatim into ``V4Snapshot``;
+the table reads the same state as a signal map (``as_signals``).
+Hypothesis drives both through the same snapshot histories under
+varying thresholds and requires equal alert lists: same messages,
+severities, components and order. The ladder's helpers and the table's
+delta base agree only on histories whose counters never go down and
+whose dict keys, once seen, stay, so those are the histories generated.
+Two tests pin the cases where the ladder was wrong: a counter reset by
+a task restart, and a delta base displaced by a snapshot someone else
+took.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field, fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,11 +33,138 @@ from repro.utils.clock import SimClock
 from tests.storm.helpers import CountBolt, ListSpout
 
 
+@dataclass
+class V4Snapshot:
+    """The typed ``SystemSnapshot`` the ladder was written against
+    (schema v4), fields and derived metrics verbatim."""
+
+    timestamp: float
+    tdaccess_servers_up: int = 0
+    tdaccess_servers_total: int = 0
+    consumer_lag: dict[str, int] = field(default_factory=dict)
+    tdstore_servers_up: int = 0
+    tdstore_servers_total: int = 0
+    tdstore_reads: dict[int, int] = field(default_factory=dict)
+    tdstore_writes: dict[int, int] = field(default_factory=dict)
+    replication_backlog: int = 0
+    topology_executed: dict[str, int] = field(default_factory=dict)
+    topology_restarts: dict[str, int] = field(default_factory=dict)
+    checkpoints_taken: int = 0
+    checkpoint_age: float | None = None
+    recoveries: int = 0
+    recovery_in_progress: bool = False
+    last_recovery_duration: float | None = None
+    # resilience layer
+    breaker_states: dict[str, str] = field(default_factory=dict)
+    breaker_rejections: dict[str, int] = field(default_factory=dict)
+    shed_counts: dict[str, int] = field(default_factory=dict)
+    shed_rate: float = 0.0
+    serving_rungs: dict[str, int] = field(default_factory=dict)
+    queries_shed: int = 0
+    degraded_tdstore_servers: list[int] = field(default_factory=list)
+    degraded_tdaccess_servers: list[int] = field(default_factory=list)
+    # exactly-once layer: per "task" (e.g. "itemCount[0]") ledger stats
+    ledger_entries: dict[str, int] = field(default_factory=dict)
+    dedup_hits: dict[str, int] = field(default_factory=dict)
+    ledgers_over_bound: list[str] = field(default_factory=list)
+    # drops decided solely by the ledger watermark: a late *first*
+    # delivery below the watermark is lost indistinguishably from a
+    # replay, so these are tracked apart from ordinary dedup hits
+    watermark_rejections: dict[str, int] = field(default_factory=dict)
+    # over-acked tuple trees absorbed per topology (possible double-ack bug)
+    acker_anomalies: dict[str, int] = field(default_factory=dict)
+    # op-journal ids trimmed out across the TDStore pool: a rewind deep
+    # enough to re-deliver one would double-apply
+    journal_evictions: int = 0
+    # serving layer: cached/batched query pipeline
+    serving_tiers: dict[str, int] = field(default_factory=dict)
+    serving_stale_serves: int = 0
+    result_cache_hit_rate: float = 0.0
+    result_cache_invalidations: int = 0
+    result_cache_evictions: int = 0
+    coalescer_mean_batch: float = 0.0
+    store_batch_ops: int = 0
+    store_hedged_reads: int = 0
+    store_degraded_keys: int = 0
+    # elastic layer: live migrations + autoscaler
+    topology_pending: dict[str, int] = field(default_factory=dict)
+    route_epoch: int = 0
+    migrations_completed: int = 0
+    migrations_aborted: int = 0
+    migrations_in_flight: int = 0
+    autoscaler_decisions: int = 0
+    autoscaler_applied: int = 0
+    autoscaler_last_action: str | None = None
+    # process substrate: supervisor robustness counters (forced kills of
+    # hung children, respawns after crashes, consecutive heartbeat
+    # misses per child) — zero/empty on the simulator
+    supervisor_kills: int = 0
+    supervisor_respawns: int = 0
+    heartbeat_miss_streaks: dict[str, int] = field(default_factory=dict)
+    # anti-entropy scrub (repro.tdstore.scrub): accumulated counters
+    # across every pass on the watched facade. Divergence and silent
+    # corruption alert on their delta — each is state the checksummed
+    # WAL/RPC paths could not have caught in flight.
+    scrub_passes: int = 0
+    scrub_instances_scanned: int = 0
+    scrub_divergent_buckets: int = 0
+    scrub_keys_repaired: int = 0
+    scrub_keys_deleted: int = 0
+    scrub_corruptions_detected: int = 0
+    # retrieval (schema v4): streaming-VQ index structure and churn.
+    # Stats counters are journal-exact (chaos replays do not inflate
+    # them); p99 is recomputed from the live posting lists each
+    # snapshot. Cold fallbacks count vq queries the front end answered
+    # from CF inside the live rung.
+    vq_centroids: int = 0
+    vq_indexed_items: int = 0
+    vq_reassignments: int = 0
+    vq_splits: int = 0
+    vq_merges: int = 0
+    vq_posting_p99: int = 0
+    retrieval_cold_fallbacks: int = 0
+
+    def total_dedup_hits(self) -> int:
+        """Replayed tuples suppressed so far — each one is a counter
+        corruption that the dedup ledger averted."""
+        return sum(self.dedup_hits.values())
+
+    def total_watermark_rejections(self) -> int:
+        return sum(self.watermark_rejections.values())
+
+    def read_imbalance(self) -> float:
+        """Max/mean read ratio across TDStore servers (1.0 = perfectly
+        even; the fine-grained backup of §3.3 should keep this low)."""
+        values = [v for v in self.tdstore_reads.values() if v >= 0]
+        total = sum(values)
+        if not values or total == 0:
+            return 1.0
+        mean = total / len(values)
+        return max(values) / mean
+
+
+def as_signals(old: V4Snapshot, watching_checkpoints: bool) -> SystemSnapshot:
+    """``old`` as the table's signal map: every field a signal, server ids
+    as JSON strings, and no checkpoint signals without a coordinator."""
+    signals = {f.name: getattr(old, f.name) for f in fields(old)}
+    del signals["timestamp"]
+    for name in ("tdstore_reads", "tdstore_writes"):
+        signals[name] = {str(k): v for k, v in signals[name].items()}
+    if not watching_checkpoints:
+        del signals["checkpoints_taken"], signals["checkpoint_age"]
+    return SystemSnapshot(old.timestamp, signals)
+
+
 class LadderMonitor(SystemMonitor):
     """``SystemMonitor.evaluate`` and its helpers before the rule table,
-    verbatim: the reference."""
+    verbatim: the reference. ``_coordinator`` is the checkpoint source
+    the pre-table monitor held."""
 
-    def evaluate(self, snap: SystemSnapshot | None = None) -> list[Alert]:
+    def __init__(self, clock_now, coordinator=None):
+        super().__init__(clock_now)
+        self._coordinator = coordinator
+
+    def evaluate(self, snap: V4Snapshot | None = None) -> list[Alert]:
         if snap is None:
             snap = self.snapshot()
         alerts: list[Alert] = []
@@ -373,7 +505,7 @@ class LadderMonitor(SystemMonitor):
                 )
         return alerts
 
-    def _previous_snapshot(self) -> SystemSnapshot | None:
+    def _previous_snapshot(self) -> V4Snapshot | None:
         return self.history[-2] if len(self.history) >= 2 else None
 
     def _previous_restarts(self, name: str) -> int:
@@ -405,7 +537,7 @@ class LadderMonitor(SystemMonitor):
         return getattr(previous, name) if previous is not None else 0
 
     @staticmethod
-    def _degraded_serves(snap: SystemSnapshot | None) -> int:
+    def _degraded_serves(snap: V4Snapshot | None) -> int:
         if snap is None:
             return 0
         return sum(
@@ -494,7 +626,7 @@ def histories(draw):
         for name, counts in keyed.items():
             for key, count in draw(keyed_growth[name]).items():
                 counts[key] = counts.get(key, 0) + count
-        snap = SystemSnapshot(
+        snap = V4Snapshot(
             **draw(levels),
             **counters,
             **{name: dict(values) for name, values in keyed.items()},
@@ -507,29 +639,29 @@ def histories(draw):
 @given(history=histories(), watching_checkpoints=st.booleans())
 def test_table_matches_the_ladder(history, watching_checkpoints):
     table = SystemMonitor(lambda: 0.0)
-    ladder = LadderMonitor(lambda: 0.0)
-    if watching_checkpoints:
-        table.watch_recovery(coordinator=object())
-        ladder.watch_recovery(coordinator=object())
-    for snap, limits in history:
-        for monitor in (table, ladder):
+    ladder = LadderMonitor(
+        lambda: 0.0, coordinator=object() if watching_checkpoints else None
+    )
+    for old, limits in history:
+        new = as_signals(old, watching_checkpoints)
+        for monitor, snap in ((table, new), (ladder, old)):
             for name, limit in limits.items():
                 setattr(monitor, name, limit)
             monitor.history.append(snap)
-        assert table.evaluate(snap) == ladder.evaluate(snap)
+        assert table.evaluate(new) == ladder.evaluate(old)
 
 
 # -- no dead rows -------------------------------------------------------------
 
-# the snapshot fields that fire each ALERT_RULES row, in table order,
-# against a first snapshot under default thresholds
+# the signals that fire each ALERT_RULES row, in table order, against a
+# first snapshot at t=61s under default thresholds (checkpoint age 60s)
 FIRES_ALONE = [
-    {"tdaccess_servers_total": 1},
+    {"tdaccess_servers_total": 1, "tdaccess_servers_up": 0},
     {"consumer_lag": {"etl": 10_001}},
-    {"tdstore_servers_total": 1},
+    {"tdstore_servers_total": 1, "tdstore_servers_up": 0},
     {"replication_backlog": 10_001},
-    {"tdstore_reads": {0: 10, 1: 0, 2: 0, 3: 0}},
-    {"timestamp": 61.0},
+    {"tdstore_reads": {"0": 10, "1": 0, "2": 0, "3": 0}},
+    {"checkpoint_age": None},
     {"checkpoint_age": 61.0},
     {"recovery_in_progress": True},
     {"topology_restarts": {"app": 1}},
@@ -564,21 +696,31 @@ FIRES_ALONE = [
 def test_every_row_fires_alone(monkeypatch):
     assert len(FIRES_ALONE) == len(ALERT_RULES)
 
-    def evaluate(fields):
+    def evaluate(signals):
         monitor = SystemMonitor(lambda: 0.0, max_checkpoint_age=60.0)
-        monitor.watch_recovery(coordinator=object())
-        return monitor.evaluate(SystemSnapshot(**{"timestamp": 0.0, **fields}))
+        return monitor.evaluate(SystemSnapshot(61.0, signals))
 
     assert evaluate({}) == []
-    for index, (rule, fields) in enumerate(zip(ALERT_RULES, FIRES_ALONE)):
-        [alert] = evaluate(fields)
+    for index, (rule, signals) in enumerate(zip(ALERT_RULES, FIRES_ALONE)):
+        [alert] = evaluate(signals)
         assert (alert.severity, alert.component) == (
             rule.severity, rule.component,
-        ), fields
+        ), signals
         others = ALERT_RULES[:index] + ALERT_RULES[index + 1:]
         with monkeypatch.context() as patch:
             patch.setattr(monitoring, "ALERT_RULES", others)
-            assert evaluate(fields) == [], fields
+            assert evaluate(signals) == [], signals
+
+
+def test_a_row_without_its_signals_is_silent():
+    """An absent signal (its source is not attached) fires no row, even
+    beside every other row's firing signals."""
+    monitor = SystemMonitor(lambda: 0.0, max_checkpoint_age=60.0)
+    everything = {k: v for signals in FIRES_ALONE for k, v in signals.items()}
+    for signals in FIRES_ALONE:
+        [alert] = monitor.evaluate(SystemSnapshot(61.0, signals))
+        rest = {k: v for k, v in everything.items() if k not in signals}
+        assert alert not in monitor.evaluate(SystemSnapshot(61.0, rest)), signals
 
 
 # -- the two delta bugs the ladder hid -----------------------------------------
@@ -608,13 +750,14 @@ def test_task_restart_does_not_cancel_dedup_hits_elsewhere():
     )
     storm.submit(builder.build())
     storm.run_until_idle()
-    monitor = SystemMonitor(clock.now, storm=storm)
+    monitor = SystemMonitor(clock.now)
+    monitor.watch("storm", storm)
     deliver_twice(storm.task_instance("eo", "c", 0), 5)
-    assert monitor.snapshot().dedup_hits == {"c[0]": 5, "c[1]": 0}
+    assert monitor.snapshot()["dedup_hits"] == {"c[0]": 5, "c[1]": 0}
     storm.kill_task("eo", "c", 0)  # the fresh bolt counts from zero
     deliver_twice(storm.task_instance("eo", "c", 1), 3)
     snap = monitor.snapshot()
-    assert snap.dedup_hits == {"c[0]": 0, "c[1]": 3}  # the sum went 5 -> 3
+    assert snap["dedup_hits"] == {"c[0]": 0, "c[1]": 3}  # the sum went 5 -> 3
     assert Alert(
         "warning", "storm",
         "3 replayed tuple(s) suppressed since last snapshot (counter "
@@ -630,7 +773,8 @@ def test_delta_base_is_the_snapshot_before_the_evaluated_one():
     builder.add_bolt("c", CountBolt).grouping("s", GlobalGrouping())
     storm.submit(builder.build())
     storm.run_until_idle()
-    monitor = SystemMonitor(clock.now, storm=storm)
+    monitor = SystemMonitor(clock.now)
+    monitor.watch("storm", storm)
     scaler = Autoscaler(monitor)  # shares the monitor's history
     monitor.snapshot()
     storm.kill_task("app", "c", 0)
@@ -641,6 +785,6 @@ def test_delta_base_is_the_snapshot_before_the_evaluated_one():
     ]
     assert monitor.evaluate(snap) == restarts
     # a snapshot the monitor never took is compared with the latest one
-    built = SystemSnapshot(timestamp=0.0, topology_restarts={"app": 2})
+    built = SystemSnapshot(timestamp=0.0, signals={"topology_restarts": {"app": 2}})
     assert monitor.evaluate(built) == restarts
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import PracticalItemCF, UserAction
-from repro.monitoring import SystemSnapshot
+from repro.monitoring import read_imbalance
 from repro.storm import LocalCluster, topology_from_xml
 from repro.tdaccess import TDAccessCluster
 from repro.utils.clock import SimClock
@@ -74,12 +74,12 @@ class TestPracticalCFAccessors:
 
 class TestSnapshotMath:
     def test_read_imbalance_even(self):
-        snap = SystemSnapshot(0.0, tdstore_reads={0: 10, 1: 10, 2: 10})
-        assert snap.read_imbalance() == pytest.approx(1.0)
+        reads = {"0": 10, "1": 10, "2": 10}
+        assert read_imbalance(reads) == pytest.approx(1.0)
 
     def test_read_imbalance_skewed(self):
-        snap = SystemSnapshot(0.0, tdstore_reads={0: 30, 1: 0, 2: 0})
-        assert snap.read_imbalance() == pytest.approx(3.0)
+        reads = {"0": 30, "1": 0, "2": 0}
+        assert read_imbalance(reads) == pytest.approx(3.0)
 
     def test_read_imbalance_empty(self):
-        assert SystemSnapshot(0.0).read_imbalance() == 1.0
+        assert read_imbalance({}) == 1.0

@@ -1,14 +1,18 @@
 """Tests for the system monitor (Figure 9's Monitor box)."""
 
+import json
+
 import pytest
 
-from repro.engine.engine import RecommenderEngine
+from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.engine.front_end import RecommenderFrontEnd
-from repro.monitoring import SystemMonitor
+from repro.monitoring import Alert, SystemMonitor, SystemSnapshot
 from repro.resilience import CircuitBreaker, LoadShedder
+from repro.serving import ServingLayer
 from repro.storm import GlobalGrouping, LocalCluster, TopologyBuilder
 from repro.tdaccess import TDAccessCluster
 from repro.tdstore import TDStoreCluster
+from repro.topology.state import StateKeys
 from repro.utils.clock import SimClock
 
 from tests.storm.helpers import CountBolt, ListSpout
@@ -26,10 +30,10 @@ def deployment():
     builder.add_bolt("c", CountBolt).grouping("s", GlobalGrouping())
     storm.submit(builder.build())
     storm.run_until_idle()
-    monitor = SystemMonitor(
-        clock.now, tdaccess=tdaccess, tdstore=tdstore, storm=storm,
-        max_consumer_lag=5,
-    )
+    monitor = SystemMonitor(clock.now, max_consumer_lag=5)
+    monitor.watch("tdaccess", tdaccess)
+    monitor.watch("tdstore", tdstore)
+    monitor.watch("storm", storm)
     return clock, tdaccess, tdstore, storm, monitor
 
 
@@ -41,17 +45,44 @@ class TestSnapshot:
     def test_snapshot_counts_servers_and_executions(self, deployment):
         __, tdaccess, tdstore, ____, monitor = deployment
         snap = monitor.snapshot()
-        assert snap.tdaccess_servers_up == 2
-        assert snap.tdstore_servers_total == 3
-        assert snap.topology_executed["app"] == 2
+        assert snap["tdaccess_servers_up"] == 2
+        assert snap["tdstore_servers_total"] == 3
+        assert snap["topology_executed"]["app"] == 2
 
     def test_consumer_lag_tracked(self, deployment):
         __, tdaccess, ___, ____, monitor = deployment
         consumer = tdaccess.consumer("actions")
-        monitor.watch_consumer("etl", consumer)
+        monitor.watch("consumers", consumer, name="etl")
         tdaccess.producer().send_batch("actions", list(range(10)))
         snap = monitor.snapshot()
-        assert snap.consumer_lag["etl"] == 10
+        assert snap["consumer_lag"]["etl"] == 10
+
+    def test_collected_signals_are_json_native(self, deployment):
+        # every collector returns JSON-native values (string keys only),
+        # so a real snapshot survives JSON unchanged
+        clock, tdaccess, tdstore, ____, monitor = deployment
+        monitor.watch("consumers", tdaccess.consumer("actions"), name="etl")
+        monitor.watch("breakers", CircuitBreaker(clock.now, name="s"), name="s")
+        shedder = LoadShedder(clock.now, capacity=4)
+        monitor.watch("shedder", shedder)
+        engine = RecommenderEngine(tdstore.client())
+        serving = ServingLayer(engine, clock.now)
+        monitor.watch("serving", serving)
+        monitor.watch("front_end", RecommenderFrontEnd(
+            engine, serving=serving, shedder=shedder
+        ))
+        monitor.watch("supervisor", StubSupervisor())
+        snap = monitor.snapshot()
+        # all 62 signals but checkpoints' 2, recovery's 3, retrieval's 6
+        # and the autoscaler's 3
+        assert len(snap.signals) == 48
+        wire = json.loads(json.dumps(snap.to_dict()))
+        assert SystemSnapshot.from_dict(wire) == snap
+
+    def test_unknown_source_kind_is_refused(self):
+        # a misspelt kind would otherwise attach a source nothing collects
+        with pytest.raises(ValueError, match="'frontend'"):
+            SystemMonitor(lambda: 0.0).watch("frontend", object())
 
 
 class TestAlerts:
@@ -66,7 +97,7 @@ class TestAlerts:
 
     def test_consumer_lag_warning(self, deployment):
         __, tdaccess, ___, ____, monitor = deployment
-        monitor.watch_consumer("etl", tdaccess.consumer("actions"))
+        monitor.watch("consumers", tdaccess.consumer("actions"), name="etl")
         tdaccess.producer().send_batch("actions", list(range(20)))
         alerts = monitor.evaluate()
         assert any("lag" in a.message for a in alerts)
@@ -107,7 +138,7 @@ class TestExactlyOnceSignals:
         monitor.snapshot()
         storm._running["app"].acker.anomalies += 2
         snap = monitor.snapshot()
-        assert snap.acker_anomalies["app"] == 2
+        assert snap["acker_anomalies"]["app"] == 2
         alerts = [
             a for a in monitor.evaluate(snap) if "over-acked" in a.message
         ]
@@ -140,13 +171,14 @@ class TestExactlyOnceSignals:
         builder.add_bolt("c", EchoBolt).grouping("s", GlobalGrouping())
         storm.submit(builder.build())
         storm.run_until_idle()
-        monitor = SystemMonitor(clock.now, storm=storm)
+        monitor = SystemMonitor(clock.now)
+        monitor.watch("storm", storm)
         monitor.snapshot()
         bolt = storm.task_instance("eo", "c", 0)
         bolt.ledger.observe("src@10000")
         bolt.ledger.observe("src@1")  # dropped below the watermark
         snap = monitor.snapshot()
-        assert snap.total_watermark_rejections() == 1
+        assert sum(snap["watermark_rejections"].values()) == 1
         alerts = [
             a for a in monitor.evaluate(snap) if "watermark" in a.message
         ]
@@ -162,7 +194,7 @@ class TestExactlyOnceSignals:
         for i in range(JOURNAL_LIMIT + 3):
             client.apply("itemCount:i1", f"actions@{i}", 1.0)
         snap = monitor.snapshot()
-        assert snap.journal_evictions == 3
+        assert snap["journal_evictions"] == 3
         alerts = [
             a for a in monitor.evaluate(snap) if "op-journal" in a.message
         ]
@@ -183,9 +215,9 @@ class TestScrubSignals:
         tdstore.client().put("item:1", {"count": 3})
         tdstore.scrub_replicas()
         snap = monitor.snapshot()
-        assert snap.scrub_passes == 1
-        assert snap.scrub_instances_scanned == 8
-        assert snap.scrub_divergent_buckets == 0
+        assert snap["scrub_passes"] == 1
+        assert snap["scrub_instances_scanned"] == 8
+        assert snap["scrub_divergent_buckets"] == 0
         assert not [
             a for a in monitor.evaluate(snap) if a.message.startswith("scrub")
         ]
@@ -202,9 +234,9 @@ class TestScrubSignals:
         slave.engine(route.instance).put("item:1", {"count": 99})
         tdstore.scrub_replicas()
         snap = monitor.snapshot()
-        assert snap.scrub_divergent_buckets == 1
-        assert snap.scrub_keys_repaired == 1
-        assert snap.scrub_corruptions_detected == 1
+        assert snap["scrub_divergent_buckets"] == 1
+        assert snap["scrub_keys_repaired"] == 1
+        assert snap["scrub_corruptions_detected"] == 1
         alerts = [
             a for a in monitor.evaluate(snap) if a.message.startswith("scrub")
         ]
@@ -212,11 +244,11 @@ class TestScrubSignals:
         # repaired: next pass is clean, deltas are zero, alerts clear
         tdstore.scrub_replicas()
         snap = monitor.snapshot()
-        assert snap.scrub_divergent_buckets == 1  # cumulative, unchanged
+        assert snap["scrub_divergent_buckets"] == 1  # cumulative, unchanged
         assert not [
             a for a in monitor.evaluate(snap) if a.message.startswith("scrub")
         ]
-        assert "scrub" in monitor.summary()
+        assert "scrub_divergent_buckets=1" in monitor.summary()
 
 
 class TestRecoverySignals:
@@ -241,12 +273,13 @@ class TestRecoverySignals:
         harness.start()
         assert harness.run() == "completed"
         monitor = SystemMonitor(harness.clock.now, max_checkpoint_age=1e9)
-        monitor.watch_recovery(harness.coordinator, harness.recovery)
+        monitor.watch("checkpoints", harness.coordinator)
+        monitor.watch("recovery", harness.recovery)
         snap = monitor.snapshot()
-        assert snap.checkpoints_taken >= 1
-        assert snap.checkpoint_age is not None and snap.checkpoint_age >= 0
-        assert snap.recoveries == 0
-        assert not snap.recovery_in_progress
+        assert snap["checkpoints_taken"] >= 1
+        assert snap["checkpoint_age"] is not None and snap["checkpoint_age"] >= 0
+        assert snap["recoveries"] == 0
+        assert not snap["recovery_in_progress"]
         assert not any(a.component == "recovery" for a in monitor.evaluate(snap))
 
     def test_stale_checkpoint_warns(self):
@@ -256,7 +289,7 @@ class TestRecoverySignals:
         monitor = SystemMonitor(
             lambda: harness.clock.now() + 10_000.0, max_checkpoint_age=60.0
         )
-        monitor.watch_recovery(coordinator=harness.coordinator)
+        monitor.watch("checkpoints", harness.coordinator)
         alerts = monitor.evaluate()
         assert any(
             a.component == "recovery" and "checkpoint age" in a.message
@@ -270,7 +303,7 @@ class TestRecoverySignals:
         monitor = SystemMonitor(
             lambda: harness.clock.now() + 10_000.0, max_checkpoint_age=60.0
         )
-        monitor.watch_recovery(coordinator=harness.coordinator)
+        monitor.watch("checkpoints", harness.coordinator)
         alerts = monitor.evaluate()
         assert any("no checkpoint has ever been taken" in a.message for a in alerts)
 
@@ -282,30 +315,32 @@ class TestRecoverySignals:
         assert harness.run() == "crashed"
         harness.recover()
         monitor = SystemMonitor(harness.clock.now)
-        monitor.watch_recovery(harness.coordinator, harness.recovery)
+        monitor.watch("checkpoints", harness.coordinator)
+        monitor.watch("recovery", harness.recovery)
         alerts = monitor.evaluate()
         assert any("replay in progress" in a.message for a in alerts)
-        assert "replaying" in monitor.summary()
+        assert "recovery_in_progress=True" in monitor.summary()
 
         assert harness.run() == "completed"
         snap = monitor.snapshot()
-        assert snap.recoveries == 1
-        assert not snap.recovery_in_progress
-        assert snap.last_recovery_duration is not None
+        assert snap["recoveries"] == 1
+        assert not snap["recovery_in_progress"]
+        assert snap["last_recovery_duration"] is not None
         assert not any(
             "replay in progress" in a.message for a in monitor.evaluate(snap)
         )
-        assert "steady" in monitor.summary()
+        assert "recovery_in_progress=False" in monitor.summary()
 
 
 class TestSummary:
     def test_summary_mentions_every_layer(self, deployment):
         __, tdaccess, ___, ____, monitor = deployment
-        monitor.watch_consumer("etl", tdaccess.consumer("actions"))
+        monitor.watch("consumers", tdaccess.consumer("actions"), name="etl")
         text = monitor.summary()
-        assert "tdaccess" in text
-        assert "tdstore" in text
-        assert "topology app" in text
+        assert "tdaccess: tdaccess_servers_up=2" in text
+        assert "consumers: consumer_lag={'etl': 0}" in text
+        assert "tdstore: tdstore_servers_up=3" in text
+        assert "topology_executed={'app': 2}" in text
 
 
 class TestResilienceSignals:
@@ -314,7 +349,7 @@ class TestResilienceSignals:
         breaker = CircuitBreaker(
             clock.now, failure_threshold=1, recovery_time=5.0, name="tdstore"
         )
-        monitor.watch_breaker("tdstore", breaker)
+        monitor.watch("breakers", breaker, name="tdstore")
         assert monitor.evaluate() == []
         breaker.record_failure()
         alerts = monitor.evaluate()
@@ -340,8 +375,8 @@ class TestResilienceSignals:
         front_end = RecommenderFrontEnd(
             engine, static_items=("s1",), shedder=shedder
         )
-        monitor.watch_shedder(shedder)
-        monitor.watch_front_end(front_end)
+        monitor.watch("shedder", shedder)
+        monitor.watch("front_end", front_end)
         monitor.snapshot()  # baseline
         front_end.query("u1", 1, 0.0)
         front_end.query("u1", 1, 0.0)  # second query of the window: shed
@@ -359,7 +394,7 @@ class TestResilienceSignals:
         breaker.record_failure()
         engine = RecommenderEngine(tdstore.client(breaker=breaker))
         front_end = RecommenderFrontEnd(engine, static_items=("s1",))
-        monitor.watch_front_end(front_end)
+        monitor.watch("front_end", front_end)
         monitor.snapshot()  # baseline
         front_end.query("u1", 1, 0.0)
         alerts = monitor.evaluate()
@@ -382,8 +417,8 @@ class TestResilienceSignals:
             for a in alerts
         )
         snap = monitor.history[-1]
-        assert snap.degraded_tdstore_servers == [0]
-        assert snap.degraded_tdaccess_servers == [1]
+        assert snap["degraded_tdstore_servers"] == [0]
+        assert snap["degraded_tdaccess_servers"] == [1]
         tdstore.clear_degradation(0)
         tdaccess.clear_degradation(1)
         assert monitor.evaluate() == []
@@ -394,14 +429,77 @@ class TestResilienceSignals:
         shedder = LoadShedder(clock.now, capacity=4)
         engine = RecommenderEngine(tdstore.client())
         front_end = RecommenderFrontEnd(engine, shedder=shedder)
-        monitor.watch_breaker("store", breaker)
-        monitor.watch_shedder(shedder)
-        monitor.watch_front_end(front_end)
+        monitor.watch("breakers", breaker, name="store")
+        monitor.watch("shedder", shedder)
+        monitor.watch("front_end", front_end)
         front_end.query("u1", 1, 0.0)
         text = monitor.summary()
-        assert "breaker store: closed" in text
-        assert "shedder" in text
-        assert "rungs" in text
+        assert "breaker_states={'store': 'closed'}" in text
+        assert "shedder: shed_counts=" in text
+        assert "serving_rungs={" in text
+
+
+class TestServingSignals:
+    """A real ServingLayer attached to the monitor: its counters become
+    signals, and a downed shard fires the serving rows on their growth."""
+
+    def test_downed_shards_fire_the_serving_rows(self):
+        clock = SimClock()
+        store = TDStoreCluster(num_data_servers=2, num_instances=8)
+        client = store.client()
+        users = [f"u{i}" for i in range(8)]
+        for user in users:
+            client.put(StateKeys.recent(user), [("i1", 5.0, 0.0)])
+            client.put(StateKeys.history(user), {"i1": 5.0})
+        client.put(StateKeys.sim_list("i1"), {"i2": 0.9, "i3": 0.8})
+        store.sync_replicas()
+        breaker = CircuitBreaker(clock.now, failure_threshold=1, name="store")
+        engine = RecommenderEngine(store.client(breaker=breaker), EngineConfig())
+        serving = ServingLayer(engine, clock.now, result_ttl=5.0)
+        front_end = RecommenderFrontEnd(engine, serving=serving)
+        monitor = SystemMonitor(clock.now)
+        monitor.watch("serving", serving)
+
+        def query_all():
+            clock.advance(10.0)  # past the TTL: no answer is fresh
+            for user in users:
+                front_end.query(user, 2, clock.now())
+
+        query_all()  # healthy: warms the result cache
+        snap = monitor.snapshot()
+        assert snap["serving_tiers"]["batched_live"] == len(users)
+        assert (snap["store_hedged_reads"], snap["store_degraded_keys"],
+                snap["serving_stale_serves"]) == (0, 0, 0)
+        assert monitor.evaluate(snap) == []
+
+        # one of two servers down: no failover target, reads hedge
+        store.crash_data_server(0)
+        query_all()
+        snap = monitor.snapshot()
+        hedged = snap["store_hedged_reads"]
+        assert hedged > 0 and snap["store_degraded_keys"] == 0
+        assert monitor.evaluate(snap) == [Alert(
+            "warning", "serving", f"{hedged} hedged replica read(s) since last "
+            "snapshot (primary shard slow or down; replica data may trail "
+            "replication)",
+        )]
+
+        # both down: the batch degrades to defaults, the breaker opens,
+        # and the ladder serves the expired answers from the cache rung
+        store.crash_data_server(1)
+        query_all()
+        snap = monitor.snapshot()
+        degraded, stale = snap["store_degraded_keys"], snap["serving_stale_serves"]
+        assert degraded > 0 and stale > 0 and snap["store_hedged_reads"] == hedged
+        assert monitor.evaluate(snap) == [
+            Alert("critical", "serving", f"{degraded} key(s) served defaults "
+                  "after shard failure since last snapshot (partial-batch "
+                  "degradation active)"),
+            Alert("warning", "serving", f"{stale} stale cached answer(s) served "
+                  "since last snapshot (live rung failing; staleness bounded by "
+                  "the invalidation stream)"),
+        ]
+        assert monitor.evaluate(monitor.snapshot()) == []  # no growth, no rows
 
 
 class StubSupervisor:
@@ -429,19 +527,19 @@ class TestSupervisorSignals:
     def test_robustness_counters_flow_into_snapshot(self):
         supervisor = StubSupervisor()
         monitor = SystemMonitor(clock_now=lambda: 0.0)
-        monitor.watch_supervisor(supervisor)
+        monitor.watch("supervisor", supervisor)
         supervisor.stats["kills"] = 1
         supervisor.stats["respawns"] = 2
         supervisor.stats["heartbeat_miss_streaks"] = {"tdstore-host-0": 2}
         snap = monitor.snapshot()
-        assert snap.supervisor_kills == 1
-        assert snap.supervisor_respawns == 2
-        assert snap.heartbeat_miss_streaks == {"tdstore-host-0": 2}
+        assert snap["supervisor_kills"] == 1
+        assert snap["supervisor_respawns"] == 2
+        assert snap["heartbeat_miss_streaks"] == {"tdstore-host-0": 2}
 
     def test_hang_kill_delta_is_critical(self):
         supervisor = StubSupervisor()
         monitor = SystemMonitor(clock_now=lambda: 0.0)
-        monitor.watch_supervisor(supervisor)
+        monitor.watch("supervisor", supervisor)
         assert monitor.evaluate() == []
         supervisor.stats["kills"] = 1
         alerts = monitor.evaluate()
@@ -456,7 +554,7 @@ class TestSupervisorSignals:
     def test_respawn_delta_warns_then_clears(self):
         supervisor = StubSupervisor()
         monitor = SystemMonitor(clock_now=lambda: 0.0)
-        monitor.watch_supervisor(supervisor)
+        monitor.watch("supervisor", supervisor)
         monitor.snapshot()  # baseline
         supervisor.stats["respawns"] = 3
         alerts = monitor.evaluate()
@@ -472,7 +570,7 @@ class TestSupervisorSignals:
         monitor = SystemMonitor(
             clock_now=lambda: 0.0, max_heartbeat_misses=3
         )
-        monitor.watch_supervisor(supervisor)
+        monitor.watch("supervisor", supervisor)
         supervisor.stats["heartbeat_miss_streaks"] = {"storm-worker-1": 2}
         assert monitor.evaluate() == []  # below threshold
         supervisor.stats["heartbeat_miss_streaks"] = {"storm-worker-1": 3}
@@ -487,11 +585,11 @@ class TestSupervisorSignals:
     def test_summary_mentions_supervisor(self):
         supervisor = StubSupervisor()
         monitor = SystemMonitor(clock_now=lambda: 0.0)
-        monitor.watch_supervisor(supervisor)
+        monitor.watch("supervisor", supervisor)
         supervisor.stats["kills"] = 1
         supervisor.stats["respawns"] = 4
         supervisor.stats["heartbeat_miss_streaks"] = {"tdstore-host-1": 2}
         text = monitor.summary()
-        assert "supervisor: 1 hang kill(s)" in text
-        assert "4 respawn(s)" in text
-        assert "tdstore-host-1=2" in text
+        assert "supervisor: supervisor_kills=1" in text
+        assert "supervisor_respawns=4" in text
+        assert "heartbeat_miss_streaks={'tdstore-host-1': 2}" in text

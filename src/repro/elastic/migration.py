@@ -274,7 +274,7 @@ class InstanceMigrator:
         Optional clock for migration timestamps.
     bus:
         Optional :class:`~repro.serving.invalidation.InvalidationBus`;
-        when given, cached results depending on migrated keys are staled
+        when given, cached results depending on migrated keys are evicted
         at cutover.
     """
 

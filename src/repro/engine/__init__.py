@@ -7,7 +7,6 @@ back into the data stream.
 """
 
 from repro.engine.engine import RecommenderEngine, EngineConfig
-from repro.engine.degraded import ServeThroughRecovery
 from repro.engine.front_end import RecommenderFrontEnd, QueryLog
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "EngineConfig",
     "RecommenderFrontEnd",
     "QueryLog",
-    "ServeThroughRecovery",
 ]

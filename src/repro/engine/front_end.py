@@ -4,14 +4,17 @@ Interacts with "users": accepts queries, delegates to the engine,
 applies application display filters, and records what was shown so the
 feedback loop (impressions back into TDAccess) closes.
 
-Serving under failure follows a **degradation ladder** instead of
-failing hard. Each query steps down until a rung answers:
+Serving under failure follows one **degradation ladder** instead of
+failing hard; :meth:`RecommenderFrontEnd.query` is a batch of one. Each
+query steps down until a rung answers:
 
 1. **live** — the engine's CF/CB answer from live TDStore state, under
    the query's deadline and the store client's circuit breaker;
-2. **cache** — the :class:`~repro.engine.degraded.ServeThroughRecovery`
-   last-known-good answer for this user (also used while a recovery
-   replay is in progress);
+2. **cache** — the user's last-known-good answer: the last unfiltered
+   live answer this front end got for them, whichever engine call (or
+   serving tier) produced it. Reached only when the live read failed or
+   a recovery replay is in progress — a live answer the display filter
+   empties goes straight on to demographic;
 3. **demographic** — the §4.2 hot-items complement for the user's
    group, falling back to the front end's own last fetched hot list
    when the store is unreachable;
@@ -27,11 +30,10 @@ first-class health signal.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.engine.degraded import ServeThroughRecovery
 from repro.engine.engine import RecommenderEngine
 from repro.errors import (
     ColdIndexError,
@@ -57,6 +59,9 @@ _RUNG_FAILURES = (ResilienceError, TDStoreError)
 # per-query records QueryLog retains (newest last); the counters beside
 # them cover the whole run, so a long-lived front end stays bounded
 QUERY_LOG_RECENT = 1024
+
+# users whose last live answer the cache rung keeps
+LAST_KNOWN_GOOD = 10_000
 
 
 @dataclass
@@ -103,9 +108,10 @@ class RecommenderFrontEnd:
 
     Parameters
     ----------
-    degraded:
-        Last-known-good cache wrapper; when given, live serves refresh
-        it and the cache rung reads from it.
+    in_recovery:
+        Predicate consulted per batch (e.g. ``lambda:
+        manager.in_progress``); while it holds the live rung is skipped,
+        so half-replayed state is never served.
     static_items:
         Ordered static top-N fallback (e.g. yesterday's offline global
         top list). Non-empty static items guarantee every query is
@@ -114,7 +120,7 @@ class RecommenderFrontEnd:
         Admission control; shed queries are answered from the static
         rung without touching any dependency.
     deadline_budget:
-        Per-query time budget in seconds (requires ``clock``); the
+        Per-batch time budget in seconds (requires ``clock``); the
         budget is scoped onto the engine's store client so every nested
         state read observes it.
     clock:
@@ -122,11 +128,9 @@ class RecommenderFrontEnd:
         latency.
     serving:
         A :class:`~repro.serving.layer.ServingLayer` (CF only). When
-        given, the live rung serves through its result cache and
-        batched reads instead of per-key engine reads, the cache rung
-        prefers its stale-but-present answers over the last-known-good
-        cache, and :meth:`query_batch` serves concurrent queries as one
-        coalesced fan-out.
+        given, the live rung is one ``serve_many`` over the whole batch
+        (result cache + coalesced batched reads) instead of per-key
+        engine reads.
     """
 
     def __init__(
@@ -137,7 +141,7 @@ class RecommenderFrontEnd:
         feedback_producer: Producer | None = None,
         feedback_topic: str = "user_actions",
         *,
-        degraded: ServeThroughRecovery | None = None,
+        in_recovery: Callable[[], bool] | None = None,
         static_items: Sequence[str] = (),
         shedder: LoadShedder | None = None,
         deadline_budget: float | None = None,
@@ -162,12 +166,15 @@ class RecommenderFrontEnd:
         self._display_filter = display_filter
         self._producer = feedback_producer
         self._topic = feedback_topic
-        self._degraded = degraded
+        self._in_recovery = in_recovery
         self._static_items = tuple(static_items)
         self._shedder = shedder
         self._deadline_budget = deadline_budget
         self._clock = clock
         self._serving = serving
+        # the cache rung: each user's last unfiltered live answer, the
+        # least recently answered user dropped first
+        self._last_known_good: OrderedDict[str, list] = OrderedDict()
         # last successfully fetched hot list: the demographic rung's own
         # fallback when the store cannot even serve hot items
         self._hot_fallback: list[tuple[str, float]] = []
@@ -178,15 +185,8 @@ class RecommenderFrontEnd:
     def query(
         self, user_id: str, n: int, now: float, priority: str = "normal"
     ) -> list[Recommendation]:
-        """Serve a top-N query, filtered for display, degrading by rungs."""
-        self.log.queries += 1
-        if self._shedder is not None and not self._shedder.try_admit(priority):
-            self.log.shed += 1
-            results = self._static(n)
-            return self._finish(user_id, results, "static", now)
-        deadline = self._make_deadline()
-        results, rung = self._climb(user_id, n, now, deadline)
-        return self._finish(user_id, results, rung, now)
+        """Serve a top-N query, filtered for display: a batch of one."""
+        return self.query_batch([(user_id, n)], now, priority)[(user_id, n)]
 
     def query_batch(
         self,
@@ -194,22 +194,18 @@ class RecommenderFrontEnd:
         now: float,
         priority: str = "normal",
     ) -> dict[tuple[str, int], list[Recommendation]]:
-        """Serve concurrent queries as one coalesced fan-out.
+        """Serve concurrent queries, each down the ladder.
 
         ``queries`` is a sequence of ``(user_id, n)``; duplicates
-        coalesce onto one answer. Requires a serving layer. Admission
-        control still applies per query; admitted queries share one
-        deadline and one batched store fan-out, and if the live rung
-        fails for the batch, each query walks the lower rungs
-        individually — one slow shard degrades its keys, not every
-        query.
+        coalesce onto one answer. Admission control applies per query;
+        admitted queries share one deadline and one live read (one
+        batched fan-out behind a serving layer), and each query whose
+        live read failed walks the lower rungs on its own — one slow
+        shard degrades its keys, not every query.
         """
-        if self._serving is None:
-            raise EvaluationError("query_batch needs a serving layer")
-        requests = list(dict.fromkeys(queries))
         out: dict[tuple[str, int], list[Recommendation]] = {}
         admitted: list[tuple[str, int]] = []
-        for user_id, n in requests:
+        for user_id, n in dict.fromkeys(queries):
             self.log.queries += 1
             if self._shedder is not None and not self._shedder.try_admit(
                 priority
@@ -223,144 +219,99 @@ class RecommenderFrontEnd:
         if not admitted:
             return out
         deadline = self._make_deadline()
-        if self._degraded is not None and self._degraded.in_recovery():
-            # same contract as query(): never batch-read half-replayed
-            # state — each query takes the ladder's recovery path
-            for user_id, n in admitted:
-                results, rung = self._climb(user_id, n, now, deadline)
-                out[(user_id, n)] = self._finish(user_id, results, rung, now)
-            return out
-        try:
-            answers = self._scoped(
-                lambda: self._serving.serve_many(
-                    [(user_id, n * 2) for user_id, n in admitted], now
-                ),
-                deadline,
-            )
-        except _RUNG_FAILURES:
-            answers = None
+        recovering = self._in_recovery is not None and self._in_recovery()
+        live = {} if recovering else self._live(admitted, now, deadline)
         for user_id, n in admitted:
-            if answers is not None:
-                served, __tier = answers[(user_id, n * 2)]
-                if self._degraded is not None:
-                    self._degraded.remember(self._algorithm, user_id, served)
-                results = self._filtered(served, n)
-                if results:
-                    out[(user_id, n)] = self._finish(
-                        user_id, results, "live", now
-                    )
-                    continue
-            results, rung = self._descend(user_id, n, now, deadline)
+            # rung 1: live; rung 2: only when live failed or is skipped
+            answer = live.get((user_id, n * 2))
+            if answer is not None:
+                results, rung = self._filtered(answer, n), "live"
+            else:
+                cached = self._last_known_good.get(user_id, [])
+                results, rung = self._filtered(cached, n), "cache"
+            if not results:
+                # rung 3: demographic hot items (§4.2), at worst from the
+                # front end's own last fetched copy
+                hot = self._hot_items(user_id, n, now, deadline)
+                results, rung = self._filtered(
+                    [Recommendation(i, s, source="db") for i, s in hot], n
+                ), "demographic"
+            if not results:
+                # rung 4: static top-N — no dependencies, cannot fail
+                results, rung = self._static(n), "static"
             out[(user_id, n)] = self._finish(user_id, results, rung, now)
         return out
-
-    def _descend(
-        self, user_id: str, n: int, now: float, deadline: Deadline | None
-    ) -> tuple[list[Recommendation], str]:
-        """Rungs 2–4 for one query whose live rung already failed."""
-        results = self._filtered(self._stale_cached(user_id, n), n)
-        if results:
-            return results, "cache"
-        hot = self._hot_items(user_id, n, now, deadline)
-        results = self._filtered(
-            [Recommendation(item, score, source="db") for item, score in hot], n
-        )
-        if results:
-            return results, "demographic"
-        return self._static(n), "static"
 
     def _make_deadline(self) -> Deadline | None:
         if self._deadline_budget is None or self._clock is None:
             return None
         return Deadline(self._clock.now, self._deadline_budget)
 
-    def _scoped(self, fn: Callable[[], list], deadline: Deadline | None) -> list:
+    def _scoped(self, fn: Callable[[], Any], deadline: Deadline | None) -> Any:
         """Run ``fn`` with the query deadline ambient on the store client."""
         store = getattr(self._engine, "store", None)
-        if deadline is None or store is None or not hasattr(
-            store, "deadline_scope"
-        ):
+        scope = getattr(store, "deadline_scope", None)
+        if deadline is None or scope is None:
             return fn()
-        with store.deadline_scope(deadline):
+        with scope(deadline):
             return fn()
 
-    def _climb(
-        self, user_id: str, n: int, now: float, deadline: Deadline | None
-    ) -> tuple[list[Recommendation], str]:
-        # rung 1: live engine state (through the cache wrapper so the
-        # last-known-good answer stays fresh)
-        if self._degraded is not None and self._degraded.in_recovery():
-            results = self._degraded.cached(self._algorithm, user_id) or []
-            results = self._filtered(results, n)
-            if results:
-                return results, "cache"
-        else:
+    def _live(
+        self,
+        admitted: list[tuple[str, int]],
+        now: float,
+        deadline: Deadline | None,
+    ) -> dict[tuple[str, int], list[Recommendation]]:
+        """The live rung's unfiltered answers by ``(user, 2n)`` — twice
+        the depth, so the display filter has slack; a request whose read
+        failed is absent. Every answer becomes its user's last-known-good
+        one."""
+        requests = [(user_id, n * 2) for user_id, n in admitted]
+        answers: dict[tuple[str, int], list[Recommendation]] = {}
+        if self._serving is not None:
             try:
-                results = self._filtered(
-                    self._scoped(lambda: self._live(user_id, n * 2, now), deadline),
-                    n,
+                served = self._scoped(
+                    lambda: self._serving.serve_many(requests, now), deadline
                 )
-                if results:
-                    return results, "live"
             except _RUNG_FAILURES:
-                # rung 2: stale-but-present serving cache, then the
-                # last-known-good cache
-                results = self._filtered(self._stale_cached(user_id, n), n)
-                if results:
-                    return results, "cache"
-        # rung 3: demographic hot items (§4.2), at worst from the front
-        # end's own last fetched copy
-        hot = self._hot_items(user_id, n, now, deadline)
-        results = self._filtered(
-            [Recommendation(item, score, source="db") for item, score in hot], n
-        )
-        if results:
-            return results, "demographic"
-        # rung 4: static top-N — no dependencies, cannot fail
-        return self._static(n), "static"
+                served = {}
+            answers = {key: results for key, (results, __) in served.items()}
+        else:
+            for user_id, n in requests:
+                try:
+                    answers[(user_id, n)] = self._scoped(
+                        lambda: self._recommend(user_id, n, now), deadline
+                    )
+                except _RUNG_FAILURES:
+                    pass
+        last_known_good = self._last_known_good
+        for (user_id, __), results in answers.items():
+            last_known_good[user_id] = results
+            last_known_good.move_to_end(user_id)
+        while len(last_known_good) > LAST_KNOWN_GOOD:
+            last_known_good.popitem(last=False)
+        return answers
 
-    def _live(self, user_id: str, n: int, now: float) -> list[Recommendation]:
-        if self._serving is not None:
-            results, __tier = self._serving.serve(user_id, n, now)
-            if self._degraded is not None:
-                # the batched path bypasses the wrapper; keep the
-                # last-known-good cache fresh by hand
-                self._degraded.remember(self._algorithm, user_id, results)
-            return results
-        target = self._degraded if self._degraded is not None else self._engine
+    def _recommend(self, user_id: str, n: int, now: float) -> list[Recommendation]:
+        engine = self._engine
         if self._algorithm == "cf":
-            return target.recommend_cf(user_id, n, now)
-        if self._algorithm == "vq":
-            # retrieval's own degradation step, still inside the live
-            # rung: a cold index (or a store failure on the VQ read
-            # path) answers from CF instead of dropping a rung — the
-            # ladder below only engages if CF fails too
-            try:
-                return target.recommend_vq(user_id, n, now)
-            except (ColdIndexError, *_RUNG_FAILURES) as exc:
-                reason = (
-                    exc.reason if isinstance(exc, ColdIndexError)
-                    else type(exc).__name__
-                )
-                reasons = self.log.vq_fallback_reasons
-                reasons[reason] = reasons.get(reason, 0) + 1
-                self.log.vq_fallbacks += 1
-                return target.recommend_cf(user_id, n, now)
-        return target.recommend_cb(user_id, n, now)
-
-    def _stale_cached(self, user_id: str, n: int) -> list[Recommendation]:
-        """The cache rung's sources, in preference order: the serving
-        layer's stale-but-present result, then the last-known-good
-        answer."""
-        if self._serving is not None:
-            cached = self._serving.serve_stale(user_id, n * 2)
-            if cached:
-                return cached
-        if self._degraded is not None:
-            cached = self._degraded.cached(self._algorithm, user_id)
-            if cached:
-                return cached
-        return []
+            return engine.recommend_cf(user_id, n, now)
+        if self._algorithm == "cb":
+            return engine.recommend_cb(user_id, n, now)
+        # retrieval's own degradation step, inside the live rung: a cold
+        # index (or a store failure on the VQ read path) answers from CF;
+        # the ladder below engages only if CF fails too
+        try:
+            return engine.recommend_vq(user_id, n, now)
+        except (ColdIndexError, *_RUNG_FAILURES) as exc:
+            reason = (
+                exc.reason if isinstance(exc, ColdIndexError)
+                else type(exc).__name__
+            )
+            reasons = self.log.vq_fallback_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
+            self.log.vq_fallbacks += 1
+            return engine.recommend_cf(user_id, n, now)
 
     def _hot_items(
         self, user_id: str, n: int, now: float, deadline: Deadline | None

@@ -109,7 +109,6 @@ def _serving(layer, now: float) -> dict[str, Any]:
     stats = layer.stats()
     return {
         "serving_tiers": dict(stats["tier_serves"]),
-        "serving_stale_serves": stats["stale_serves"],
         "result_cache_hit_rate": layer.result_cache.hit_rate(),
         "result_cache_invalidations": stats["result_cache"]["invalidations"],
         "result_cache_evictions": stats["result_cache"]["evictions"],
@@ -260,9 +259,6 @@ ALERT_RULES: tuple[AlertRule, ...] = (
     AlertRule("store_degraded_keys", GREW, 0, "critical", "serving", "{value} key(s) "
               "served defaults after shard failure since last snapshot "
               "(partial-batch degradation active)"),
-    AlertRule("serving_stale_serves", GREW, 0, "warning", "serving", "{value} stale "
-              "cached answer(s) served since last snapshot (live rung failing; "
-              "staleness bounded by the invalidation stream)"),
     AlertRule("migrations_in_flight", ABOVE, 0, "warning", "elastic", "{value} live "
               "migration(s) in flight: dual-write window open, cutover pending"),
     AlertRule("migrations_aborted", GREW, 0, "warning", "elastic", "{value} live "

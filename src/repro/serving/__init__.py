@@ -14,8 +14,8 @@ arXiv:1709.05278 (tiered read path with stream-driven freshness):
   component wave publishes the tags :func:`invalidation_for_key` gives
   the keys it wrote or probed, on either substrate;
 * :class:`ServingLayer` — wires coalescer, caches and the engine's
-  batched CF reads behind one ``serve``/``serve_many`` API the front
-  end's ``live``/``cache`` rungs route through;
+  batched CF reads behind one ``serve_many`` API, the front end's
+  ``live`` rung;
 * :class:`ClosedLoopLoadGenerator` — the closed-loop driver the serving
   benchmark uses to measure sustained queries/sec and tail latency.
 """

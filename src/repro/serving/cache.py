@@ -5,18 +5,14 @@
 key)`` pairs naming the state it was computed from (the user's own
 history, the sim lists of their recent items, the hot groups that fed
 the complement) — and an inverted index maps tags to entries, so one
-stream notification stales exactly the answers it changed.
+stream notification evicts exactly the answers it changed.
 
-Invalidation does not delete: it marks the entry stale. A stale entry
-never serves as fresh, but the degradation ladder's ``cache`` rung may
-still serve it when the live rung is down — stale-but-present beats
-falling to demographics, and it is the same "last known good" contract
-as :class:`~repro.engine.degraded.ServeThroughRecovery`.
-
-The index holds only what an invalidation can still change: ``(tag,
-key)`` is indexed iff the entry is present, not stale and carries the
-tag. Every operation therefore costs the tags of the entries it touches,
-never the size of the index.
+Invalidation evicts: the cache is a speed tier that answers fresh or
+not at all (the front end keeps its own last-known-good answers for the
+ladder's ``cache`` rung). The index holds exactly what an invalidation
+can still change: ``(tag, key)`` is indexed iff the entry is present and
+carries the tag. Every operation therefore costs the tags of the
+entries it touches, never the size of the index.
 
 :class:`HotListCache` is the hot-item tier: per-group hot lists reused
 across the whole batch (they are the most shared read in the CF
@@ -26,30 +22,28 @@ complement), invalidated by ``group`` notifications.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.errors import ConfigurationError
 
 Now = Callable[[], float]
 
+# groups whose hot list the hot-item tier keeps (LRU beyond it)
+HOT_LIST_CAPACITY = 512
+
 
 @dataclass
 class CacheEntry:
-    """One cached answer plus the freshness state machine around it."""
+    """One cached answer, its TTL and the state it was computed from."""
 
     results: list
-    stored_at: float
     fresh_until: float
     tags: tuple[tuple[str, str], ...] = ()
-    stale: bool = field(default=False)
-
-    def is_fresh(self, now: float) -> bool:
-        return not self.stale and now < self.fresh_until
 
 
 class ResultCache:
-    """LRU result cache: TTL freshness, stream invalidation, stale tier."""
+    """LRU result cache: TTL freshness, evicted by stream invalidation."""
 
     def __init__(
         self,
@@ -67,7 +61,6 @@ class ResultCache:
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._by_tag: dict[tuple[str, str], set[Hashable]] = {}
         self.hits = 0
-        self.stale_hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
@@ -76,39 +69,19 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, allow_stale: bool = False) -> "list | None":
-        """Fresh answer for ``key``, or — with ``allow_stale`` — whatever
-        is still present (the ladder's cache rung). None on a miss."""
+    def get(self, key: Hashable) -> "list | None":
+        """Fresh answer for ``key``; None on a miss or past its TTL."""
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or self._now() >= entry.fresh_until:
             self.misses += 1
             return None
-        if entry.is_fresh(self._now()):
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return list(entry.results)
-        if allow_stale:
-            self.stale_hits += 1
-            self._entries.move_to_end(key)
-            return list(entry.results)
-        self.misses += 1
-        return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return list(entry.results)
 
-    def put(
-        self,
-        key: Hashable,
-        results: list,
-        tags: tuple = (),
-        ttl: "float | None" = None,
-    ):
-        now = self._now()
+    def put(self, key: Hashable, results: list, tags: tuple = ()):
         self._drop(key)
-        entry = CacheEntry(
-            results=list(results),
-            stored_at=now,
-            fresh_until=now + (ttl if ttl is not None else self._ttl),
-            tags=tuple(tags),
-        )
+        entry = CacheEntry(list(results), self._now() + self._ttl, tuple(tags))
         self._entries[key] = entry
         for tag in entry.tags:
             self._by_tag.setdefault(tag, set()).add(key)
@@ -119,27 +92,23 @@ class ResultCache:
             self.evictions += 1
 
     def on_invalidation(self, kind: str, state_key: str):
-        """Stream notification: stale every entry tagged ``(kind, key)``.
+        """Stream notification: evict every entry tagged ``(kind, key)``.
 
-        Entries stay present for the stale tier; they stop serving as
-        fresh immediately, which is what bounds staleness to one
-        invalidation cycle instead of a full TTL. A staled entry leaves
-        the index whole, so no later notification walks it again.
+        That bounds staleness to one invalidation cycle instead of a
+        full TTL. The tag's key set is popped whole, so re-publishing a
+        tag is one dict miss.
         """
         for key in self._by_tag.pop((kind, state_key), ()):
-            entry = self._entries[key]
-            entry.stale = True
+            self._unindex(key, self._entries.pop(key).tags)
             self.invalidations += 1
-            self._unindex(key, entry.tags)
 
     def hit_rate(self) -> float:
-        looked = self.hits + self.stale_hits + self.misses
+        looked = self.hits + self.misses
         return self.hits / looked if looked else 0.0
 
     def stats(self) -> dict[str, float]:
         return {
             "hits": self.hits,
-            "stale_hits": self.stale_hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
@@ -165,14 +134,11 @@ class ResultCache:
 class HotListCache:
     """Per-group hot-list tier: TTL + ``group`` stream invalidation."""
 
-    def __init__(self, clock_now: Now, ttl: float = 60.0, capacity: int = 512):
+    def __init__(self, clock_now: Now, ttl: float = 60.0):
         if ttl <= 0:
             raise ConfigurationError(f"ttl must be positive: {ttl}")
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive: {capacity}")
         self._now = clock_now
         self._ttl = ttl
-        self._capacity = capacity
         self._entries: OrderedDict[str, tuple[float, dict]] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -190,7 +156,7 @@ class HotListCache:
     def put(self, group: str, hot: dict):
         self._entries[group] = (self._now() + self._ttl, dict(hot))
         self._entries.move_to_end(group)
-        while len(self._entries) > self._capacity:
+        while len(self._entries) > HOT_LIST_CAPACITY:
             self._entries.popitem(last=False)
 
     def on_invalidation(self, kind: str, state_key: str):

@@ -1,7 +1,7 @@
 """The serving layer: coalesced, batched, cached query execution.
 
-``ServingLayer`` is what the front end's ``live`` and ``cache`` rungs
-route through:
+``ServingLayer`` is what the front end's ``live`` rung routes through
+(:meth:`ServingLayer.serve_many` over a whole query batch):
 
 * a fresh :class:`~repro.serving.cache.ResultCache` hit answers without
   touching the store (tier ``result_cache``);
@@ -14,11 +14,11 @@ route through:
   the demographic complement across batches;
 * every answer lands back in the result cache tagged with the state it
   was computed from, and the
-  :class:`~repro.serving.invalidation.InvalidationBus` stales those
+  :class:`~repro.serving.invalidation.InvalidationBus` evicts those
   entries the moment the stream commits a change to that state.
 
-``serve_stale`` is the ladder's cache rung: stale-but-present answers
-for when the live rung (store, breaker, deadline) is failing.
+Store and resilience failures propagate: the front end's ladder, not
+this layer, decides what to serve when the live rung fails.
 """
 
 from __future__ import annotations
@@ -63,20 +63,17 @@ class ServingLayer:
         max_batch: int = 64,
     ):
         self._engine = engine
-        self._now = clock_now
         self.result_cache = ResultCache(
             clock_now, ttl=result_ttl, capacity=cache_capacity
         )
         self.hot_cache = HotListCache(clock_now, ttl=hot_ttl)
         self.coalescer = QueryCoalescer(max_batch=max_batch)
-        self._bus = bus
         if bus is not None:
             bus.subscribe(self._on_invalidation)
         self.tier_serves: dict[str, int] = {
             "result_cache": 0,
             "batched_live": 0,
         }
-        self.stale_serves = 0
 
     @property
     def engine(self) -> RecommenderEngine:
@@ -87,17 +84,6 @@ class ServingLayer:
         self.hot_cache.on_invalidation(kind, key)
 
     # -- serving -----------------------------------------------------------
-
-    def serve(
-        self, user_id: str, n: int, now: float
-    ) -> tuple[list[Recommendation], str]:
-        """One query: fresh cache hit or a batch of one.
-
-        Returns ``(results, tier)``; store/resilience failures propagate
-        so the front end's ladder can step down a rung.
-        """
-        answers = self.serve_many([(user_id, n)], now)
-        return answers[(user_id, n)]
 
     def serve_many(
         self, queries, now: float
@@ -115,7 +101,7 @@ class ServingLayer:
             batch = self.coalescer.drain()
             misses: list[tuple[str, int]] = []
             for request in batch:
-                cached = self.result_cache.get(self._cache_key(request))
+                cached = self.result_cache.get(("cf", *request))
                 if cached is not None:
                     self.tier_serves["result_cache"] += 1
                     out[request] = (cached, "result_cache")
@@ -125,18 +111,7 @@ class ServingLayer:
                 out.update(self._execute_batch(misses, now))
         return out
 
-    def serve_stale(self, user_id: str, n: int) -> "list[Recommendation] | None":
-        """The ladder's cache rung: any present answer, fresh or stale."""
-        request = (user_id, n)
-        cached = self.result_cache.get(self._cache_key(request), allow_stale=True)
-        if cached is not None:
-            self.stale_serves += 1
-        return cached
-
     # -- execution ---------------------------------------------------------
-
-    def _cache_key(self, request: tuple[str, int]):
-        return ("cf", request[0], request[1])
 
     def _execute_batch(
         self, misses: list[tuple[str, int]], now: float
@@ -186,7 +161,6 @@ class ServingLayer:
         store = self._engine.store
         return {
             "tier_serves": dict(self.tier_serves),
-            "stale_serves": self.stale_serves,
             "result_cache": self.result_cache.stats(),
             "hot_cache": self.hot_cache.stats(),
             "coalescer": self.coalescer.stats(),

@@ -16,6 +16,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
+# Zipf exponent over the shuffled user popularity ranks: the classic
+# few-hot-users / long-tail shape
+ZIPF_S = 1.1
+
 
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 on no samples."""
@@ -59,26 +63,16 @@ class LoadReport:
 
 
 class ClosedLoopLoadGenerator:
-    """Drives a serving callable with a Zipf-skewed user stream.
+    """Drives a serving callable with a Zipf(:data:`ZIPF_S`)-skewed
+    stream over the ``users`` population."""
 
-    ``users`` is the population to draw from; ``zipf_s`` is the Zipf
-    exponent over the (shuffled) popularity ranks — ``s≈1.1`` gives the
-    classic few-hot-users/long-tail shape.
-    """
-
-    def __init__(
-        self,
-        users: list[str],
-        n: int = 10,
-        seed: int = 0,
-        zipf_s: float = 1.1,
-    ):
+    def __init__(self, users: list[str], n: int = 10, seed: int = 0):
         self._users = list(users)
         self._n = n
         self._rng = random.Random(seed)
         ranked = list(self._users)
         self._rng.shuffle(ranked)
-        weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(ranked))]
+        weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(ranked))]
         self._ranked = ranked
         self._weights = weights
 
@@ -87,29 +81,6 @@ class ClosedLoopLoadGenerator:
 
     def query_stream(self, num_queries: int) -> list[tuple[str, int]]:
         return [(self.next_user(), self._n) for __ in range(num_queries)]
-
-    def run(self, serve_one, num_queries: int) -> LoadReport:
-        """Closed loop, one query at a time.
-
-        ``serve_one(user, n)`` returns ``(results, tier)``; latency is
-        its wall time.
-        """
-        stream = self.query_stream(num_queries)
-        latencies: list[float] = []
-        tiers: dict[str, int] = {}
-        started = time.perf_counter()
-        for user, n in stream:
-            t0 = time.perf_counter()
-            __, tier = serve_one(user, n)
-            latencies.append(time.perf_counter() - t0)
-            tiers[tier] = tiers.get(tier, 0) + 1
-        duration = time.perf_counter() - started
-        return LoadReport(
-            queries=num_queries,
-            duration=duration,
-            latencies=latencies,
-            tier_counts=tiers,
-        )
 
     def run_batched(
         self, serve_many, num_queries: int, batch_size: int

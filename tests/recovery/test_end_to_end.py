@@ -7,7 +7,7 @@ raw Eq 6-8 state) are byte-identical to an uninterrupted run.
 
 import pytest
 
-from repro.engine import RecommenderEngine, ServeThroughRecovery
+from repro.engine import RecommenderEngine, RecommenderFrontEnd
 from repro.errors import RecoveryError
 from repro.recovery import Fault, RecoveryHarness, seeded_plan
 
@@ -252,25 +252,36 @@ class TestServeThroughRecovery:
         assert harness.run() == "crashed"
         harness.recover()
 
-        serving = ServeThroughRecovery(
-            RecommenderEngine(harness.client()),
+        engine = RecommenderEngine(harness.client())
+        reads = []
+        engine.recommend_cf = lambda *args, real=engine.recommend_cf: (
+            reads.append(args) or real(*args)
+        )
+        front_end = RecommenderFrontEnd(
+            engine,
             in_recovery=lambda: harness.recovery.in_progress,
+            static_items=("s1", "s2", "s3"),
         )
         now = harness.clock.now()
-        # mid-recovery: no cached answer yet -> degrade to empty
+        # mid-recovery: no live read of half-replayed state, and with no
+        # last-known-good answer yet the ladder below answers
         assert harness.recovery.in_progress
-        assert serving.recommend_cf("u0", 3, now) == []
-        assert serving.degraded_serves == 1
-        assert serving.degraded_misses == 1
+        degraded = front_end.query("u0", 3, now)
+        assert reads == []
+        # (this topology keeps no hot lists, so that is the static rung)
+        assert [r.item_id for r in degraded] == ["s1", "s2", "s3"]
+        assert front_end.log.rungs == {"static": 1}
 
         assert harness.run() == "completed"
         assert not harness.recovery.in_progress
-        live = serving.recommend_cf("u0", 3, harness.clock.now())
-        assert serving.live_serves == 1
-        # a later recovery window falls back to the cached live answer
+        live = front_end.query("u0", 3, harness.clock.now())
+        assert len(reads) == 1 and live
+        # a later recovery window serves the live answer from the cache rung
         harness.recovery.in_progress = True
-        assert serving.recommend_cf("u0", 3, harness.clock.now()) == live
-        assert serving.degraded_misses == 1
+        assert front_end.query("u0", 3, harness.clock.now()) == live
+        assert len(reads) == 1
+        assert front_end.log.rungs["live"] == 1
+        assert front_end.log.rungs["cache"] == 1
         harness.recovery.in_progress = False
 
     def test_recovery_duration_recorded(self):

@@ -7,7 +7,6 @@ histogram proves the ladder engaged (not just that live survived), and
 the store breaker's transition log proves it re-closed after recovery.
 """
 
-from repro.engine.degraded import ServeThroughRecovery
 from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.recovery import Fault, FaultInjector
 from repro.resilience import CircuitBreaker, LoadShedder, RetryPolicy
@@ -53,7 +52,6 @@ def build_front_end(store, access, clock):
         retry=RetryPolicy(max_attempts=2, base_delay=0.01, sleep=clock.advance),
     )
     engine = RecommenderEngine(client, EngineConfig())
-    degraded = ServeThroughRecovery(engine, in_recovery=lambda: False)
     producer = access.producer(
         retry=RetryPolicy(max_attempts=3, base_delay=0.01, sleep=clock.advance)
     )
@@ -62,7 +60,6 @@ def build_front_end(store, access, clock):
         algorithm="cf",
         feedback_producer=producer,
         feedback_topic=TOPIC,
-        degraded=degraded,
         static_items=("s1", "s2"),
         deadline_budget=DEADLINE,
         clock=clock,

@@ -1,17 +1,17 @@
 """Cache x degradation-ladder interaction (front end + serving layer).
 
 The ladder's contract with the serving caches: fresh hits are "live",
-stale-but-present answers serve on the "cache" rung when the live rung
-fails, and losing a cache entry (eviction storm) must step down to the
-last-known-good answer — not spuriously to demographics.
+an expired, invalidated or evicted result-cache entry never serves,
+and when the live rung fails the front end's last-known-good answer
+serves on the "cache" rung — not spuriously demographics.
 """
 
 import pytest
 
-from repro.engine.degraded import ServeThroughRecovery
 from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.engine.front_end import RecommenderFrontEnd
 from repro.errors import EvaluationError
+from repro.monitoring import Alert, SystemMonitor
 from repro.resilience import CircuitBreaker, LoadShedder
 from repro.serving import InvalidationBus, ServingLayer
 from repro.tdstore import TDStoreCluster
@@ -31,8 +31,8 @@ def seeded_store() -> TDStoreCluster:
     return store
 
 
-def stack(store, clock, breaker=None, capacity=100, degraded=False,
-          shedder=None, static=(), result_ttl=30.0):
+def stack(store, clock, breaker=None, capacity=100, shedder=None,
+          static=(), result_ttl=30.0, display_filter=None):
     """Front end + serving layer + bus over one store client."""
     client = store.client(breaker=breaker)
     engine = RecommenderEngine(client, EngineConfig())
@@ -41,15 +41,10 @@ def stack(store, clock, breaker=None, capacity=100, degraded=False,
         engine, clock.now, bus=bus, cache_capacity=capacity,
         result_ttl=result_ttl,
     )
-    wrapper = (
-        ServeThroughRecovery(engine, in_recovery=lambda: False)
-        if degraded
-        else None
-    )
     front_end = RecommenderFrontEnd(
         engine,
+        display_filter=display_filter,
         serving=serving,
-        degraded=wrapper,
         shedder=shedder,
         static_items=static,
     )
@@ -80,12 +75,12 @@ class TestRungAttribution:
         assert breaker.state == "open"
         # past the TTL the entry no longer answers fresh, so the live
         # rung reaches the store, trips the open breaker, and the ladder
-        # steps down onto the stale-but-present copy
+        # steps down onto the last-known-good answer
         clock.advance(10.0)
         served = front_end.query(USER, 2, 10.0)
         assert [r.item_id for r in served] == [r.item_id for r in warm]
         assert front_end.log.rungs == {"live": 1, "cache": 1}
-        assert serving.stale_serves == 1
+        assert serving.tier_serves == {"result_cache": 0, "batched_live": 1}
         assert breaker.state == "open"
 
     def test_stale_invalidated_entry_still_serves_under_failure(self):
@@ -94,12 +89,12 @@ class TestRungAttribution:
         breaker = CircuitBreaker(clock.now, failure_threshold=1, name="store")
         front_end, serving, bus, __c = stack(store, clock, breaker=breaker)
         warm = front_end.query(USER, 2, 0.0)
-        bus.publish("user", USER)  # stream staled the cached answer
+        bus.publish("user", USER)  # stream evicted the cached answer
+        assert len(serving.result_cache) == 0
         breaker.record_failure()
         served = front_end.query(USER, 2, 1.0)
         assert [r.item_id for r in served] == [r.item_id for r in warm]
         assert front_end.log.rungs == {"live": 1, "cache": 1}
-        assert serving.stale_serves == 1
 
     def test_staled_entry_recomputes_live_when_healthy(self):
         store = seeded_store()
@@ -108,10 +103,9 @@ class TestRungAttribution:
         front_end.query(USER, 2, 0.0)
         bus.publish("user", USER)
         front_end.query(USER, 2, 1.0)
-        # healthy store: a staled entry is recomputed, never served stale
+        # healthy store: an invalidated entry is recomputed live
         assert front_end.log.rungs == {"live": 2}
-        assert serving.stale_serves == 0
-        assert serving.tier_serves["batched_live"] == 2
+        assert serving.tier_serves == {"result_cache": 0, "batched_live": 2}
 
 
 class TestEvictionStorms:
@@ -120,13 +114,13 @@ class TestEvictionStorms:
         clock = SimClock()
         breaker = CircuitBreaker(clock.now, failure_threshold=1, name="store")
         front_end, serving, __, __c = stack(
-            store, clock, breaker=breaker, capacity=2, degraded=True
+            store, clock, breaker=breaker, capacity=2
         )
         warm = front_end.query(USER, 2, 0.0)
         # an eviction storm pushes the user's entry out of the result cache
         for index in range(5):
             front_end.query(f"storm-user-{index}", 2, 0.0)
-        assert serving.result_cache.get(("cf", USER, 4), allow_stale=True) is None
+        assert ("cf", USER, 4) not in serving.result_cache._entries
         breaker.record_failure()
         served = front_end.query(USER, 2, 1.0)
         assert [r.item_id for r in served] == [r.item_id for r in warm]
@@ -169,7 +163,7 @@ class TestQueryBatch:
         front_end.query_batch([(USER, 2)], 0.0)  # warm
         breaker.record_failure()
         answers = front_end.query_batch([(USER, 2), ("stranger", 2)], 1.0)
-        assert answers[(USER, 2)]  # stale cache rung
+        assert answers[(USER, 2)]  # last-known-good, cache rung
         assert [r.item_id for r in answers[("stranger", 2)]] == ["s1"]
         assert front_end.log.rungs["cache"] == 1
         assert front_end.log.rungs["static"] == 1
@@ -188,12 +182,16 @@ class TestQueryBatch:
         ]
         assert len(answers) == 2
 
-    def test_query_batch_requires_serving_layer(self):
+    def test_query_batch_reads_the_engine_without_serving(self):
         store = seeded_store()
         engine = RecommenderEngine(store.client(), EngineConfig())
         front_end = RecommenderFrontEnd(engine)
-        with pytest.raises(EvaluationError):
-            front_end.query_batch([(USER, 2)], 0.0)
+        answers = front_end.query_batch([(USER, 2), (USER, 2), ("u2", 1)], 0.0)
+        assert [r.item_id for r in answers[(USER, 2)]] == ["i2", "i3"]
+        # the engine's CF answer for a user without history is the hot
+        # complement, still on the live rung
+        assert [r.item_id for r in answers[("u2", 1)]] == ["h1"]
+        assert front_end.log.rungs == {"live": 2}
 
     def test_serving_layer_requires_cf(self):
         store = seeded_store()
@@ -202,3 +200,33 @@ class TestQueryBatch:
         serving = ServingLayer(engine, clock.now)
         with pytest.raises(EvaluationError):
             RecommenderFrontEnd(engine, algorithm="cb", serving=serving)
+
+
+class TestOneLadder:
+    def test_filtered_out_live_answer_is_not_a_cache_serve(self):
+        """A healthy batch whose live answer the display filter empties
+        steps straight to demographic (then static): no stale serve is
+        counted, no "live rung failing" alert fires, and ``query`` and
+        ``query_batch`` agree."""
+        hidden = {"i2", "i3", "h1", "h2"}
+        answers = []
+        for serve in ("query", "query_batch"):
+            clock = SimClock()
+            front_end, serving, __, __c = stack(
+                seeded_store(), clock,
+                display_filter=lambda r: r.item_id not in hidden,
+            )
+            monitor = SystemMonitor(clock.now)
+            monitor.watch("serving", serving)
+            monitor.watch("front_end", front_end)
+            monitor.snapshot()
+            if serve == "query":
+                answers.append(front_end.query(USER, 2, 0.0))
+            else:
+                answers.append(front_end.query_batch([(USER, 2)], 0.0)[(USER, 2)])
+            assert front_end.log.rungs == {"static": 1}
+            assert monitor.evaluate(monitor.snapshot()) == [Alert(
+                "warning", "serving",
+                "1 query(ies) served below the live rung since last snapshot",
+            )]
+        assert answers == [[], []]

@@ -30,6 +30,11 @@ from tests.topology.helpers import (
 )
 
 
+def serve_one(layer, user, n, now):
+    """One query through ``serve_many``: ``(results, tier)``."""
+    return layer.serve_many([(user, n)], now)[(user, n)]
+
+
 def serving_over(cluster, bus):
     clock = [0.0]
     engine = RecommenderEngine(cluster.client(), EngineConfig())
@@ -68,7 +73,7 @@ class TestCommitOrdering:
         assert bus.published == 1
 
         layer = serving_over(cluster, bus)
-        first, tier = layer.serve("u1", 2, 2.0)
+        first, tier = serve_one(layer, "u1", 2, 2.0)
         assert tier == "batched_live"
         assert [r.item_id for r in first] == ["a", "b"]
 
@@ -85,7 +90,7 @@ class TestCommitOrdering:
         assert bus.published == 1  # nothing published before the commit
         # so the cache keeps serving the committed answer, never a torn
         # recompute over half-applied state
-        again, tier = layer.serve("u1", 2, 3.5)
+        again, tier = serve_one(layer, "u1", 2, 3.5)
         assert tier == "result_cache"
         assert [r.item_id for r in again] == ["a", "b"]
 
@@ -94,7 +99,7 @@ class TestCommitOrdering:
         flaky_bolt.deliver(tup)
         assert bus.published == 2
         assert layer.result_cache.get(("cf", "u1", 2)) is None
-        final, tier = layer.serve("u1", 2, 4.0)
+        final, tier = serve_one(layer, "u1", 2, 4.0)
         assert tier == "batched_live"
         assert [r.item_id for r in final] == self._reference()
 
@@ -110,7 +115,7 @@ class TestCommitOrdering:
         bolt.deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
         bolt.deliver(action_tuple("u1", "i2", 1, timestamp=3.0))
         layer = serving_over(cluster, bus)
-        results, __ = layer.serve("u1", 2, 4.0)
+        results, __ = serve_one(layer, "u1", 2, 4.0)
         return [r.item_id for r in results]
 
 
@@ -127,12 +132,12 @@ class TestReplayPublishesOnce:
         bolt.deliver(tup)
         assert bus.published == 1
         layer = serving_over(cluster, bus)
-        first, __ = layer.serve("u1", 2, 2.0)
+        first, __ = serve_one(layer, "u1", 2, 2.0)
         bolt.deliver(tup)  # in-memory ledger catches it
         # the duplicate wave probed u1's history: its tag goes out once
         # more, and costs the cache one miss, not a wrong answer
         assert bus.published == 2
-        again, tier = layer.serve("u1", 2, 2.0)
+        again, tier = serve_one(layer, "u1", 2, 2.0)
         assert tier == "batched_live"
         assert again == first
 
@@ -149,7 +154,7 @@ class TestReplayPublishesOnce:
         tup = action_tuple("u1", "i1", 0, timestamp=1.0)
         bolt.deliver(tup)
         layer = serving_over(cluster, bus)
-        first, __ = layer.serve("u1", 2, 2.0)
+        first, __ = serve_one(layer, "u1", 2, 2.0)
         reborn = Task(
             lambda: UserHistoryBolt(client_factory=cluster.client),
             sink=bus.publish_keys,
@@ -157,7 +162,7 @@ class TestReplayPublishesOnce:
         reborn.deliver(tup, tup)
         assert bus.published == 2
         assert bus.by_kind == {"user": 2}
-        again, tier = layer.serve("u1", 2, 2.0)
+        again, tier = serve_one(layer, "u1", 2, 2.0)
         assert tier == "batched_live"
         assert again == first
 
@@ -173,7 +178,7 @@ class TestReplayPublishesOnce:
             sink=bus.publish_keys,
         ).deliver(action_tuple("u1", "i1", 0, timestamp=1.0))
         layer = serving_over(cluster, bus)
-        first, __ = layer.serve("u1", 2, 2.0)
+        first, __ = serve_one(layer, "u1", 2, 2.0)
         assert [r.item_id for r in first] == ["a", "b"]
 
         lossy = LostAckClient(cluster.client())
@@ -190,7 +195,7 @@ class TestReplayPublishesOnce:
 
         live = layer.engine.recommend_cf("u1", 2, 4.0)
         assert [r.item_id for r in live] == ["c", "a"]
-        served, tier = layer.serve("u1", 2, 4.0)
+        served, tier = serve_one(layer, "u1", 2, 4.0)
         assert tier == "batched_live"
         assert [r.item_id for r in served] == ["c", "a"]
 
@@ -220,7 +225,7 @@ class TestStreamStalesTheRightEntries:
         client.put(StateKeys.history("u1"), {"i1": 5.0})
         client.put(StateKeys.sim_list("i1"), {"a": 0.9})
         layer = serving_over(cluster, bus)
-        results, __ = layer.serve("u1", 1, 0.0)
+        results, __ = serve_one(layer, "u1", 1, 0.0)
         assert [r.item_id for r in results] == ["a"]
 
         bolt = Task(
@@ -230,7 +235,7 @@ class TestStreamStalesTheRightEntries:
         bolt.deliver(sim_tuple("i1", "b", 0.95, 0))
         # the answer depended on item i1's list; it staled immediately
         assert layer.result_cache.get(("cf", "u1", 1)) is None
-        updated, tier = layer.serve("u1", 1, 0.0)
+        updated, tier = serve_one(layer, "u1", 1, 0.0)
         assert tier == "batched_live"
         assert [r.item_id for r in updated] == ["b"]
 
@@ -239,7 +244,7 @@ class TestStreamStalesTheRightEntries:
         bus = InvalidationBus()
         cluster.client().put(StateKeys.hot("global"), {"h1": 4.0})
         layer = serving_over(cluster, bus)
-        results, __ = layer.serve("cold-user", 1, 0.0)
+        results, __ = serve_one(layer, "cold-user", 1, 0.0)
         assert [r.item_id for r in results] == ["h1"]
         assert layer.hot_cache.get("global") == {"h1": 4.0}
 
@@ -250,5 +255,5 @@ class TestStreamStalesTheRightEntries:
         bolt.deliver(group_tuple("global", "h2", 9.0, 0))
         assert layer.result_cache.get(("cf", "cold-user", 1)) is None
         assert layer.hot_cache.get("global") is None
-        updated, __ = layer.serve("cold-user", 1, 0.0)
+        updated, __ = serve_one(layer, "cold-user", 1, 0.0)
         assert [r.item_id for r in updated] == ["h2"]

@@ -26,6 +26,11 @@ from repro.utils.clock import SimClock
 BIG = 10**12
 
 
+def serve_one(layer, user, n, now):
+    """One query through ``serve_many``: ``(results, tier)``."""
+    return layer.serve_many([(user, n)], now)[(user, n)]
+
+
 def one_group(user):
     return "everyone"
 
@@ -122,10 +127,10 @@ class TestStreamToCacheLoop:
 
         # phase 1: B co-clicks with A; target's cached answer is B alone
         stack.stream(co_click_actions("sim-", "B", 0.0))
-        results, tier = layer.serve(target, 2, stack.clock.now())
+        results, tier = serve_one(layer, target, 2, stack.clock.now())
         assert tier == "batched_live"
         assert [r.item_id for r in results] == ["sim-B"]
-        results, tier = layer.serve(target, 2, stack.clock.now())
+        results, tier = serve_one(layer, target, 2, stack.clock.now())
         assert tier == "result_cache"  # cached, would serve stale forever
 
         # phase 2: a new co-click signal for C arrives on the stream;
@@ -138,7 +143,7 @@ class TestStreamToCacheLoop:
 
         # the very next query — one invalidation cycle later — serves
         # the updated recommendation live, no TTL expiry involved
-        results, tier = layer.serve(target, 2, stack.clock.now())
+        results, tier = serve_one(layer, target, 2, stack.clock.now())
         assert tier == "batched_live"
         assert "sim-C" in [r.item_id for r in results]
         # and it matches a per-key read of the same state exactly
@@ -152,14 +157,14 @@ class TestStreamToCacheLoop:
         target = "hist-target"
 
         stack.stream(co_click_actions("hist-", "B", 0.0))
-        layer.serve(target, 1, stack.clock.now())
-        layer.serve("hist-u0", 3, stack.clock.now())
+        serve_one(layer, target, 1, stack.clock.now())
+        serve_one(layer, "hist-u0", 3, stack.clock.now())
         assert len(layer.result_cache) == 2
 
         # target consumes B: their own history commit stales their entry
         stack.stream([UserAction(target, "hist-B", "click", 2000.0)])
         assert layer.result_cache.get(("cf", target, 1)) is None
-        results, tier = layer.serve(target, 1, stack.clock.now())
+        results, tier = serve_one(layer, target, 1, stack.clock.now())
         assert tier == "batched_live"
         assert all(r.item_id != "hist-B" for r in results)  # consumed now
 
@@ -167,7 +172,7 @@ class TestStreamToCacheLoop:
         stack.store.client().put(StateKeys.hot("global"), {"hot-h1": 4.0})
         layer = stack.layer()
         # a user with no history is answered from the global hot list
-        layer.serve("hot-cold", 3, stack.clock.now())
+        serve_one(layer, "hot-cold", 3, stack.clock.now())
         assert layer.hot_cache.get("global") is not None
 
         stack.stream(
@@ -176,7 +181,7 @@ class TestStreamToCacheLoop:
         )
         assert layer.hot_cache.get("global") is None
         assert layer.result_cache.get(("cf", "hot-cold", 3)) is None
-        results, tier = layer.serve("hot-cold", 3, stack.clock.now())
+        results, tier = serve_one(layer, "hot-cold", 3, stack.clock.now())
         assert tier == "batched_live"
         want = layer.engine.recommend_cf("hot-cold", 3, stack.clock.now())
         assert [r.item_id for r in results] == [r.item_id for r in want]

@@ -24,13 +24,14 @@ class TestFreshness:
         assert cache.get("k") == ["a"]
         assert cache.stats()["hits"] == 2
 
-    def test_expired_entry_misses_but_serves_stale(self):
+    def test_expired_entry_misses_until_refilled(self):
         cache, clock = cache_with_clock(ttl=10.0)
         cache.put("k", ["a"])
         clock.advance(11.0)
         assert cache.get("k") is None
-        assert cache.get("k", allow_stale=True) == ["a"]
-        assert cache.stats()["stale_hits"] == 1
+        assert cache.stats()["misses"] == 1
+        cache.put("k", ["b"])
+        assert cache.get("k") == ["b"]
 
     def test_results_are_copied_not_aliased(self):
         cache, __ = cache_with_clock()
@@ -42,13 +43,14 @@ class TestFreshness:
 
 
 class TestStreamInvalidation:
-    def test_invalidation_stales_exactly_the_tagged_entries(self):
+    def test_invalidation_evicts_the_tagged_entries(self):
         cache, __ = cache_with_clock()
         cache.put("q1", ["a"], tags=(("user", "u1"), ("item", "i1")))
         cache.put("q2", ["b"], tags=(("user", "u2"),))
         cache.on_invalidation("item", "i1")
-        assert cache.get("q1") is None  # staled
-        assert cache.get("q1", allow_stale=True) == ["a"]  # still present
+        assert cache.get("q1") is None
+        assert len(cache) == 1  # q1 is gone, with its other tag
+        assert cache.stats()["index_tags"] == 1
         assert cache.get("q2") == ["b"]  # untouched
         assert cache.stats()["invalidations"] == 1
 
@@ -96,8 +98,8 @@ class TestEviction:
         cache.put("b", [2], tags=(("user", "ua"),))
         assert len(cache) == 1
         cache.on_invalidation("user", "ua")  # must not resurrect "a"
-        assert cache.get("a", allow_stale=True) is None
-        assert cache.stats()["invalidations"] == 1  # only "b" staled
+        assert cache.get("a") is None and len(cache) == 0
+        assert cache.stats()["invalidations"] == 1  # only "b" evicted
 
     def test_overwrite_replaces_tags(self):
         cache, __ = cache_with_clock()
@@ -138,6 +140,10 @@ class CountingEntries(OrderedDict):
         self.looked_up += 1
         return super().get(key, default)
 
+    def pop(self, key, *default):
+        self.looked_up += 1
+        return super().pop(key, *default)
+
 
 class TestBookkeepingCost:
     """Counts, not clocks: an operation may touch the tags of the
@@ -163,9 +169,9 @@ class TestBookkeepingCost:
         cache.put("q7", ["again"], tags=self.tags_of(7))  # refill
         cache.put("new", ["x"], tags=self.tags_of(self.USERS))  # evicts q0
         assert cache.stats()["evictions"] == 1
-        assert cache.get("q0", allow_stale=True) is None
+        assert "q0" not in cache._entries
         cache.on_invalidation("user", "u7")
-        assert cache.get("q7") is None
+        assert "q7" not in cache._entries
         assert cache.stats()["invalidations"] == 1
         assert ("user", "u0") not in cache._by_tag
         assert ("user", "u7") not in cache._by_tag
@@ -175,7 +181,7 @@ class TestBookkeepingCost:
         cache.on_invalidation("group", "global")
         assert cache.stats()["invalidations"] == self.USERS
         assert cache._entries.looked_up == self.USERS
-        assert cache.stats()["index_tags"] == 0  # nothing left to change
+        assert len(cache) == 0 and cache.stats()["index_tags"] == 0
         cache.on_invalidation("group", "global")
         cache.on_invalidation("item", "i3")
         assert cache._entries.looked_up == self.USERS
@@ -199,11 +205,7 @@ class TestIndexIsBounded:
             return sum(len(keys) for keys in cache._by_tag.values())
 
         def accounted():
-            return sum(
-                len(entry.tags)
-                for entry in cache._entries.values()
-                if not entry.stale
-            )
+            return sum(len(entry.tags) for entry in cache._entries.values())
 
         for op, user in enumerate(rng.choices(users, weights, k=20_000)):
             if rng.random() < 0.03:
@@ -222,7 +224,7 @@ class TestIndexIsBounded:
         assert cache.stats()["evictions"] > 0 and cache.stats()["invalidations"] > 0
 
         for user in users[:150]:
-            cache.on_invalidation("user", user)  # stale one half ...
+            cache.on_invalidation("user", user)  # evict one half ...
         for n in range(capacity):
             cache.put(("filler", n), [n])  # ... evict everything tagged
         assert len(cache) == capacity

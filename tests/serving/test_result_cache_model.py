@@ -1,15 +1,15 @@
 """Differential model test of ``ResultCache`` bookkeeping.
 
 The oracle is the cache as it stood before its index became
-O(entry): every ``put`` and eviction scans every tag set, and an
-invalidation walks stale entries too. Hypothesis drives both through
-the same schedule of fills (tag subsets from small pools, re-puts of
-present keys, own TTLs), lookups on both tiers, invalidations of known
-and unknown tags (the same tag twice included) and clock advances, at a
-capacity small enough that evictions happen. After every step the two
-must have returned the same values and report the same ``stats()``,
-and the real cache's index must hold exactly the ``(tag, key)`` pairs an
-invalidation can still change.
+O(entry) — every ``put``, eviction and invalidation scans every tag set
+— restated to evict on invalidation. Hypothesis drives both through the
+same schedule of fills (tag subsets from small pools, re-puts of
+present keys), lookups, invalidations of known and unknown tags (the
+same tag twice included) and clock advances past the TTL, at a capacity
+small enough that evictions happen. After every step the two must have
+returned the same values and report the same ``stats()``, and the real
+cache's index must hold exactly the ``(tag, key)`` pairs of the present
+entries.
 """
 
 from collections import OrderedDict
@@ -26,7 +26,8 @@ from repro.utils.clock import SimClock
 
 
 class ScanningResultCache:
-    """The parent commit's ``ResultCache``, verbatim: the reference."""
+    """The scanning ``ResultCache``, evicting on invalidation: the
+    reference."""
 
     def __init__(
         self,
@@ -44,7 +45,6 @@ class ScanningResultCache:
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._by_tag: dict[tuple[str, str], set[Hashable]] = {}
         self.hits = 0
-        self.stale_hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
@@ -53,35 +53,23 @@ class ScanningResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, allow_stale: bool = False) -> "list | None":
+    def get(self, key: Hashable) -> "list | None":
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if entry.is_fresh(self._now()):
+        if self._now() < entry.fresh_until:
             self.hits += 1
-            self._entries.move_to_end(key)
-            return list(entry.results)
-        if allow_stale:
-            self.stale_hits += 1
             self._entries.move_to_end(key)
             return list(entry.results)
         self.misses += 1
         return None
 
-    def put(
-        self,
-        key: Hashable,
-        results: list,
-        tags: tuple = (),
-        ttl: "float | None" = None,
-    ):
-        now = self._now()
+    def put(self, key: Hashable, results: list, tags: tuple = ()):
         self._drop(key)
         entry = CacheEntry(
             results=list(results),
-            stored_at=now,
-            fresh_until=now + (ttl if ttl is not None else self._ttl),
+            fresh_until=self._now() + self._ttl,
             tags=tuple(tags),
         )
         self._entries[key] = entry
@@ -95,20 +83,18 @@ class ScanningResultCache:
             self.evictions += 1
 
     def on_invalidation(self, kind: str, state_key: str):
-        for key in self._by_tag.get((kind, state_key), ()):
-            entry = self._entries.get(key)
-            if entry is not None and not entry.stale:
-                entry.stale = True
+        for key in list(self._by_tag.get((kind, state_key), ())):
+            if key in self._entries:
+                self._drop(key)
                 self.invalidations += 1
 
     def hit_rate(self) -> float:
-        looked = self.hits + self.stale_hits + self.misses
+        looked = self.hits + self.misses
         return self.hits / looked if looked else 0.0
 
     def stats(self) -> dict[str, float]:
         return {
             "hits": self.hits,
-            "stale_hits": self.stale_hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
@@ -144,13 +130,10 @@ def indexed_pairs(cache):
     return {(tag, key) for tag, keys in cache._by_tag.items() for key in keys}
 
 
-def live_pairs(cache):
-    """What the index must hold: the tags of present un-staled entries."""
+def present_pairs(cache):
+    """What the index must hold: the tags of the present entries."""
     return {
-        (tag, key)
-        for key, entry in cache._entries.items()
-        if not entry.stale
-        for tag in entry.tags
+        (tag, key) for key, entry in cache._entries.items() for tag in entry.tags
     }
 
 
@@ -167,19 +150,16 @@ class ResultCacheMachine(RuleBasedStateMachine):
     @rule(
         key=st.sampled_from(KEYS),
         tags=st.lists(st.sampled_from(TAGS), max_size=4).map(tuple),
-        ttl=st.none() | st.floats(0.5, 20.0),
     )
-    def put(self, key, tags, ttl):
+    def put(self, key, tags):
         self.serial += 1
         results = [f"r{self.serial}"]
-        self.cache.put(key, results, tags, ttl)
-        self.oracle.put(key, results, tags, ttl)
+        self.cache.put(key, results, tags)
+        self.oracle.put(key, results, tags)
 
-    @rule(key=st.sampled_from(KEYS), allow_stale=st.booleans())
-    def get(self, key, allow_stale):
-        assert self.cache.get(key, allow_stale) == self.oracle.get(
-            key, allow_stale
-        )
+    @rule(key=st.sampled_from(KEYS))
+    def get(self, key):
+        assert self.cache.get(key) == self.oracle.get(key)
 
     @rule(
         tag=st.sampled_from(TAGS + [("item", "never-cached")]),
@@ -207,8 +187,8 @@ class ResultCacheMachine(RuleBasedStateMachine):
         )
 
     @invariant()
-    def index_holds_exactly_what_can_still_change(self):
-        assert indexed_pairs(self.cache) == live_pairs(self.cache)
+    def index_holds_exactly_the_present_entries_tags(self):
+        assert indexed_pairs(self.cache) == present_pairs(self.cache)
         assert all(self.cache._by_tag.values()), "empty set left in _by_tag"
 
 

@@ -557,7 +557,7 @@ NAMES = ("etl", "store", "worker-1")  # consumers, breakers, children
 COUNTERS = (
     "journal_evictions", "scrub_divergent_buckets",
     "scrub_corruptions_detected", "queries_shed", "store_hedged_reads",
-    "store_degraded_keys", "serving_stale_serves", "migrations_aborted",
+    "store_degraded_keys", "migrations_aborted",
     "autoscaler_applied", "supervisor_kills", "supervisor_respawns",
     "vq_reassignments", "retrieval_cold_fallbacks",
 )
@@ -678,7 +678,6 @@ FIRES_ALONE = [
     {"serving_rungs": {"live": 4, "static": 1}},
     {"store_hedged_reads": 1},
     {"store_degraded_keys": 1},
-    {"serving_stale_serves": 1},
     {"migrations_in_flight": 1},
     {"migrations_aborted": 1},
     {"autoscaler_applied": 1},

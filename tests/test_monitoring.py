@@ -73,9 +73,9 @@ class TestSnapshot:
         ))
         monitor.watch("supervisor", StubSupervisor())
         snap = monitor.snapshot()
-        # all 62 signals but checkpoints' 2, recovery's 3, retrieval's 6
+        # all 61 signals but checkpoints' 2, recovery's 3, retrieval's 6
         # and the autoscaler's 3
-        assert len(snap.signals) == 48
+        assert len(snap.signals) == 47
         wire = json.loads(json.dumps(snap.to_dict()))
         assert SystemSnapshot.from_dict(wire) == snap
 
@@ -459,6 +459,7 @@ class TestServingSignals:
         front_end = RecommenderFrontEnd(engine, serving=serving)
         monitor = SystemMonitor(clock.now)
         monitor.watch("serving", serving)
+        monitor.watch("front_end", front_end)
 
         def query_all():
             clock.advance(10.0)  # past the TTL: no answer is fresh
@@ -468,8 +469,7 @@ class TestServingSignals:
         query_all()  # healthy: warms the result cache
         snap = monitor.snapshot()
         assert snap["serving_tiers"]["batched_live"] == len(users)
-        assert (snap["store_hedged_reads"], snap["store_degraded_keys"],
-                snap["serving_stale_serves"]) == (0, 0, 0)
+        assert (snap["store_hedged_reads"], snap["store_degraded_keys"]) == (0, 0)
         assert monitor.evaluate(snap) == []
 
         # one of two servers down: no failover target, reads hedge
@@ -484,20 +484,22 @@ class TestServingSignals:
             "replication)",
         )]
 
-        # both down: the batch degrades to defaults, the breaker opens,
-        # and the ladder serves the expired answers from the cache rung
+        # both down: the first batch degrades to defaults (an empty live
+        # answer), the breaker opens, and the ladder serves the rest their
+        # last-known-good answers on the cache rung
         store.crash_data_server(1)
         query_all()
         snap = monitor.snapshot()
-        degraded, stale = snap["store_degraded_keys"], snap["serving_stale_serves"]
-        assert degraded > 0 and stale > 0 and snap["store_hedged_reads"] == hedged
+        degraded, rungs = snap["store_degraded_keys"], snap["serving_rungs"]
+        below = len(users)
+        assert rungs["live"] == 2 * len(users) and rungs["cache"] == below - 1
+        assert degraded > 0 and snap["store_hedged_reads"] == hedged
         assert monitor.evaluate(snap) == [
+            Alert("warning", "serving", f"{below} query(ies) served below the "
+                  "live rung since last snapshot"),
             Alert("critical", "serving", f"{degraded} key(s) served defaults "
                   "after shard failure since last snapshot (partial-batch "
                   "degradation active)"),
-            Alert("warning", "serving", f"{stale} stale cached answer(s) served "
-                  "since last snapshot (live rung failing; staleness bounded by "
-                  "the invalidation stream)"),
         ]
         assert monitor.evaluate(monitor.snapshot()) == []  # no growth, no rows
 

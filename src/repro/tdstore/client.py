@@ -543,7 +543,9 @@ class TDStoreClient:
         the resulting records on, the instance's slave, from the
         epoch-checked cached table (identical to the authoritative one
         whenever the epochs match). A live migration's catch-up target
-        is the host's to add: the client names none.
+        is the host's to add: the client names none. A ``put_once`` or
+        ``apply_op`` whose op id is a tuple is a run of ids on one key
+        with one result; ``ops_applied`` / ``ops_deduped`` count its ids.
 
         The whole list goes to the first op's host, which applies the
         leading run of ops its process owns — one request, one log
@@ -581,17 +583,19 @@ class TDStoreClient:
                 syncs = rest[: len(rest) - (len(ops) - len(results))]
 
         self._with_failover(ops[0][1][0], op)
-        for (method, __), result in zip(ops, results):
+        for (method, args), result in zip(ops, results):
             if method == "apply_op":
                 applied = result[1]
             elif method in ("put_once", "record_once"):
                 applied = result
             else:
                 continue
+            # a run of ids lands or dedups whole; count its ids
+            ids = len(args[1]) if isinstance(args[1], tuple) else 1
             if applied:
-                self.ops_applied += 1
+                self.ops_applied += ids
             else:
-                self.ops_deduped += 1
+                self.ops_deduped += ids
         return results
 
     def _mutate(self, method: str, *args: Any) -> Any:

@@ -91,6 +91,9 @@ def _record_once(engine: StorageEngine, key: str, op_id: str):
     ]
 
 
+# the journaled writes, whose op id may be a run (see ``StorageEngine``)
+JOURNALED = ("apply_op", "put_once")
+
 HOST_MUTATIONS = {
     "put": _put,
     "delete": _delete,
@@ -364,11 +367,13 @@ class TDStoreDataServer:
         single mutation is an envelope of one.
 
         The envelope covers the leading run of ops whose server lives in
-        this process. Liveness, host role, migration fence and the
-        degradation cadence (once per server) are checked for the whole
-        run *before* anything is applied, so a refused envelope mutates
-        nothing and the caller can re-route and re-send it; then the run
-        is applied in order. Returns ``(results, rest)``: one result per
+        this process. Liveness, host role, migration fence, the
+        degradation cadence (once per server) and the journal of every
+        multi-id ``put_once`` / ``apply_op`` (all of its ids seen or
+        none) are checked for the whole run *before* anything is
+        applied, so a refused envelope mutates nothing and the caller
+        can re-route and re-send it; then the run is applied in order.
+        Returns ``(results, rest)``: one result per
         applied host op, and what is left for the client to send on —
         first the sync records of replicas owned by another process (as
         :data:`ENQUEUE_SYNCS` ops, one per replica and instance), then
@@ -385,7 +390,7 @@ class TDStoreDataServer:
         peers = self._colocated
         run = 0
         cadence_checked = set()
-        for server_id, instance, method, __, __ in ops:
+        for server_id, instance, method, args, __ in ops:
             server = peers.get(server_id)
             if server is None:
                 break
@@ -400,7 +405,11 @@ class TDStoreDataServer:
                 raise TDStoreError(
                     "check_and_set cannot share an envelope with other ops"
                 )
-            server._admit(instance, cadence_checked)
+            engine = server._admit(instance, cadence_checked)
+            if method in JOURNALED and isinstance(args[1], tuple):
+                # a run fails while applying if partly journaled: refuse
+                # it here, with nothing of the envelope applied
+                engine.check_run(args[0], args[1])
         results = []
         forwards = None
         for server_id, instance, method, args, replicas in ops[:run]:

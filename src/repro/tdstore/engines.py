@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from typing import Any, Callable, Iterator
 
-from repro.errors import EngineError, VersionConflictError
+from repro.errors import EngineError, TDStoreError, VersionConflictError
 from repro.utils.clock import SimClock
 from repro.utils.hashing import stable_hash
 
@@ -138,29 +138,69 @@ class StorageEngine(ABC):
         self.put(VERSION_PREFIX + key, current + 1)
         return current + 1
 
+    # The two journaled writes take a *run*: ``op_id`` is one id, or a
+    # tuple of ids that land on the key together (one write per key per
+    # commit, see ``CachedStore.to_commit``). Value, journal and version
+    # end exactly as if the ids had been applied one by one, in order.
+
+    def _open_run(self, key: str, op_ids: tuple) -> "list | None":
+        """``key``'s journal, ready for the run ``op_ids`` to land on, or
+        None when the run already landed (every id journaled).
+
+        A partly journaled run raises :class:`TDStoreError`: no re-send
+        of the run leaves one, and applying it would re-apply the seen
+        part while deduping it would drop the rest.
+        """
+        journal = list(self.get(JOURNAL_PREFIX + key, ()))
+        seen = sum(op_id in journal for op_id in op_ids)
+        if not seen:
+            return journal
+        if seen < len(op_ids):
+            raise TDStoreError(
+                f"run of {len(op_ids)} ops on {key!r} is partly journaled "
+                f"({seen} seen); refusing to apply it"
+            )
+        return None
+
+    def _close_run(
+        self, key: str, journal: list, op_ids: tuple, journal_limit: int
+    ):
+        """Journal the run's ids and bump the version once per id."""
+        journal.extend(op_ids)
+        journal = self._trim_journal(journal, journal_limit)
+        self.put(JOURNAL_PREFIX + key, journal)
+        self.put(VERSION_PREFIX + key, self.version(key) + len(op_ids))
+
+    def check_run(self, key: str, op_ids: tuple):
+        """Raise unless the run ``op_ids`` is wholly journaled against
+        ``key`` or not at all — what a host checks for every run of an
+        envelope before applying any of it."""
+        self._open_run(key, op_ids)
+
     def apply_op(
-        self, key: str, op_id: str, delta: float,
+        self, key: str, op_id: "str | tuple", delta: "float | tuple",
         journal_limit: int = JOURNAL_LIMIT,
     ) -> tuple[float, bool]:
         """Idempotent increment: ``op_id`` is applied to ``key`` at most once.
 
         Returns ``(value, applied)``; a replayed ``op_id`` leaves the
         value untouched and reports ``applied=False``. The journal is
-        bounded to ``journal_limit`` ids per key.
+        bounded to ``journal_limit`` ids per key. A run pairs a tuple of
+        ids with a tuple of their deltas, added in order.
         """
-        journal = list(self.get(JOURNAL_PREFIX + key, ()))
-        if op_id in journal:
+        op_ids = op_id if isinstance(op_id, tuple) else (op_id,)
+        journal = self._open_run(key, op_ids)
+        if journal is None:
             return self.get(key, 0.0), False
-        value = self.get(key, 0.0) + delta
+        value = self.get(key, 0.0)
+        for step in delta if isinstance(delta, tuple) else (delta,):
+            value += step
         self.put(key, value)
-        journal.append(op_id)
-        journal = self._trim_journal(journal, journal_limit)
-        self.put(JOURNAL_PREFIX + key, journal)
-        self.put(VERSION_PREFIX + key, self.version(key) + 1)
+        self._close_run(key, journal, op_ids, journal_limit)
         return value, True
 
     def put_once(
-        self, key: str, op_id: str, value: Any,
+        self, key: str, op_id: "str | tuple", value: Any,
         journal_limit: int = JOURNAL_LIMIT,
     ) -> bool:
         """Idempotent full-value write: ``op_id`` lands on ``key`` at most once.
@@ -170,16 +210,15 @@ class StorageEngine(ABC):
         atomic commit point for read-modify-write updates: callers
         compute the new value first (from copies, emitting any derived
         work), then commit it here last. A replayed ``op_id`` leaves the
-        stored value untouched and returns False.
+        stored value untouched and returns False. A run is a tuple of
+        ids with the value the last of them wrote.
         """
-        journal = list(self.get(JOURNAL_PREFIX + key, ()))
-        if op_id in journal:
+        op_ids = op_id if isinstance(op_id, tuple) else (op_id,)
+        journal = self._open_run(key, op_ids)
+        if journal is None:
             return False
         self.put(key, value)
-        journal.append(op_id)
-        journal = self._trim_journal(journal, journal_limit)
-        self.put(JOURNAL_PREFIX + key, journal)
-        self.put(VERSION_PREFIX + key, self.version(key) + 1)
+        self._close_run(key, journal, op_ids, journal_limit)
         return True
 
     def op_seen(self, key: str, op_id: str) -> bool:

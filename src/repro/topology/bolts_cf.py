@@ -147,15 +147,16 @@ class UserHistoryBolt(StoreBacked, ExactlyOnceBolt):
 class ItemCountBolt(StoreBacked, ExactlyOnceBolt):
     """Grouped by item: maintains itemCount (Eq 6) in TDStore.
 
-    With ``use_combiner`` the deltas buffer in a combiner map and flush
-    on tick — the Section 5.3 optimization for hot items; without it,
-    every delta is written through immediately (exact, more writes).
-
-    Write-through deltas go through the store's op journal
-    (:meth:`CachedStore.apply`) so they are idempotent under replay even
-    when the dedup ledger did not survive a task kill; combiner-buffered
-    deltas rely on the ledger alone — a delta enters the buffer exactly
-    once, and the buffer itself is checkpointed.
+    Without ``use_combiner`` each delta is journaled under its own op
+    id (:meth:`CachedStore.apply`), so it is idempotent under replay
+    even when the dedup ledger did not survive a task kill; a wave's
+    deltas on one item still reach the store as one write, an
+    ``apply_op`` run (:func:`~repro.topology.state.fold_runs`). With
+    ``use_combiner`` the deltas buffer in a combiner map and flush on
+    tick — the Section 5.3 optimization carried across waves, one plain
+    write per item per interval; buffered deltas rely on the ledger
+    alone — a delta enters the buffer exactly once, and the buffer
+    itself is checkpointed.
     """
 
     def __init__(self, client_factory: ClientFactory, use_combiner: bool = False):

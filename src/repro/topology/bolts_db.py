@@ -28,7 +28,10 @@ class GroupCountBolt(StoreBacked, ExactlyOnceBolt):
     journal (``op_seen``), folds into a copy, and commits the new map
     atomically with the journal entry (``put_once``) — a failure before
     the commit leaves no journal entry, so the replay redoes the whole
-    fold instead of losing the delta.
+    fold instead of losing the delta. A wave's deltas on one group reach
+    the store as one write — a ``put_once`` run of their op ids and the
+    last map (:func:`~repro.topology.state.fold_runs`) — rather than a
+    full map per delta.
     """
 
     def __init__(

@@ -4,10 +4,12 @@
 :class:`CachedStore` is the fine-grained cache of Section 5.2: because
 stream grouping sends all tuples with one key to one worker, a task may
 cache the keys *it owns* and write them back in bulk — one gather and
-one commit per wave of a component's tasks; keys owned by other tasks
-must be read fresh. :class:`Combiner` is the partial-aggregation map of
-Section 5.3, flushed at tick intervals, collapsing the hot-item write
-storm into one read-modify-write per key per interval.
+one commit per wave of a component's tasks, carrying one write per key
+when the slice's writes are single-key journaled ops
+(:func:`fold_runs`); keys owned by other tasks must be read fresh.
+:class:`Combiner` is the partial-aggregation map of Section 5.3 across
+waves: flushed at tick intervals, one read-modify-write per key per
+interval.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any, Iterable, NamedTuple
 from repro.errors import ConfigurationError, TDStoreError
 from repro.storm.component import commit_wave, gather_wave
 from repro.tdstore.client import TDStoreClient
+from repro.tdstore.data_server import JOURNALED
 
 
 class StateKeys:
@@ -140,7 +143,9 @@ class CachedStore:
     - reads are answered from that, writes update the owned-key cache
       and append to an ordered buffer;
     - :meth:`to_commit` hands the buffer over to ship in order as one
-      envelope per server process (:meth:`TDStoreClient.mutate`).
+      envelope per server process (:meth:`TDStoreClient.mutate`); a
+      slice of single-key journaled writes ships one write per key,
+      each op id still journaled (:func:`fold_runs`).
 
     The executors merge both across the tasks of a component wave — one
     frame and one envelope for all of them, since their keys are
@@ -304,13 +309,14 @@ class CachedStore:
 
     def to_commit(self) -> tuple:
         """End the slice: forget what was gathered for it and hand over
-        the buffer, as the wave entry ``(transport, writes, settle)`` of
+        the buffer, folded by :func:`fold_runs`, as the wave entry
+        ``(transport, writes, settle)`` of
         :func:`~repro.storm.component.commit_wave`."""
         self._fresh.clear()
         self._probes.clear()
         self._check()
-        writes, self._writes = self._writes, []
-        expected, self._expected = self._expected, {}
+        writes, expected = fold_runs(self._writes, self._expected)
+        self._writes, self._expected = [], {}
 
         def settle(results, error=None):
             if error is not None:
@@ -333,6 +339,54 @@ class CachedStore:
     def _check(self):
         if self._failed is not None:
             raise self._failed
+
+
+def fold_runs(writes: list, expected: dict) -> "tuple[list, dict]":
+    """A slice's buffered writes as one write per key (§5.3, in the
+    commit envelope), and the checks of ``expected`` moved with them.
+
+    Folds only when every write is a journaled ``put_once`` / ``apply_op``
+    and each op id — a tuple's, before any ``#`` suffix — names one key.
+    A key's writes become one run at its last write: a ``put_once`` run
+    is its ids and the last value, an ``apply_op`` run its ids and their
+    deltas in order; the host lands a run exactly as the single writes
+    one by one (:meth:`~repro.tdstore.engines.StorageEngine.put_once`).
+    A key written once ships as it was buffered. Any other slice — a
+    plain ``put`` or ``delete``, one op over several keys (the VQ index,
+    whose readers rely on its write order), a key written both ways —
+    ships unchanged. A checked ``apply`` value is its run's last.
+    """
+    owner: dict[str, str] = {}  # op id -> the one key it writes
+    runs: dict[str, tuple] = {}  # key -> (method, ids, payloads)
+    last: dict[str, int] = {}  # key -> index of its last write
+    for index, (method, args) in enumerate(writes):
+        if method not in JOURNALED:
+            return writes, expected
+        key, op_id, payload = args
+        if owner.setdefault(op_id.partition("#")[0], key) != key:
+            return writes, expected
+        run = runs.setdefault(key, (method, [], []))
+        if run[0] != method:
+            return writes, expected
+        run[1].append(op_id)
+        run[2].append(payload)
+        last[key] = index
+    folded: list = []
+    checks: dict = {}
+    for index, (method, args) in enumerate(writes):
+        key = args[0]
+        if last[key] != index:
+            continue
+        if index in expected:
+            checks[len(folded)] = expected[index]
+        __, ids, payloads = runs[key]
+        if len(ids) == 1:
+            folded.append((method, args))
+        elif method == "put_once":
+            folded.append((method, (key, tuple(ids), payloads[-1])))
+        else:
+            folded.append((method, (key, tuple(ids), tuple(payloads))))
+    return folded, checks
 
 
 class StoreBacked:
@@ -360,10 +414,13 @@ class StoreBacked:
 
 
 class Combiner:
-    """Partial aggregation buffer (Section 5.3).
+    """Partial aggregation buffer (Section 5.3), across waves.
 
     Incoming deltas for the same key add up in memory; ``flush`` applies
-    the sums to the store with one read-modify-write per key.
+    the sums to the store with one read-modify-write per key. Within one
+    wave the commit already writes a journaled key once
+    (:func:`fold_runs`); the combiner trades the per-delta journal for
+    fewer writes over a whole tick interval.
     """
 
     def __init__(self, store: CachedStore):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import VersionConflictError
+from repro.errors import TDStoreError, VersionConflictError
 from repro.tdstore.cluster import TDStoreCluster
 from repro.tdstore.engines import (
     JOURNAL_LIMIT,
@@ -88,6 +88,36 @@ class TestEngineOpJournal:
         assert engine.get("k") == {"a": 2.0}
         assert engine.version("k") == 2
 
+    @pytest.mark.parametrize("make", [MDBEngine, LDBEngine, RDBEngine])
+    def test_a_run_lands_as_its_ops_one_by_one(self, make):
+        # a run of ids on one key: value, journal, version and eviction
+        # count end exactly as the single ops applied in order, across
+        # the journal's trim point
+        ids = tuple(f"src@{i}" for i in range(JOURNAL_LIMIT + 7))
+        deltas = tuple(0.1 * (i % 5) for i in range(len(ids)))
+        one, run = make(), make()
+        for op_id, delta in zip(ids, deltas):
+            one.apply_op("n", op_id, delta)
+            one.put_once("h", op_id, {"last": op_id})
+        assert run.apply_op("n", ids, deltas) == (one.get("n"), True)
+        assert run.put_once("h", ids, {"last": ids[-1]})
+        assert dict(run.items()) == dict(one.items())
+        assert run.journal_evictions == one.journal_evictions == 14
+
+    def test_a_landed_run_dedups_whole(self):
+        engine = MDBEngine()
+        assert engine.apply_op("n", ("a", "b"), (1.0, 2.0)) == (3.0, True)
+        assert engine.apply_op("n", ("a", "b"), (1.0, 2.0)) == (3.0, False)
+        assert engine.version("n") == 2
+
+    def test_a_partly_journaled_run_is_refused(self):
+        engine = MDBEngine()
+        engine.put_once("h", "b", "first")
+        with pytest.raises(TDStoreError, match="partly journaled"):
+            engine.put_once("h", ("a", "b"), "second")
+        assert engine.get("h") == "first"
+        assert engine.get("__ops__:h") == ["b"]
+
     def test_op_seen_is_a_pure_read(self):
         engine = MDBEngine()
         assert not engine.op_seen("k", "src@0")
@@ -164,6 +194,37 @@ class TestClientTransactions:
         assert not client.put_once(key, "actions@3", {"i1": 8.0})
         assert client.get(key) == {"i1": 2.0}
         assert client.op_seen(key, "actions@3")
+
+    def test_a_resent_folded_envelope_dedups_and_counts_ids(self):
+        # one put_once run and one apply_op run: the counters count the
+        # five op ids, not the two envelope entries
+        cluster, client = self.make()
+        envelope = [
+            ("put_once", ("hot:g1", ("a", "b", "c"), {"i1": 3.0})),
+            ("apply_op", ("itemCount:i1", ("a", "b"), (1.0, 2.0))),
+        ]
+        assert client.mutate(envelope) == [True, (3.0, True)]
+        assert (client.ops_applied, client.ops_deduped) == (5, 0)
+        state = cluster.snapshot_contents()
+        assert client.mutate(envelope) == [False, (3.0, False)]
+        assert (client.ops_applied, client.ops_deduped) == (5, 5)
+        assert cluster.snapshot_contents() == state
+        assert client.get_versioned("hot:g1") == ({"i1": 3.0}, 3)
+
+    def test_a_partly_journaled_run_refuses_the_whole_envelope(self):
+        cluster, client = self.make()
+        client.apply("itemCount:i1", "b", 2.0)
+        cluster.sync_replicas()
+        state = cluster.snapshot_contents()
+        with pytest.raises(TDStoreError, match="partly journaled"):
+            client.mutate([
+                ("put_once", ("hot:g1", ("a",), {"i1": 1.0})),
+                ("apply_op", ("itemCount:i1", ("a", "b"), (1.0, 2.0))),
+            ])
+        # nothing of the envelope applied, the run's neighbour included,
+        # and no replica was sent a record
+        assert cluster.snapshot_contents() == state
+        assert sum(s.pending_syncs() for s in cluster.data_servers) == 0
 
     def test_cluster_aggregates_journal_evictions(self):
         cluster, client = self.make()

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TDStoreError
 from repro.storm.component import Bolt
 from repro.storm.tuples import StormTuple
 from repro.topology.state import (
@@ -141,6 +141,88 @@ class TestCachedStore:
         store.prefetch([Reads(probes=(("k", "op"),))])
         with pytest.raises(ConfigurationError, match="'k'"):
             store.apply("k", "op", 1.0)
+
+
+def buffered(store, *writes):
+    """Buffer ``(method, key, op_id, payload)`` writes on a fresh slice."""
+    store.prefetch([
+        Reads(probes=((key, op_id),), owned=(key,))
+        for method, key, op_id, __ in writes if op_id is not None
+    ] + [Reads(owned=tuple(key for __, key, __, __ in writes))])
+    for method, key, op_id, payload in writes:
+        if method == "put":
+            store.put(key, payload)
+        elif method == "apply":
+            store.apply(key, op_id, payload)
+        else:
+            store.put_once(key, op_id, payload)
+    return store.to_commit()[1]
+
+
+class TestCommitFold:
+    """A slice of single-key journaled writes ships one write per key."""
+
+    def test_a_key_ships_once_at_its_last_write(self, client_factory):
+        writes = buffered(
+            CachedStore(client_factory()),
+            ("put_once", "hot:g0", "a@1", {"i1": 1.0}),
+            ("apply", "itemCount:i1", "a@1>h", 1.0),
+            ("put_once", "hot:g0", "a@2", {"i1": 2.0}),
+            ("apply", "itemCount:i2", "a@2>h", 0.5),
+            ("apply", "itemCount:i1", "a@3>h", 2.0),
+        )
+        assert writes == [
+            ("put_once", ("hot:g0", ("a@1", "a@2"), {"i1": 2.0})),
+            ("apply_op", ("itemCount:i2", "a@2>h", 0.5)),
+            ("apply_op", ("itemCount:i1", ("a@1>h", "a@3>h"), (1.0, 2.0))),
+        ]
+
+    @pytest.mark.parametrize(
+        "writes",
+        [
+            [
+                ("put_once", "hot:g0", "a@1", {"i1": 1.0}),
+                ("put", "recent:u1", None, ["i1"]),
+                ("put_once", "hot:g0", "a@2", {"i1": 2.0}),
+            ],
+            [
+                ("put_once", "hist:u1", "a@1", {"i1": 1.0}),
+                ("put_once", "hot:g0", "a@1", {"i1": 1.0}),
+                ("put_once", "hist:u1", "a@2", {"i1": 2.0}),
+            ],
+            [
+                ("put_once", "vqcent:c1", "a@1#move", [0.5]),
+                ("put_once", "vqassign:i1", "a@1", {"centroid": "c1"}),
+                ("put_once", "vqcent:c1", "a@2#move", [0.25]),
+            ],
+        ],
+        ids=["plain-put", "two-key-op-id", "suffixed-op-id"],
+    )
+    def test_any_other_slice_ships_its_buffer_unchanged(
+        self, client_factory, writes
+    ):
+        shipped = buffered(CachedStore(client_factory()), *writes)
+        assert shipped == [
+            (
+                {"apply": "apply_op"}.get(method, method),
+                (key, payload) if op_id is None else (key, op_id, payload),
+            )
+            for method, key, op_id, payload in writes
+        ]
+
+    def test_a_folded_apply_is_checked_against_its_last_value(
+        self, client_factory
+    ):
+        store = CachedStore(client_factory())
+        store.prefetch([
+            Reads(probes=(("n", "a@1"), ("n", "a@2")), owned=("n",))
+        ])
+        client_factory().put("n", 10.0)  # a second writer the cache missed
+        store.apply("n", "a@1", 1.0)
+        store.apply("n", "a@2", 2.0)
+        with pytest.raises(TDStoreError, match="13.0 where its single writer "
+                           "computed 3.0"):
+            store.flush()
 
 
 class CountBolt(Bolt):

@@ -7,7 +7,9 @@ alternately, parent and change, for ``--pairs`` pairs per workload at
 ``--seed``; the side that runs first alternates from pair to pair. The
 change is this checkout's working tree. Then ``--unseen-pairs`` pairs at
 ``--unseen-seed``, and with ``--trace [N]`` N traced pairs (default 1)
-per workload at ``--seed``.
+per workload at ``--seed``. Before each pair it times the host's speed,
+the median of three ``trace.calibration_ms`` loops, and records it with
+every run of that pair.
 
 It writes ``benchmarks/results/pairs/<change>-vs-<parent>.json`` (every
 run and the summary) and ``.md`` (the summary as tables), adding ``-2``,
@@ -47,6 +49,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, ROOT)  # run as a script: make the package importable
 
 from benchmarks.e2e.check_repeat import exact_metrics  # noqa: E402
+from benchmarks.e2e.trace import calibration_ms  # noqa: E402
 
 RUN = os.path.join("benchmarks", "e2e", "run.py")
 RUN_TIMEOUT = 900.0  # run.py allows each workload child 150 s
@@ -213,13 +216,20 @@ def _cell(side: "dict | None") -> str:
 
 def render(report: dict) -> str:
     head = report["settings"]
+    speeds = [
+        r["calibration_ms"] for r in report.get("runs", ()) if "calibration_ms" in r
+    ]
+    speed = (
+        f"`calibration_ms` {min(speeds):.1f}–{max(speeds):.1f} before the "
+        "pairs; " if speeds else ""
+    )
     lines = [
         f"# `{head['change']}` vs `{head['parent']}`",
         "",
         f"`benchmarks/pairs.py`, per workload: {head['pairs']} pairs at seed "
         f"{head['seed']}, {head['unseen_pairs']} at seed {head['unseen_seed']}, "
         f"{head['trace']} traced at seed {head['seed']}; {head['seconds']:g} s "
-        f"windows; change = {head['change_desc']}. "
+        f"windows; {speed}change = {head['change_desc']}. "
         "Median [quartiles]; wins = pairs the change "
         "won in the row's better direction; *every* = every change run beats "
         "every parent run; *worse* = how much worse the change's median is "
@@ -320,6 +330,12 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int,
     }
 
 
+def host_speed_ms() -> float:
+    """The median of three calibration loops: how fast this host runs
+    pure python right now (lower is faster)."""
+    return round(statistics.median(calibration_ms() for __ in range(3)), 2)
+
+
 def plan(args) -> "list[tuple[str, int, int, int]]":
     """``(phase, seed, pairs, trace)`` passes, in the order they run."""
     passes = [("seed", args.seed, args.pairs, 0)]
@@ -386,6 +402,7 @@ def main(argv=None) -> int:
         for phase, seed, pairs, trace in plan(args):
             for pair in range(pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                speed = host_speed_ms()
                 for workload in args.workloads:
                     for side in order:
                         out = os.path.join(workdir, f"out-{side}")
@@ -395,6 +412,7 @@ def main(argv=None) -> int:
                         runs.append({
                             "phase": phase, "seed": seed, "workload": workload,
                             "side": side, "pair": pair, "first": order[0],
+                            "calibration_ms": speed,
                         } | record)
                         print(
                             f"[{phase} {seed}] pair {pair + 1}/{pairs} "

@@ -13,8 +13,8 @@ expressed over the simulation's primitives:
    ``put_once`` replays stay no-ops after the move.
 2. **dual-write catch-up** — in the window the source host queues the
    full-value sync records of every write on the instance at the
-   target as well as the slave; the copy keeps them, so replaying them
-   over it leaves each key at its last value. Reads stay at the source.
+   target as well as the slave; the target's inbox keeps each key's
+   last one, applied over the copy at cutover. Reads stay at the source.
 3. **epoch-bumped cutover** (``enter_cutover`` → ``finish``) — the
    source raises a migration fence (its fencing check answers
    :class:`~repro.errors.MigrationInProgressError` instead of serving),

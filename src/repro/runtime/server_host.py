@@ -509,7 +509,7 @@ class ServerHost:
         every server is alive (``crash()`` is not logged). A co-located
         replica that was logically down when the write landed skipped
         those records then and is queued them now, so its inbox can hold
-        more after replay than before the crash. That only moves the
+        more keys after replay than before the crash. That only moves the
         replica closer to its host (scrub would have repaired the gap).
         """
 

@@ -6,11 +6,16 @@ for the slave in the same call (:meth:`TDStoreDataServer.mutate`); the
 slave applies queued records "when idle" — we expose that as an explicit
 :meth:`apply_pending` the cluster calls during idle periods and,
 crucially, before a slave is promoted.
+
+A slave queues state, not history: its inbox keeps each key's last
+record (a put or a delete) in first-queued order, so a burst of writes
+costs it at most one pending record per key it touched. Every record is
+a whole put or delete of its key, so applying the inbox leaves the
+replica where applying every superseded record in order would have.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -116,8 +121,9 @@ class TDStoreDataServer:
         self.alive = True
         self._engine_factory = engine_factory
         self._engines: dict[int, StorageEngine] = {}
-        # replication inbox per instance this server backs up
-        self._sync_inbox: dict[int, deque[SyncRecord]] = {}
+        # replication inbox per instance this server backs up: key -> its
+        # last record since the last sync, in first-queued order
+        self._sync_inbox: dict[int, dict[str, SyncRecord]] = {}
         # instances this server currently *hosts* (fencing: client traffic
         # for any other instance means the client's route table is stale)
         self._hosted: set[int] = set()
@@ -160,7 +166,7 @@ class TDStoreDataServer:
         if engine is None:
             engine = self._engine_factory()
             self._engines[instance] = engine
-            self._sync_inbox.setdefault(instance, deque())
+            self._sync_inbox.setdefault(instance, {})
         return engine
 
     def engine(self, instance: int) -> StorageEngine:
@@ -467,30 +473,37 @@ class TDStoreDataServer:
     def enqueue_syncs(self, instance: int, records: list[SyncRecord]):
         """Host notified us of an update; apply later, when idle.
 
+        Each record replaces whatever is pending for its key, so the
+        inbox holds one record per key written since the last sync.
         A downed replica rejects records — the replicator treats the
         rejection as "skip this replica", the same outcome as checking
         liveness first but without a separate round trip.
         """
         self._check_alive()
         self.ensure_instance(instance)
-        self._sync_inbox[instance].extend(records)
+        inbox = self._sync_inbox[instance]
+        for record in records:
+            inbox[record.key] = record
 
     def pending_syncs(self, instance: int | None = None) -> int:
+        """Keys this replica is behind its host on (of one instance, or
+        of all of them)."""
         if instance is not None:
             return len(self._sync_inbox.get(instance, ()))
         return sum(len(q) for q in self._sync_inbox.values())
 
     def apply_pending(self, instance: int | None = None):
-        """Apply queued sync records (the slave updating "when idle")."""
+        """Apply and empty the inbox (the slave updating "when idle"):
+        each pending key gets its last queued put or delete."""
         self._check_alive()
         targets = [instance] if instance is not None else list(self._sync_inbox)
         for target in targets:
-            queue = self._sync_inbox.get(target)
-            if not queue:
+            inbox = self._sync_inbox.get(target)
+            if not inbox:
                 continue
             engine = self.ensure_instance(target)
-            while queue:
-                record = queue.popleft()
+            for key in list(inbox):
+                record = inbox.pop(key)
                 if record.op == _PUT:
                     engine.put(record.key, record.value)
                 elif record.op == _DELETE:
@@ -516,7 +529,7 @@ class TDStoreDataServer:
         engine = self.ensure_instance(instance)
         engine.restore(data)
         if not keep_queued:
-            self._sync_inbox[instance] = deque()
+            self._sync_inbox[instance] = {}
 
     def apply_repair(
         self, instance: int, puts: dict[str, Any], deletes: "list[str]"
@@ -560,7 +573,7 @@ class TDStoreDataServer:
         self._engines = {
             instance: self._engine_factory() for instance in self._engines
         }
-        self._sync_inbox = {instance: deque() for instance in self._sync_inbox}
+        self._sync_inbox = {instance: {} for instance in self._sync_inbox}
         self._hosted = set()
         self._migrating_out = set()  # any fence died with the old process
         self._catch_up = {}  # and any dual-write window

@@ -434,6 +434,34 @@ class TestNoAcknowledgedWriteLost:
         migration.finish()
         assert store.client().get(key) == written[-1]
 
+    def test_a_key_written_twice_after_the_snapshot_ends_at_its_last_value(
+        self, stack, monkeypatch
+    ):
+        # the catch-up queue keeps one record per key: the second write
+        # replaces the first, and the target ends one key behind, not two
+        __, store = stack
+        instance = unmoved_instance(store, hosts={0, 2})
+        warm, key = keys_on_instance(store, instance, n=2, prefix="twice:")
+        client = store.client()
+        client.put(warm, "warm")
+        target_id = store.add_data_server()
+        target = store.config.server(target_id)
+        adopt = target.adopt_snapshot
+
+        def adopt_after_two_writes(instance, data, keep_queued=False):
+            if keep_queued:
+                client.put(key, "first")
+                client.put(key, "second")
+            return adopt(instance, data, keep_queued)
+
+        monkeypatch.setattr(target, "adopt_snapshot", adopt_after_two_writes)
+        migration = Migration(store.config, instance, target_id)
+        migration.begin()
+        record = migration.finish()
+        assert record.records_caught_up == 1
+        assert target.snapshot_instance(instance)[key] == "second"
+        assert store.client().get(key) == "second"
+
     def test_a_write_after_abort_queues_nothing_at_the_target(self, stack):
         __, store = stack
         instance = unmoved_instance(store, hosts={0, 2})

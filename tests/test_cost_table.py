@@ -73,8 +73,9 @@ class MutateLog:
 
 
 class Tally:
-    """Mutate ops and pickled bytes by key family, journaled op ids, and
-    the client calls, since the last :meth:`reset`."""
+    """Mutate ops and pickled bytes by key family, journaled op ids, the
+    client calls, and the sync records hosts queued on their replicas,
+    since the last :meth:`reset`."""
 
     def __init__(self):
         self.reset()
@@ -84,6 +85,17 @@ class Tally:
         self.bytes: Counter = Counter()
         self.ids = 0
         self.calls: list = []
+        self.syncs = 0
+
+    def count_syncs(self, server):
+        """Tally every record queued on ``server`` as a replica."""
+        enqueue = server.enqueue_syncs
+
+        def counting(instance, records):
+            self.syncs += len(records)
+            return enqueue(instance, records)
+
+        server.enqueue_syncs = counting
 
 
 def measure() -> "list[dict]":
@@ -97,6 +109,8 @@ def measure() -> "list[dict]":
         # the simulator runs the bolts in this process, so their clients
         # can tally into a local counter
         tally = Tally()
+        for server in store.data_servers:
+            tally.count_syncs(server)
         topology = e2e_topology("costs")(
             clock,
             lambda: MutateLog(store.client(), tally),
@@ -128,6 +142,13 @@ def measure() -> "list[dict]":
         assert metrics.trees_failed == 0
         executed = sum(map(metrics.component_executed, CF_COMPONENTS)) - executed
         evictions = store.journal_evictions() - evictions
+        # what the slaves still owe: nothing in the window syncs them
+        pending = [
+            record
+            for server in store.data_servers
+            for inbox in server._sync_inbox.values()
+            for record in inbox.values()
+        ]
 
     def per_batch(value):
         return round(value / MEASURED_BATCHES, 3)
@@ -144,6 +165,14 @@ def measure() -> "list[dict]":
          f"op ids the put_once / apply_op ops carry, {how}"),
         ("tdstore.journal_evictions", per_batch(evictions), "count",
          f"op-journal ids trimmed past JOURNAL_LIMIT, {how}"),
+        ("replication.records_enqueued", per_batch(tally.syncs), "count",
+         f"sync records the hosts queued on their slaves, {how}"),
+        ("replication.pending_records", len(pending), "count",
+         f"sync records in the slaves' inboxes after {WINDOW}, with no "
+         "idle-time sync"),
+        ("replication.pending_bytes",
+         sum(len(pickle.dumps(record, PICKLE_PROTOCOL)) for record in pending),
+         "bytes", "those records, each pickled at PICKLE_PROTOCOL"),
     ]
     for family in sorted(tally.ops):
         rows.append((f"mutate.ops.{family}", per_batch(tally.ops[family]),

@@ -137,3 +137,16 @@ class TestSummarize:
                        "summary": summarize(self.runs(), SPEC)})
         assert "`qps`" in text and "`serving.miss_window_us`" in text
         assert "equal in every run" in text and "BREACH" not in text
+
+    def test_render_heads_with_the_host_speed_range(self):
+        settings = {
+            "parent": "aaaaaaa", "change": "bbbbbbb", "change_desc": "x",
+            "pairs": 10, "seed": 2015, "seconds": 30.0, "unseen_pairs": 0,
+            "unseen_seed": 7, "trace": 1,
+        }
+        runs = self.runs()
+        for n, record in enumerate(runs):
+            record["calibration_ms"] = 30.0 + n % 5
+        text = render({"settings": settings, "runs": runs,
+                       "summary": summarize(runs, SPEC)})
+        assert "`calibration_ms` 30.0–34.0 before the pairs" in text

@@ -16,6 +16,11 @@ Three measurements over the same deterministic CF stream:
    (The CF history itself absorbs identical replays — ratings are a
    monotone max — which is exactly why counters are the dangerous
    case.)
+4. Failed commit, no rewind — one ``userHistory`` commit raises
+   ``DataServerDownError`` and nothing seeks the consumer back: the
+   production spout replays nothing, so the guarantee rests on the
+   executor retrying the failed wave, and the CF state must equal the
+   clean run's.
 
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_exactly_once.py -q -s
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import time
 
+from repro.errors import DataServerDownError
 from repro.recovery import Fault, RecoveryHarness
 from repro.storm.component import Bolt, FunctionBolt
 from repro.storm.grouping import FieldsGrouping, ShuffleGrouping
@@ -65,6 +71,51 @@ class NaiveCountBolt(StoreBacked, Bolt):
 
     def execute(self, tup):
         self._store.incr(StateKeys.item_count(tup["item"]), tup["delta"])
+
+
+class FailingCommitClient:
+    """A bolt's client whose ``armed[0]``-th commit carrying a history
+    key raises before anything is sent (the countdown is shared by
+    every client of the run)."""
+
+    def __init__(self, inner, armed):
+        self._inner = inner
+        self._armed = armed
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def mutate(self, ops):
+        if any(str(args[0]).startswith("hist:") for __, args in ops):
+            self._armed[0] -= 1
+            if self._armed[0] == 0:
+                raise DataServerDownError("injected commit failure")
+        return self._inner.mutate(ops)
+
+
+def failed_commit_run(payloads, commit=5):
+    """The CF run whose ``commit``-th userHistory commit fails once;
+    ``run()`` is called again and nothing rewinds the consumer."""
+    armed = [commit]
+    inner = cf_topology_factory(batch_size=BATCH)
+
+    def factory(clock, client_factory, consumer):
+        return inner(
+            clock, lambda: FailingCommitClient(client_factory(), armed), consumer
+        )
+
+    harness = RecoveryHarness(
+        make_tdaccess(payloads), TOPIC, factory, tick_interval=240.0
+    )
+    harness.start()
+    try:
+        harness.run()
+    except DataServerDownError:
+        pass
+    assert armed[0] == 0, "the commit never failed"
+    assert harness.run() == "completed"
+    retried = harness.cluster.metrics("cf-stream").retried_tuples
+    return state_digest(harness.client()), retried
 
 
 def counter_factory(count_bolt):
@@ -176,6 +227,10 @@ def test_exactly_once_overhead_and_value():
     assert counter_naive > counter_clean  # at-least-once double-counts
     inflation = (counter_naive - counter_clean) / counter_clean * 100.0
 
+    failed_state, retried = failed_commit_run(payloads)
+    assert retried > 0
+    assert failed_state == clean_state  # the retried wave repairs it
+
     lines = [
         f"Exactly-once layer: overhead and value ({N_MESSAGES} events, "
         f"batch {BATCH}, best of {REPS})",
@@ -198,5 +253,9 @@ def test_exactly_once_overhead_and_value():
         f"counted (== {N_MESSAGES} sent)",
         f"{'plain at-least-once counter bolt':>34}: {counter_naive:8.0f} events "
         f"counted ({inflation:+.1f}% silent inflation)",
+        "",
+        "failed commit, no rewind (one userHistory commit raises)",
+        f"{'CF topology, retried wave':>34}: {retried:8d} tuples retried, "
+        "state == clean run",
     ]
     report("exactly_once", "\n".join(lines))

@@ -78,6 +78,7 @@ def _tdstore(store, now: float) -> dict[str, Any]:
         "tdstore_writes": {str(k): v for k, v in store.write_stats().items()},
         "replication_backlog": sum(s.pending_syncs() for s in alive),
         "journal_evictions": store.journal_evictions(),
+        "journal_overruns": store.journal_overruns(),
         "route_epoch": migrations["route_epoch"],
         "migrations_completed": migrations["completed"],
         "migrations_aborted": migrations["aborted"],
@@ -233,10 +234,9 @@ ALERT_RULES: tuple[AlertRule, ...] = (
     AlertRule("acker_anomalies", GREW, 0, "warning", "storm", "topology {key!r} "
               "absorbed {value} over-acked tuple tree(s) (possible double-ack bug "
               "in a bolt)"),
-    AlertRule("journal_evictions", GREW, 0, "warning", "tdstore", "{value} "
-              "op-journal id(s) trimmed since last snapshot; a rewind re-delivering "
-              "them would double-apply (check JOURNAL_LIMIT against per-key op "
-              "rates)"),
+    AlertRule("journal_overruns", GREW, 0, "critical", "tdstore", "{value} "
+              "journaled run(s) longer than JOURNAL_LIMIT since last snapshot; a "
+              "retried wave re-sending one would double-apply it"),
     AlertRule("scrub_divergent_buckets", GREW, 0, "warning", "tdstore", "scrub found "
               "and repaired {value} divergent replica bucket(s) since last snapshot "
               "(replication drift; read-repair converged the pair)"),

@@ -22,7 +22,9 @@ A worker that dies mid-wave is respawned by the supervisor, its
 topologies reloaded, and its share of the wave re-dispatched: the bolts
 restart fresh (exactly ``kill_task`` semantics) and the re-executed
 tuples fall on the dedup ledgers and op journals that already make
-at-least-once delivery exact.
+at-least-once delivery exact. A share whose gather or commit fails
+reports its error with its records, and the parent queues the share's
+tuples again, as the simulator does for a failed wave.
 """
 
 from __future__ import annotations
@@ -182,12 +184,12 @@ class ProcessCluster(LocalCluster):
         executes and commits its share as one wave of its own — and
         feed the recorded emissions through the parent's collectors,
         slice by slice in task order, with ``bolt.execute`` replaced by
-        the record."""
+        the record; each slice's wave error is its worker share's."""
         self.waves_dispatched += 1
         results = self._dispatch(run.topology.name, wave)
         outcomes = []
         for task, tuples in wave:
-            records = results[(task.component_name, task.task_index)]
+            records, wave_error = results[(task.component_name, task.task_index)]
             errors = []
             for tup, (events, error) in zip(tuples, records):
                 task.collector.set_input_context(tup.root_ids, tup.op_id)
@@ -196,15 +198,15 @@ class ProcessCluster(LocalCluster):
                 finally:
                     task.collector.set_input_context(frozenset(), None)
                 errors.append(error)
-            outcomes.append(errors)
+            outcomes.append((errors, wave_error))
         return outcomes
 
     def _dispatch(self, topology_name: str, wave):
         """Execute the wave on the worker pool; one in-flight RPC each.
 
-        Returns ``{(component, task_index): [per-tuple (events, error)]}``.
-        Worker death is handled per worker: respawn, reload, re-dispatch
-        its share.
+        Returns ``{(component, task_index): ([per-tuple (events, error)],
+        share_error)}``. Worker death is handled per worker: respawn,
+        reload, re-dispatch its share.
         """
         per_worker: dict[int, list] = {}
         for task, tuples in wave:
@@ -230,7 +232,7 @@ class ProcessCluster(LocalCluster):
             except RemoteOpError:
                 self._redispatch(index, request, results)
             else:
-                results.update(self._share(reply))
+                self._collect(reply, results)
         return results
 
     def _redispatch(self, index, request, results):
@@ -242,12 +244,21 @@ class ProcessCluster(LocalCluster):
                 f"worker {self._workers[index].name!r} died twice on one "
                 "wave; giving up"
             )
-        results.update(self._share(reply))
+        self._collect(reply, results)
+
+    def _collect(self, reply, results):
+        """File one worker's wave reply under its tasks, with the share's
+        error, once the keys its share committed are published (per
+        share: a sibling's failed commit does not hold them back)."""
+        records, error, *keys = reply
+        if keys:
+            self._publish(keys[0])
+        for key, record in records.items():
+            results[key] = (record, error)
 
     def _share(self, reply):
-        """One worker's reply, once the keys its share committed are
-        published (per share: a sibling's failed commit does not hold
-        them back) — and a tick's failure raised after them."""
+        """One worker's tick reply, once the keys its ticks committed are
+        published — and a tick's failure raised after them."""
         if self._publish is None:
             return reply
         records, keys, *failed = reply

@@ -74,8 +74,9 @@ SURFACE: "dict[str, dict[str, Row]]" = {
         **dict.fromkeys(
             ("gather", "get", "get_versioned", "read_replica", "engine",
              "hosts", "instances", "pending_syncs", "snapshot_instance",
-             "journal_evictions", "set_host_role", "set_migration_fence",
-             "set_degradation", "clear_degradation", "recover"), CALL,
+             "journal_evictions", "journal_overruns", "set_host_role",
+             "set_migration_fence", "set_degradation", "clear_degradation",
+             "recover"), CALL,
         ),
     },
     # ConfigServerPair on host 0
@@ -93,7 +94,8 @@ SURFACE: "dict[str, dict[str, Row]]" = {
             ("snapshot_contents", "sync_replicas", "scrub_replicas", "scrub_stats",
              "drain_data_server", "migration_stats", "crash_data_server",
              "recover_data_server", "set_degradation", "clear_degradation",
-             "degraded_servers", "journal_evictions", "read_stats", "write_stats"),
+             "degraded_servers", "journal_evictions", "journal_overruns",
+             "read_stats", "write_stats"),
             CALL,
         ),
     },

@@ -176,16 +176,17 @@ class WorkerHost:
     ):
         """Run this worker's share of a component wave — one gather, one
         commit for all of it (:func:`~repro.storm.cluster.execute_wave`)
-        — and return per-tuple records.
+        — and return ``(records, error)``.
 
         ``batches`` is ``[(component, task_index, [StormTuple...]), ...]``;
-        the result maps ``(component, task_index)`` to one ``(events,
-        error)`` record per tuple — the parent replays the events
-        through its own collectors and settles the tuple by the error,
-        so parent-side control flow is byte-for-byte the simulator's.
-        With ``publish`` (the parent has an invalidation bus) the result
-        is ``(records, keys)``: the keys the share's commit wrote or
-        probed, none if it failed.
+        ``records`` maps ``(component, task_index)`` to one ``(events,
+        error)`` record per tuple, with the tuple's own error, and
+        ``error`` is the share's wave error — the parent replays the
+        events through its own collectors and settles each tuple by the
+        two, so parent-side control flow is byte-for-byte the
+        simulator's. With ``publish`` (the parent has an invalidation
+        bus) the result is ``(records, error, keys)``: the keys the
+        share's commit wrote or probed, none if it failed.
         """
         entry = self._entry(name)
         entry.clock.advance_to(now)
@@ -208,27 +209,29 @@ class WorkerHost:
                 self.executed += 1
 
         committed: list = []
-        outcomes = execute_wave(
+        outcomes, error = execute_wave(
             slices, self._rebuilder(entry), execute,
             committed.extend if publish else None,
         )
         records = {
             (task.component, task.task_index): [
                 (
-                    # nothing, for a tuple a refused gather failed
+                    # nothing, for a tuple a refused gather left unexecuted
                     recorded.get(id(tup), ()),
-                    None if error is None else sanitize_exception(error),
+                    None if own is None else sanitize_exception(own),
                 )
-                for tup, error in zip(tuples, errors)
+                for tup, own in zip(tuples, errors)
             ]
             for (task, tuples), errors in zip(slices, outcomes)
         }
-        return (records, committed) if publish else records
+        if error is not None:
+            error = sanitize_exception(error)
+        return (records, error, committed) if publish else (records, error)
 
     def _rebuilder(self, entry: _WorkerTopology):
         """A failed commit costs a task its memory (cache and dedup
-        ledger name writes that never landed): the replay meets a fresh
-        instance."""
+        ledger name writes that never landed): the retried wave meets a
+        fresh instance."""
         return lambda task: self._build_task(
             entry, task.component, task.task_index
         )

@@ -22,12 +22,7 @@ from repro.storm.component import Spout, Bolt, OutputCollector, TopologyContext
 from repro.storm.topology import TopologyBuilder, Topology
 from repro.storm.cluster import LocalCluster
 from repro.storm.metrics import ClusterMetrics
-from repro.storm.reliability import (
-    DeadLetter,
-    DedupLedger,
-    ExactlyOnceBolt,
-    ReplayingSpout,
-)
+from repro.storm.reliability import DedupLedger, ExactlyOnceBolt
 from repro.storm.xml_config import topology_from_xml
 
 __all__ = [
@@ -48,9 +43,7 @@ __all__ = [
     "Topology",
     "LocalCluster",
     "ClusterMetrics",
-    "DeadLetter",
     "DedupLedger",
     "ExactlyOnceBolt",
-    "ReplayingSpout",
     "topology_from_xml",
 ]

@@ -125,11 +125,11 @@ def execute_one(task, tup: StormTuple) -> "Exception | None":
 def commit_tasks(tasks, restart, sink=None, probes=()):
     """One commit for what ``tasks`` buffered. Writes a failed commit
     dropped are still in the tasks' caches and dedup ledgers, so every
-    one of them restarts fresh (``restart(task)``) and the replay meets
-    the store's journals. Once the commit returns, ``sink`` hears every
-    key it wrote and every key ``probes`` named — a replay whose first
-    commit lost its ack writes nothing, but probes. A failed commit
-    hands the sink nothing."""
+    one of them restarts fresh (``restart(task)``) and the retried wave
+    meets the store's journals. Once the commit returns, ``sink`` hears
+    every key it wrote and every key ``probes`` named — a retry whose
+    first commit lost its ack writes nothing, but probes. A failed
+    commit hands the sink nothing."""
     try:
         writes = commit_wave(task.instance.to_commit() for task in tasks)
     except Exception:
@@ -140,38 +140,33 @@ def commit_tasks(tasks, restart, sink=None, probes=()):
         sink([args[0] for __, args in writes] + [key for key, __ in probes])
 
 
-def execute_wave(
-    slices, restart, execute=execute_one, sink=None
-) -> "list[list]":
+def execute_wave(slices, restart, execute=execute_one, sink=None):
     """gather -> execute -> commit for the ``(task, tuples)`` slices of
     one component wave — on either executor, the unit of store traffic
     and therefore of failure — then hand the committed wave's keys to
     ``sink`` (:func:`commit_tasks`).
 
-    Returns one list per slice, aligned with its tuples: each tuple's
-    error or ``None``. A gather that is refused fails every tuple
-    unexecuted; a commit that fails fails every tuple that had not
-    failed on its own — their emissions stand (emit first), their writes
-    are replayed — and restarts every task of the wave. An envelope that
-    broke part-way leaves an op prefix, which the journals absorb.
+    Returns ``(outcomes, error)``: one list per slice, aligned with its
+    tuples, of each tuple's own error or ``None``; and the wave's error
+    or ``None``. A refused gather executes nothing; a failed commit
+    restarts every task of the wave, whose emissions stand (emit first).
+    Either way the wave is to be retried. An envelope that broke
+    part-way leaves an op prefix, which the journals absorb.
     """
     try:
         probes = gather_wave(
             task.instance.to_gather(tuples) for task, tuples in slices
         )
     except Exception as exc:
-        return [[exc] * len(tuples) for __, tuples in slices]
+        return [[None] * len(tuples) for __, tuples in slices], exc
     outcomes = [
         [execute(task, tup) for tup in tuples] for task, tuples in slices
     ]
     try:
         commit_tasks([task for task, __ in slices], restart, sink, probes)
     except Exception as exc:
-        return [
-            [exc if error is None else error for error in errors]
-            for errors in outcomes
-        ]
-    return outcomes
+        return outcomes, exc
+    return outcomes, None
 
 
 def tick_wave(tasks, now: float, restart, sink=None):
@@ -328,10 +323,15 @@ class LocalCluster:
     def step(self) -> bool:
         """One scheduling round: poll every active spout once, then drain.
 
+        Tuples still queued when the round starts — a failed wave's, or
+        what a drain cut short by an error left — are drained first, so
+        they run before newer input; a fault-free round starts empty.
         Returns True if any spout still reported pending input or any tuple
         was processed.
         """
-        progressed = False
+        progressed = any(
+            run.pending_tuples() for run in self._running.values()
+        ) and self.drain() > 0
         for run in self._running.values():
             for task in list(run.tasks.values()):
                 if isinstance(task.instance, Spout) and not task.spout_done:
@@ -388,34 +388,49 @@ class LocalCluster:
         """One component wave: gather -> execute -> commit, then settle.
 
         Tuples are acked, and execute hooks run, once the wave's writes
-        are committed; a tuple that failed — on its own, with a refused
-        gather or with the wave's commit — reaches the acker as failed.
-        The whole wave is settled before the first error propagates
-        (fail-fast, as ever), or the tuples behind that error would be
-        neither acked nor failed. A hook may kill a task of the wave:
-        its tuples are committed already and settle all the same.
+        are committed; a tuple whose own execute raised fails its tree.
+        A tuple whose wave failed — a refused gather, a failed commit or,
+        on a worker process, its share failing — goes back, in order, to
+        the head of its task's queue, as :meth:`kill_task` keeps queued
+        tuples: the next drain re-runs it on the restarted task against
+        the store's journals. The whole wave is settled before the first
+        error propagates (fail-fast, as ever). A hook may kill a task of
+        the wave: its tuples are committed already and settle all the
+        same.
         """
         error = None
-        for (task, tuples), errors in zip(wave, self._execute_wave(run, wave)):
+        for (task, tuples), (errors, failed_wave) in zip(
+            wave, self._execute_wave(run, wave)
+        ):
             counters = run.metrics.task(task.component_name, task.task_index)
-            manual_ack = getattr(task.instance, "manual_ack", False)
+            retry = []
             for tup, failed in zip(tuples, errors):
                 counters.executed += 1
+                if failed is None and failed_wave is None:
+                    task.collector.ack(tup)
+                    for hook in list(self._execute_hooks):
+                        hook(run.topology.name)
+                    continue
                 if failed is not None:
                     task.collector.fail(tup)
-                    error = failed if error is None else error
-                    continue
-                if not manual_ack:
-                    task.collector.ack(tup)
-                for hook in list(self._execute_hooks):
-                    hook(run.topology.name)
+                else:
+                    retry.append(tup)
+                if error is None:
+                    error = failed or failed_wave
+            task.queue.extendleft(reversed(retry))
+            run.metrics.retried_tuples += len(retry)
         if error is not None:
             raise error
 
-    def _execute_wave(self, run: _RunningTopology, wave) -> "list[list]":
+    def _execute_wave(self, run: _RunningTopology, wave) -> "list[tuple]":
         """The step a substrate replaces: run the wave's tuples and
-        return, per slice, each tuple's error (or ``None``)."""
-        return execute_wave(wave, self._restarter(run), sink=self._publish)
+        return, per slice, ``(errors, wave_error)`` — each tuple's own
+        error (or ``None``) and the error of the wave that carried the
+        slice (or ``None``)."""
+        outcomes, error = execute_wave(
+            wave, self._restarter(run), sink=self._publish
+        )
+        return [(errors, error) for errors in outcomes]
 
     def _restarter(self, run: _RunningTopology):
         return lambda task: self.kill_task(
@@ -558,7 +573,8 @@ class LocalCluster:
         """Kill one task and restart it fresh: in-memory state is lost.
 
         Queued tuples survive (Storm replays pending tuples to the new
-        executor); any state the component kept outside TDStore is gone.
+        executor) — the rule a failed wave's tuples follow too; any state
+        the component kept outside TDStore is gone.
         """
         run = self._running.get(topology_name)
         if run is None:

@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 # bump when a counter is added/renamed; from_dict refuses other versions
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -42,6 +42,8 @@ class ClusterMetrics:
     trees_completed: int = 0
     trees_failed: int = 0
     task_restarts: int = 0
+    # tuples a failed wave put back on their tasks' queues
+    retried_tuples: int = 0
 
     def task(self, component: str, task_index: int) -> TaskMetrics:
         return self.tasks[(component, task_index)]
@@ -79,6 +81,7 @@ class ClusterMetrics:
             "trees_completed": self.trees_completed,
             "trees_failed": self.trees_failed,
             "task_restarts": self.task_restarts,
+            "retried_tuples": self.retried_tuples,
         }
 
     @classmethod
@@ -94,6 +97,7 @@ class ClusterMetrics:
             trees_completed=data["trees_completed"],
             trees_failed=data["trees_failed"],
             task_restarts=data["task_restarts"],
+            retried_tuples=data["retried_tuples"],
         )
         for key, counters in data["tasks"].items():
             name, _, rest = key.rpartition("[")

@@ -1,13 +1,8 @@
-"""Delivery-guarantee helpers: at-least-once replay and exactly-once dedup.
+"""Exactly-once dedup for bolts.
 
-Storm's native guarantee is at-least-once: a spout tuple whose tree fails
-(or times out) is replayed. :class:`ReplayingSpout` wraps any pull-based
-source with the standard pending-buffer pattern — emitted tuples are
-remembered until acked, failed ones re-enter the front of the queue, and
-a bounded retry count routes poison messages to a dead-letter record
-(optionally published to a TDAccess topic) instead of looping forever.
-
-On top of that, :class:`ExactlyOnceBolt` upgrades a bolt to effectively
+The executors retry a failed component wave on its restarted tasks, and
+a consumer seek re-delivers what it rewinds, so a bolt may meet a tuple
+more than once. :class:`ExactlyOnceBolt` upgrades a bolt to effectively
 exactly-once processing: every spout tuple carries a stable
 ``(source, offset)`` identity (``StormTuple.op_id``), bolt emissions
 derive child identities deterministically, and a bounded
@@ -19,15 +14,9 @@ subsystem's checkpoints include it.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
-
 from repro.errors import ConfigurationError
-from repro.storm.component import Bolt, Spout
+from repro.storm.component import Bolt
 from repro.storm.tuples import StormTuple
-
-PullFn = Callable[[], "Sequence[tuple] | None"]
 
 # Offsets retained per source behind the highest offset seen. Must exceed
 # the largest burst of first deliveries that can arrive out of order at
@@ -253,10 +242,12 @@ class ExactlyOnceBolt(Bolt):
 
     The ledger is committed only *after* :meth:`process` returns: if the
     work raises (a store deadline miss, an open breaker, an injected
-    server error) the tuple tree fails with the ledger unmarked, so the
-    spout's replay is processed rather than swallowed as a duplicate.
-    Marking first would silently degrade exactly-once to at-most-once
-    whenever an exception coincides with a replay.
+    server error) the ledger stays unmarked, so a re-delivery is
+    processed rather than swallowed as a duplicate. Marking first would
+    silently degrade exactly-once to at-most-once whenever an exception
+    coincides with a re-delivery. A failed wave's commit restarts the
+    task, ledger and all, and the retried wave meets the store's
+    journals.
 
     The ledger rides along in ``snapshot_state``/``restore_state`` so
     recovery checkpoints capture it; subclasses keep their own
@@ -318,117 +309,3 @@ class ExactlyOnceBolt(Bolt):
         if app is not None:
             self.restore_app_state(app)
 
-
-@dataclass(frozen=True)
-class DeadLetter:
-    """A row abandoned after exhausting its retries."""
-
-    row: tuple
-    message_id: Any
-    failures: int
-
-
-class ReplayingSpout(Spout):
-    """A reliable spout over an iterable of value tuples.
-
-    Parameters
-    ----------
-    rows:
-        The value tuples to emit.
-    fields / stream_id:
-        Output stream declaration.
-    max_retries:
-        After this many failures a row is moved to ``dead_letters``.
-    max_in_flight:
-        Cap on unacked emitted tuples. When reached the spout stops
-        emitting (``throttled`` counts the skipped polls) until acks or
-        failures shrink the pending buffer — Storm's
-        ``topology.max.spout.pending`` backpressure. Without a cap,
-        repeated downstream failures let the pending buffer grow with
-        the whole remaining input.
-
-    Row ``i`` carries ``op_id="rows@{i}"``, stable across replays.
-    """
-
-    def __init__(
-        self,
-        rows: Iterable[tuple],
-        fields: tuple[str, ...],
-        stream_id: str = "default",
-        max_retries: int = 3,
-        max_in_flight: int | None = None,
-    ):
-        if max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0: {max_retries}")
-        if max_in_flight is not None and max_in_flight <= 0:
-            raise ConfigurationError(
-                f"max_in_flight must be positive: {max_in_flight}"
-            )
-        self._queue: deque[tuple[int, tuple]] = deque(enumerate(rows))
-        self._fields = fields
-        self._stream_id = stream_id
-        self._max_retries = max_retries
-        self._max_in_flight = max_in_flight
-        self._pending: dict[int, tuple] = {}
-        self._failures: dict[int, int] = {}
-        self.dead_letters: list[DeadLetter] = []
-        self.replays = 0
-        self.completed = 0
-        self.duplicate_acks = 0
-        self.throttled = 0
-        self.max_in_flight_seen = 0
-
-    def declare_outputs(self, declarer):
-        declarer.declare(self._fields, self._stream_id)
-
-    def next_tuple(self) -> bool:
-        if not self._queue:
-            return False
-        if (
-            self._max_in_flight is not None
-            and len(self._pending) >= self._max_in_flight
-        ):
-            # backpressure: rows remain queued, so report "more to come"
-            # without emitting; pending tuples resolve during the drain
-            # that follows every poll, reopening the window
-            self.throttled += 1
-            return True
-        message_id, row = self._queue.popleft()
-        self._pending[message_id] = row
-        self.collector.emit(
-            row,
-            stream_id=self._stream_id,
-            message_id=message_id,
-            op_id=f"rows@{message_id}",
-        )
-        self.max_in_flight_seen = max(self.max_in_flight_seen, len(self._pending))
-        return True
-
-    def on_ack(self, message_id: Any):
-        if self._pending.pop(message_id, None) is None:
-            # duplicate or unknown ack (e.g. an acker double-delivering):
-            # counting it would inflate the completion metric past the
-            # number of rows actually processed
-            self.duplicate_acks += 1
-            return
-        self._failures.pop(message_id, None)
-        self.completed += 1
-
-    def on_fail(self, message_id: Any):
-        row = self._pending.pop(message_id, None)
-        if row is None:
-            return
-        failures = self._failures.get(message_id, 0) + 1
-        if failures > self._max_retries:
-            self.dead_letters.append(DeadLetter(row, message_id, failures))
-            self._failures.pop(message_id, None)
-            return
-        self._failures[message_id] = failures
-        self.replays += 1
-        self._queue.appendleft((message_id, row))
-
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    def fully_processed(self) -> bool:
-        return not self._queue and not self._pending

@@ -211,10 +211,18 @@ class TDStoreCluster:
         """Total op-journal ids trimmed out across the pool.
 
         Each trimmed id is a dedup decision forgotten: a rewind deep
-        enough to re-deliver it would double-apply. The monitor alerts on
-        a positive delta.
+        enough to re-deliver it would double-apply. A healthy stream
+        trims all the time, so the monitor shows it without alerting.
         """
         return sum(s.journal_evictions() for s in self.data_servers)
+
+    def journal_overruns(self) -> int:
+        """Total journaled runs longer than ``JOURNAL_LIMIT`` across the
+        pool: the one re-delivery the system makes by itself, a retried
+        wave, would re-send such a run with its head already trimmed and
+        double-apply it. The monitor alerts on a positive delta.
+        """
+        return sum(s.journal_overruns() for s in self.data_servers)
 
     def read_stats(self) -> dict[int, int]:
         """server id -> reads served; shows load spread across the pool."""

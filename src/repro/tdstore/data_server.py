@@ -468,6 +468,11 @@ class TDStoreDataServer:
         """Op-journal ids trimmed across this server's engines (monitoring)."""
         return sum(e.journal_evictions for e in self._engines.values())
 
+    def journal_overruns(self) -> int:
+        """Journaled runs longer than the journal, across this server's
+        engines (monitoring)."""
+        return sum(e.journal_overruns for e in self._engines.values())
+
     # -- slave-side replication ----------------------------------------------
 
     def enqueue_syncs(self, instance: int, records: list[SyncRecord]):

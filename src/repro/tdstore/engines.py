@@ -109,6 +109,9 @@ class StorageEngine(ABC):
     # rewind re-delivering one of them would double-apply (class default;
     # incrementing creates the instance counter)
     journal_evictions = 0
+    # runs longer than the journal: a retried wave re-sending one would
+    # find its head trimmed and double-apply it
+    journal_overruns = 0
 
     def _trim_journal(self, journal: list, journal_limit: int) -> list:
         if len(journal) > journal_limit:
@@ -166,6 +169,8 @@ class StorageEngine(ABC):
         self, key: str, journal: list, op_ids: tuple, journal_limit: int
     ):
         """Journal the run's ids and bump the version once per id."""
+        if len(op_ids) > journal_limit:
+            self.journal_overruns += 1
         journal.extend(op_ids)
         journal = self._trim_journal(journal, journal_limit)
         self.put(JOURNAL_PREFIX + key, journal)

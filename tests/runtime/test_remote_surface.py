@@ -95,8 +95,8 @@ class TestProxies:
             assert getattr(store, name) is not None, name
         for name in (
             "migration_stats", "scrub_stats", "sync_replicas",
-            "snapshot_contents", "journal_evictions", "read_stats",
-            "write_stats",
+            "snapshot_contents", "journal_evictions", "journal_overruns",
+            "read_stats", "write_stats",
         ):
             getattr(store, name)()  # answered by host 0's facade
         with pytest.raises(AttributeError):

@@ -1,18 +1,18 @@
 """A refused gather or a failed commit fails its whole wave — on both
-executors — and publishes nothing.
+executors — publishes nothing, and the wave is retried where it failed.
 
 The component wave (per worker process: the worker's share of it) is
 the unit of store traffic, so it is the unit of failure: when the one
-gather or the one commit serving its tasks raises, every tuple of it
-must reach its spout as failed (storm has no message timeout to rescue
-a tuple that is neither acked nor failed) — task 1's as much as task
-0's, whose key broke it — every task in it must restart, tuples of
-other waves must stay acked or queued, and the replay must leave the
-store as after a single delivery. The process substrate settles a wave
-from the workers' records, after the fact; this pins that it settles
-*all* of them before the error propagates, as the simulator does, and
-publishes the keys of every share (or tick) that committed, and only
-those.
+gather or the one commit serving its tasks raises, every tuple of it —
+task 1's as much as task 0's, whose key broke it — goes back to its
+task's queue, and nothing reaches the spout as failed. A failed commit
+restarts every task in the wave, tuples of other waves stay acked or
+queued, and the next drain re-runs the wave against the store's
+journals, leaving the store as after a single delivery with every row
+acked once. The process substrate settles a wave from the workers'
+records, after the fact; this pins that it settles *all* of them before
+the error propagates, as the simulator does, and publishes the keys of
+every share (or tick) that committed, and only those.
 """
 
 import os
@@ -33,7 +33,7 @@ TASKS = 2  # two slices in the one wave; only task 0's key breaks it
 
 class BurstSpout(Spout):
     """Emits every row in one poll, so each component meets them as one
-    wave of multi-tuple slices, and re-emits what failed."""
+    wave of multi-tuple slices, and records how each tree ended."""
 
     def __init__(self):
         self._pending = list(range(ROWS))
@@ -54,7 +54,6 @@ class BurstSpout(Spout):
 
     def on_fail(self, message_id):
         self.failed.append(message_id)
-        self._pending.append(message_id)
 
 
 class FlakyClient:
@@ -234,26 +233,30 @@ def test_failed_wave_fails_every_tuple_of_it(
 
         with pytest.raises(DataServerDownError, match=f"{method} lost"):
             cluster.run_until_idle()
-        # the rows wave (task 0's share of it) failed whole, unwritten,
-        # and nothing is stranded: the wave before it is committed, the
-        # wave after it still waits in its queues
-        failed = sorted(spout.failed)
-        assert len(failed) > 1 and spout.acked == []
-        assert cluster.pending_tuples("flaky-count") == ROWS
+        # nothing reached the spout as failed: the rows wave (task 0's
+        # share of it) went back to its tasks' queues unwritten, the wave
+        # before it is committed, and the wave after it still waits
+        assert spout.failed == [] and spout.acked == []
+        retried = cluster.metrics("flaky-count").retried_tuples
+        assert cluster.queue_depths("flaky-count") == {
+            "source": 0, "first": 0, "rows": retried, "last": ROWS
+        }
         # the monitor reads the cluster through its public surface, so it
         # sees the same on both executors
         monitor = SystemMonitor(clock.now)
         monitor.watch("storm", cluster)
-        assert monitor.snapshot()["topology_pending"] == {"flaky-count": ROWS}
+        assert monitor.snapshot()["topology_pending"] == {
+            "flaky-count": ROWS + retried
+        }
         assert client.get("rows:0") is None
         if whole_wave:
-            assert failed == list(range(ROWS))
+            assert retried == ROWS
             assert client.get("rows:1") is None
         else:
-            assert client.get("rows:1") == ROWS - len(failed) > 0
+            assert client.get("rows:1") == ROWS - retried > 0
         assert client.get("first:0") + client.get("first:1") == ROWS
         assert client.get("last:0") is None and client.get("last:1") is None
-        # the failed commit published nothing, a sibling share that
+        # the failed share published nothing, a sibling share that
         # committed did, and so did the wave before
         assert "rows:0" not in log.keys
         assert ("rows:1" in log.keys) is not whole_wave
@@ -265,14 +268,13 @@ def test_failed_wave_fails_every_tuple_of_it(
             assert restarts == TASKS
 
         cluster.run_until_idle()
-        assert sorted(spout.failed) == failed  # no second failure
-        assert sorted(spout.acked) == list(range(ROWS))
-        # every row counted once, by two tasks — though the waves
-        # around the broken one met the failed rows twice
+        assert spout.failed == []
+        assert sorted(spout.acked) == list(range(ROWS))  # each row once
         for prefix in COUNTERS:
             counts = [client.get(f"{prefix}:{task}") for task in range(TASKS)]
             assert sum(counts) == ROWS and min(counts) > 0
         assert cluster.metrics("flaky-count").task_restarts == restarts
+        assert cluster.metrics("flaky-count").retried_tuples == retried
         assert {
             f"{prefix}:{task}" for prefix in COUNTERS for task in range(TASKS)
         } <= set(log.keys)

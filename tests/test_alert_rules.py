@@ -73,9 +73,9 @@ class V4Snapshot:
     watermark_rejections: dict[str, int] = field(default_factory=dict)
     # over-acked tuple trees absorbed per topology (possible double-ack bug)
     acker_anomalies: dict[str, int] = field(default_factory=dict)
-    # op-journal ids trimmed out across the TDStore pool: a rewind deep
-    # enough to re-deliver one would double-apply
-    journal_evictions: int = 0
+    # journaled runs longer than JOURNAL_LIMIT across the TDStore pool: a
+    # retried wave re-sending one would double-apply it
+    journal_overruns: int = 0
     # serving layer: cached/batched query pipeline
     serving_tiers: dict[str, int] = field(default_factory=dict)
     serving_stale_serves: int = 0
@@ -281,17 +281,16 @@ class LadderMonitor(SystemMonitor):
                         "(possible double-ack bug in a bolt)",
                     )
                 )
-        eviction_delta = snap.journal_evictions - self._previous_field(
-            "journal_evictions"
+        overrun_delta = snap.journal_overruns - self._previous_field(
+            "journal_overruns"
         )
-        if eviction_delta > 0:
+        if overrun_delta > 0:
             alerts.append(
                 Alert(
-                    "warning", "tdstore",
-                    f"{eviction_delta} op-journal id(s) trimmed since last "
-                    "snapshot; a rewind re-delivering them would "
-                    "double-apply (check JOURNAL_LIMIT against per-key op "
-                    "rates)",
+                    "critical", "tdstore",
+                    f"{overrun_delta} journaled run(s) longer than "
+                    "JOURNAL_LIMIT since last snapshot; a retried wave "
+                    "re-sending one would double-apply it",
                 )
             )
         divergence_delta = snap.scrub_divergent_buckets - self._previous_field(
@@ -555,7 +554,7 @@ TOPOLOGIES = ("app", "cf")
 RUNGS = ("live", "cache", "demographic", "static")
 NAMES = ("etl", "store", "worker-1")  # consumers, breakers, children
 COUNTERS = (
-    "journal_evictions", "scrub_divergent_buckets",
+    "journal_overruns", "scrub_divergent_buckets",
     "scrub_corruptions_detected", "queries_shed", "store_hedged_reads",
     "store_degraded_keys", "migrations_aborted",
     "autoscaler_applied", "supervisor_kills", "supervisor_respawns",
@@ -669,7 +668,7 @@ FIRES_ALONE = [
     {"dedup_hits": {"c[0]": 1}},
     {"watermark_rejections": {"c[0]": 1}},
     {"acker_anomalies": {"app": 1}},
-    {"journal_evictions": 1},
+    {"journal_overruns": 1},
     {"scrub_divergent_buckets": 1},
     {"scrub_corruptions_detected": 1},
     {"breaker_states": {"store": "open"}},

@@ -47,7 +47,8 @@ WINDOW = (
 
 class MutateLog:
     """A bolt's client that tallies every op of every ``mutate`` it sends,
-    and the method of every call, into a :class:`Tally`."""
+    the keys and probes of every ``gather``, and the method of every
+    call, into a :class:`Tally`."""
 
     def __init__(self, inner, tally):
         self._inner = inner
@@ -64,18 +65,21 @@ class MutateLog:
                 tally.ids += len(args[1]) if isinstance(args[1], tuple) else 1
         return self._inner.mutate(ops)
 
-    def gather(self, *args):
-        self._tally.calls.append("gather")
-        return self._inner.gather(*args)
+    def gather(self, keys, probes=()):
+        tally = self._tally
+        tally.calls.append("gather")
+        tally.keys += len(keys)
+        tally.probes += len(probes)
+        return self._inner.gather(keys, probes)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 class Tally:
-    """Mutate ops and pickled bytes by key family, journaled op ids, the
-    client calls, and the sync records hosts queued on their replicas,
-    since the last :meth:`reset`."""
+    """Mutate ops and pickled bytes by key family, journaled op ids,
+    gathered keys and probes, the client calls, and the sync records
+    hosts queued on their replicas, since the last :meth:`reset`."""
 
     def __init__(self):
         self.reset()
@@ -84,6 +88,8 @@ class Tally:
         self.ops: Counter = Counter()
         self.bytes: Counter = Counter()
         self.ids = 0
+        self.keys = 0
+        self.probes = 0
         self.calls: list = []
         self.syncs = 0
 
@@ -133,6 +139,7 @@ def measure() -> "list[dict]":
             micro_batch()
         metrics = cluster.metrics(topology.name)
         executed = sum(map(metrics.component_executed, CF_COMPONENTS))
+        retried = metrics.retried_tuples
         evictions = store.journal_evictions()
         tally.reset()
         micro_batch()
@@ -141,6 +148,7 @@ def measure() -> "list[dict]":
             micro_batch()
         assert metrics.trees_failed == 0
         executed = sum(map(metrics.component_executed, CF_COMPONENTS)) - executed
+        retried = metrics.retried_tuples - retried
         evictions = store.journal_evictions() - evictions
         # what the slaves still owe: nothing in the window syncs them
         pending = [
@@ -157,12 +165,18 @@ def measure() -> "list[dict]":
     rows = [
         ("storm.tuples_per_event", round(executed / (MEASURED_BATCHES * BATCH), 4),
          "count", f"CF bolt executions per event over {WINDOW}"),
+        ("storm.retried_tuples", per_batch(retried), "count",
+         f"tuples failed waves put back on their tasks' queues, {how}"),
         ("mutate.ops", per_batch(sum(tally.ops.values())), "count",
          f"ops in the bolts' mutate envelopes, {how}"),
         ("mutate.bytes", per_batch(sum(tally.bytes.values())), "bytes",
          f"pickled (method, args) of those ops, {how}"),
         ("mutate.journaled_ids", per_batch(tally.ids), "count",
          f"op ids the put_once / apply_op ops carry, {how}"),
+        ("gather.keys", per_batch(tally.keys), "count",
+         f"keys in the bolts' gather frames, {how}"),
+        ("gather.probes", per_batch(tally.probes), "count",
+         f"journal probes in the bolts' gather frames, {how}"),
         ("tdstore.journal_evictions", per_batch(evictions), "count",
          f"op-journal ids trimmed past JOURNAL_LIMIT, {how}"),
         ("replication.records_enqueued", per_batch(tally.syncs), "count",

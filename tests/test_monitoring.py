@@ -4,17 +4,23 @@ import json
 
 import pytest
 
+from benchmarks.e2e.load import EventTrace
+from benchmarks.e2e.topology import e2e_topology
+from benchmarks.e2e.workload import PRELOAD_BATCHES
 from repro.engine.engine import EngineConfig, RecommenderEngine
 from repro.engine.front_end import RecommenderFrontEnd
 from repro.monitoring import Alert, SystemMonitor, SystemSnapshot
 from repro.resilience import CircuitBreaker, LoadShedder
+from repro.runtime import SimSubstrate
 from repro.serving import ServingLayer
 from repro.storm import GlobalGrouping, LocalCluster, TopologyBuilder
 from repro.tdaccess import TDAccessCluster
 from repro.tdstore import TDStoreCluster
+from repro.tdstore.engines import JOURNAL_LIMIT
 from repro.topology.state import StateKeys
 from repro.utils.clock import SimClock
 
+from tests.retrieval.helpers import seeded_store
 from tests.storm.helpers import CountBolt, ListSpout
 
 
@@ -73,9 +79,9 @@ class TestSnapshot:
         ))
         monitor.watch("supervisor", StubSupervisor())
         snap = monitor.snapshot()
-        # all 61 signals but checkpoints' 2, recovery's 3, retrieval's 6
+        # all 62 signals but checkpoints' 2, recovery's 3, retrieval's 6
         # and the autoscaler's 3
-        assert len(snap.signals) == 47
+        assert len(snap.signals) == 48
         wire = json.loads(json.dumps(snap.to_dict()))
         assert SystemSnapshot.from_dict(wire) == snap
 
@@ -185,9 +191,7 @@ class TestExactlyOnceSignals:
         assert len(alerts) == 1
         assert alerts[0].severity == "warning"
 
-    def test_journal_evictions_surface_and_warn(self, deployment):
-        from repro.tdstore.engines import JOURNAL_LIMIT
-
+    def test_journal_evictions_surface_without_alerting(self, deployment):
         __, ___, tdstore, ____, monitor = deployment
         monitor.snapshot()
         client = tdstore.client()
@@ -195,16 +199,61 @@ class TestExactlyOnceSignals:
             client.apply("itemCount:i1", f"actions@{i}", 1.0)
         snap = monitor.snapshot()
         assert snap["journal_evictions"] == 3
-        alerts = [
-            a for a in monitor.evaluate(snap) if "op-journal" in a.message
-        ]
-        assert len(alerts) == 1
-        assert "double-apply" in alerts[0].message
-        # steady state: no further trims, no alert
+        assert snap["journal_overruns"] == 0
+        # a trimmed journal is a healthy stream's steady state
+        assert not [a for a in monitor.evaluate(snap) if "journal" in a.message]
+
+    def test_an_overlong_run_raises_the_overrun_alert(self, deployment):
+        __, ___, tdstore, ____, monitor = deployment
+        monitor.snapshot()
+        ids = tuple(f"actions@{i}" for i in range(JOURNAL_LIMIT + 1))
+        tdstore.client().put_once("hot:global", ids, {"i1": 1.0})
         snap = monitor.snapshot()
-        assert not [
-            a for a in monitor.evaluate(snap) if "op-journal" in a.message
+        assert snap["journal_overruns"] == 1
+        alerts = [a for a in monitor.evaluate(snap) if "journal" in a.message]
+        assert [(a.severity, a.component) for a in alerts] == [
+            ("critical", "tdstore")
         ]
+        assert "double-apply" in alerts[0].message
+        # steady state: no further overruns, no alert
+        snap = monitor.snapshot()
+        assert not [a for a in monitor.evaluate(snap) if "journal" in a.message]
+
+    def test_the_e2e_stream_raises_no_journal_alert(self):
+        """The benchmark's stream trims journals every micro-batch (the
+        cost table's ``tdstore.journal_evictions``) and overruns none."""
+        with SimSubstrate() as substrate:
+            clock = SimClock()
+            store = seeded_store(substrate)
+            cluster = substrate.build_storm(clock)
+            tdaccess = TDAccessCluster(clock, num_data_servers=2)
+            tdaccess.create_topic("journal", 2)
+            topology = e2e_topology("journal")(
+                clock, store.client, tdaccess.consumer("journal")
+            )
+            cluster.submit(topology)
+            monitor = SystemMonitor(clock.now)
+            monitor.watch("tdstore", store)
+            monitor.snapshot()
+            events = EventTrace(2015)
+            for __ in range(PRELOAD_BATCHES):  # what the seeded state holds
+                events.next_batch()
+            producer = tdaccess.producer()
+            evictions = []
+            for __ in range(6):
+                for payload in events.next_batch():
+                    clock.advance_to(payload["timestamp"])
+                    producer.send("journal", payload, key=payload["user"])
+                cluster.reactivate_spouts(topology.name)
+                cluster.run_until_idle()
+                snap = monitor.snapshot()
+                evictions.append(snap["journal_evictions"])
+                assert snap["journal_overruns"] == 0
+                assert not [
+                    a for a in monitor.evaluate(snap) if "journal" in a.message
+                ]
+        # every micro-batch trimmed some journal
+        assert 0 < evictions[0] and all(map(int.__lt__, evictions, evictions[1:]))
 
 
 class TestScrubSignals:

@@ -59,10 +59,12 @@ class Task:
         bolt.prepare(TopologyContext(self._name, 0, 1, "test"), collector)
 
     def deliver(self, *tuples):
-        [errors] = execute_wave([(self, tuples)], self._restart, sink=self._sink)
+        [errors], wave_error = execute_wave(
+            [(self, tuples)], self._restart, sink=self._sink
+        )
         for error in errors:
-            if error is not None:
-                raise error
+            if error is not None or wave_error is not None:
+                raise error or wave_error
 
     def _restart(self, task):
         self.restarts += 1

@@ -183,8 +183,9 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         """One component wave as the executors run it: the tuples go to
         the tasks owning their keys, and ``execute_wave`` brackets the
         slices with one gather and one commit. A tuple that fails does
-        not stop the wave; a refused gather or a failed commit fails
-        every tuple of it, the commit restarting every task in it."""
+        not stop the wave; a refused gather or a failed commit puts every
+        tuple of it back, ahead of the next wave's, the commit restarting
+        every task in it."""
         tuples = self.failed + self.inbox
         self.failed, self.inbox = [], []
         slices = [
@@ -195,7 +196,7 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         before = self.contents()
         sunk: list[list] = []
         try:
-            outcomes = execute_wave(
+            outcomes, wave_error = execute_wave(
                 slices, self.restart, self.execute_one, sink=sunk.append
             )
         finally:
@@ -204,6 +205,7 @@ class UnitOfWorkMachine(RuleBasedStateMachine):
         for (task, own), errors in zip(slices, outcomes):
             task.handed_over = False
             for tup, error in zip(own, errors):
+                error = error or wave_error
                 if error is not None:
                     if not isinstance(error, Cut):
                         raise error  # a failed check, not an injected loss
